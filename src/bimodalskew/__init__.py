@@ -8,7 +8,7 @@ Metropolis-within-Gibbs with exact precision augmentation (`inference`), an
 independent numeric validation suite (`oracle`), and a CLI (`bimodalskew`).
 """
 
-from .bases import ExpPowerBase, GenTBase, NormalBase, StudentTBase
+from .bases import GenTBase, NormalBase, StudentTBase
 from .errors import CapabilityError, DomainError, ExistenceError, NumericError
 from .families import (
     DistributionSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "DistributionSpec",
     "DomainError",
     "ExistenceError",
-    "ExpPowerBase",
     "GenTBase",
     "McmcConfig",
     "MetropolisWithinGibbs",

@@ -28,6 +28,12 @@ def _validate_order(r: int) -> int:
     return int(r)
 
 
+def _check_shape(p: float, q: float) -> None:
+    """Finite p > 0 and q > 0: the domain of the generalized-gamma mixing law."""
+    if not (np.isfinite(p) and np.isfinite(q) and p > 0 and q > 0):
+        raise DomainError(f"shape parameters must be finite with p > 0 and q > 0, got p={p}, q={q}")
+
+
 def gt_variance(p: float, q: float) -> float:
     """Variance of the unit-scale generalized-t density.
 
@@ -35,8 +41,7 @@ def gt_variance(p: float, q: float) -> float:
     and the variance is q^(2/p) * Gamma(3/p) Gamma(q - 2/p) / (Gamma(1/p) Gamma(q)),
     finite only for p*q > 2.
     """
-    if p <= 0 or q <= 0:
-        raise DomainError(f"generalized-t needs p > 0 and q > 0, got p={p}, q={q}")
+    _check_shape(p, q)
     if p * q <= 2:
         raise DomainError(f"generalized-t variance needs p*q > 2, got p*q={p * q}")
     log_var = (
@@ -54,13 +59,7 @@ def gt_standard_scale(p: float, q: float) -> float:
     return 1.0 / np.sqrt(gt_variance(p, q))
 
 
-def ep_standard_scale(p: float) -> float:
-    """Scale phi giving the exponential-power kernel exp(-|x/phi|^p / 2) unit variance."""
-    if p <= 0:
-        raise DomainError(f"exponential-power tail must be positive, got p={p}")
-    return float(np.exp(-0.5 * ((2.0 / p) * np.log(2.0) + gammaln(3.0 / p) - gammaln(1.0 / p))))
-
-
+@dataclass(frozen=True)
 class NormalBase:
     """Standard normal base."""
 
@@ -93,8 +92,8 @@ class StudentTBase:
     nu: float
 
     def __post_init__(self):
-        if not self.nu > 2:
-            raise DomainError(f"degrees of freedom must exceed 2, got nu={self.nu}")
+        if not (np.isfinite(self.nu) and self.nu > 2):
+            raise DomainError(f"degrees of freedom must be finite and exceed 2, got nu={self.nu}")
 
     @property
     def name(self) -> str:
@@ -147,15 +146,22 @@ class StudentTBase:
 
 @dataclass(frozen=True)
 class GenTBase:
-    """Generalized-t rescaled to unit variance; requires p > 0, q > 0 and p*q > 2."""
+    """Generalized-t rescaled to unit variance; requires finite p > 0, q > 0 and p*q > 2.
+
+    ``delta`` defaults to the standardizing scale; passing another value
+    gives a generalized-t of a different variance.
+    """
 
     p: float
     q: float
     delta: float | None = None
 
     def __post_init__(self):
+        standard = gt_standard_scale(self.p, self.q)  # validates p and q
         if self.delta is None:
-            object.__setattr__(self, "delta", gt_standard_scale(self.p, self.q))
+            object.__setattr__(self, "delta", standard)
+        elif not (np.isfinite(self.delta) and self.delta > 0):
+            raise DomainError(f"scale delta must be positive and finite, got {self.delta}")
 
     @property
     def name(self) -> str:
@@ -212,59 +218,3 @@ class GenTBase:
             "no closed-form sampler for the z^2-weighted generalized-t half density; "
             "draw through the generalized-gamma hierarchy instead"
         )
-
-
-@dataclass(frozen=True)
-class ExpPowerBase:
-    """Exponential-power kernel exp(-|z/scale|^p / 2); all moments finite.
-
-    Not one of the public families: it appears as the conditional layer of the
-    generalized-t mixture hierarchy, so its samplers carry an explicit scale.
-    """
-
-    p: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.p <= 0:
-            raise DomainError(f"exponential-power tail must be positive, got p={self.p}")
-        if self.scale <= 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
-
-    @property
-    def name(self) -> str:
-        return "exppower"
-
-    def log_pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        p, s = self.p, self.scale
-        with np.errstate(over="ignore"):
-            w = (np.abs(z) / s) ** p
-        return (
-            np.log(p)
-            - np.log(s)
-            - (1.0 + 1.0 / p) * np.log(2.0)
-            - gammaln(1.0 / p)
-            - 0.5 * w
-        )
-
-    def moment_exists(self, r: int) -> bool:
-        _validate_order(r)
-        return True
-
-    def abs_moment(self, r: int) -> float:
-        r = _validate_order(r)
-        return float(
-            self.scale**r
-            * np.exp((r / self.p) * np.log(2.0) + gammaln((r + 1.0) / self.p) - gammaln(1.0 / self.p))
-        )
-
-    def sample_abs(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        # |Z/scale|^p ~ Gamma(1/p, rate 1/2).
-        g = gen.gamma(1.0 / self.p, 2.0, size)
-        return self.scale * g ** (1.0 / self.p)
-
-    def sample_abs_tilted(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        # z^2-weighting shifts the gamma shape from 1/p to 3/p.
-        g = gen.gamma(3.0 / self.p, 2.0, size)
-        return self.scale * g ** (1.0 / self.p)

@@ -60,11 +60,8 @@ def _build_spec(args: argparse.Namespace) -> DistributionSpec:
 
 
 def _spec_params(spec: DistributionSpec) -> dict:
-    out = {"alpha": spec.skew.alpha, "gamma": spec.skew.gamma, "mu": spec.loc, "sigma": spec.scale}
-    if spec.tail is not None:
-        out["nu"] = spec.tail.nu
-    if spec.shape is not None:
-        out["p"], out["q"] = spec.shape.p, spec.shape.q
+    out = {"alpha": spec.alpha, "gamma": spec.gamma, "mu": spec.loc, "sigma": spec.scale}
+    out.update({k: getattr(spec.base, k) for k in ("nu", "p", "q") if hasattr(spec.base, k)})
     return out
 
 

@@ -9,7 +9,11 @@ base density f:
   x >= 0;
 * a quadratic tilt (1 + alpha x^2) / (1 + alpha b(gamma)) with alpha >= 0,
   where b(gamma) is the second moment of the skewed density.  The tilt
-  carves mass out of the center, producing two modes once alpha >= 0.5.
+  carves mass out of the center.  With the normal base the stationary
+  points of the two halves sit at x^2 = 2 gamma^2 - 1/alpha (right) and
+  x^2 = 2 / gamma^2 - 1/alpha (left), so the density has two modes exactly
+  when alpha > max(gamma^2, gamma^-2) / 2; at gamma = 1 the threshold
+  alpha = 0.5 itself still gives one mode.
 
 Three bases are supported: the standard normal ("bsn"), the unit-variance
 Student-t ("bsstd", nu > 2) and the unit-variance generalized-t ("bsgt",
@@ -29,36 +33,21 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .bases import (
-    ExpPowerBase,
-    GenTBase,
-    NormalBase,
-    StudentTBase,
-    ep_standard_scale,
-    gt_standard_scale,
-    gt_variance,
-)
+from .bases import GenTBase, NormalBase, StudentTBase
 from .errors import DomainError, ExistenceError, NumericError
 
 __all__ = [
-    "BimodalSkewParams",
-    "StudentTail",
-    "GtShape",
     "DistributionSpec",
     "MomentReport",
     "bsn",
     "bsstd",
     "bsgt",
     "two_piece_second_moment",
-    "gt_standard_scale",
-    "gt_variance",
-    "ep_standard_scale",
     "log_pdf",
     "pdf",
     "cdf",
     "cdf_values",
     "quantile",
-    "base_abs_moment",
     "skew_moment",
     "full_moment",
     "moment_exists",
@@ -66,7 +55,7 @@ __all__ = [
     "find_modes",
 ]
 
-FAMILIES = ("bsn", "bsstd", "bsgt")
+_FAMILY_OF_BASE = {"normal": "bsn", "student": "bsstd", "gent": "bsgt"}
 
 # Tolerances for the numeric CDF; quantile() brackets on top of these.
 _CDF_EPSABS = 1e-12
@@ -87,105 +76,58 @@ def two_piece_second_moment(gamma: float) -> float:
 
 
 @dataclass(frozen=True)
-class BimodalSkewParams:
-    """Tilt strength alpha >= 0 and two-piece skewness gamma > 0.
+class DistributionSpec:
+    """A fully specified family member.
 
-    The derived attribute ``b`` is the second moment of the (untilted)
-    two-piece density, which normalizes the tilt factor.
+    Tilt strength ``alpha >= 0``, two-piece skewness ``gamma > 0``, a
+    symmetric unit-variance ``base`` (which validates its own tail
+    parameters) and the map x = loc + scale * z.  The derived ``b`` is the
+    second moment of the untilted two-piece density, which normalizes the
+    tilt factor only when the base has unit variance, so a ``GenTBase``
+    given a non-standard ``delta`` yields an unnormalized density at alpha > 0.
     """
 
     alpha: float
     gamma: float
+    base: NormalBase | StudentTBase | GenTBase
+    loc: float = 0.0
+    scale: float = 1.0
     b: float = field(init=False)
 
     def __post_init__(self):
+        if getattr(self.base, "name", None) not in _FAMILY_OF_BASE:
+            raise DomainError(f"unsupported base {self.base!r}")
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise DomainError(f"tilt parameter must be >= 0 and finite, got alpha={self.alpha}")
-        object.__setattr__(self, "b", two_piece_second_moment(self.gamma))
-
-
-@dataclass(frozen=True)
-class StudentTail:
-    """Degrees of freedom for the Student-t base; nu > 2 keeps the variance finite."""
-
-    nu: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.nu) or self.nu <= 2:
-            raise DomainError(f"degrees of freedom must exceed 2, got nu={self.nu}")
-
-
-@dataclass(frozen=True)
-class GtShape:
-    """Generalized-t shape pair (p, q) with the derived standardizing scale delta."""
-
-    p: float
-    q: float
-    delta: float = field(init=False)
-
-    def __post_init__(self):
-        # gt_standard_scale validates p > 0, q > 0, p*q > 2.
-        object.__setattr__(self, "delta", gt_standard_scale(self.p, self.q))
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    """A fully specified family member.
-
-    ``tail`` must be present exactly for family "bsstd" and ``shape`` exactly
-    for family "bsgt".
-    """
-
-    family: str
-    skew: BimodalSkewParams
-    tail: StudentTail | None = None
-    shape: GtShape | None = None
-    loc: float = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if (self.tail is not None) != (self.family == "bsstd"):
-            raise DomainError("tail parameters are required for 'bsstd' and only there")
-        if (self.shape is not None) != (self.family == "bsgt"):
-            raise DomainError("shape parameters are required for 'bsgt' and only there")
         if not np.isfinite(self.loc):
             raise DomainError(f"location must be finite, got {self.loc}")
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
+        object.__setattr__(self, "b", two_piece_second_moment(self.gamma))
 
     @property
-    def base(self):
-        """The symmetric unit-variance base density object."""
-        if self.family == "bsn":
-            return NormalBase()
-        if self.family == "bsstd":
-            return StudentTBase(self.tail.nu)
-        return GenTBase(self.shape.p, self.shape.q, self.shape.delta)
+    def family(self) -> str:
+        """The family code ("bsn", "bsstd" or "bsgt") of the base."""
+        return _FAMILY_OF_BASE[self.base.name]
 
 
 def bsn(alpha: float, gamma: float, loc: float = 0.0, scale: float = 1.0) -> DistributionSpec:
     """Bimodal skew normal."""
-    return DistributionSpec("bsn", BimodalSkewParams(alpha, gamma), loc=loc, scale=scale)
+    return DistributionSpec(alpha, gamma, NormalBase(), loc, scale)
 
 
 def bsstd(
     alpha: float, gamma: float, nu: float, loc: float = 0.0, scale: float = 1.0
 ) -> DistributionSpec:
     """Bimodal skewed standardized Student-t."""
-    return DistributionSpec(
-        "bsstd", BimodalSkewParams(alpha, gamma), tail=StudentTail(nu), loc=loc, scale=scale
-    )
+    return DistributionSpec(alpha, gamma, StudentTBase(nu), loc, scale)
 
 
 def bsgt(
     alpha: float, gamma: float, p: float, q: float, loc: float = 0.0, scale: float = 1.0
 ) -> DistributionSpec:
     """Bimodal skewed standardized generalized-t."""
-    return DistributionSpec(
-        "bsgt", BimodalSkewParams(alpha, gamma), shape=GtShape(p, q), loc=loc, scale=scale
-    )
+    return DistributionSpec(alpha, gamma, GenTBase(p, q), loc, scale)
 
 
 # ---------- density ----------
@@ -206,8 +148,8 @@ def log_pdf(spec: DistributionSpec, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     z = (x - spec.loc) / spec.scale
-    g = spec.skew.gamma
-    alpha = spec.skew.alpha
+    g = spec.gamma
+    alpha = spec.alpha
     # sign(0) = +1: z = 0 goes through the stretched positive branch.
     arg = np.where(z >= 0, z / g, z * g)
     out = (
@@ -215,7 +157,7 @@ def log_pdf(spec: DistributionSpec, x):
         + np.log(2.0)
         - np.log(g + 1.0 / g)
         + _tilt_log(alpha, z)
-        - np.log1p(alpha * spec.skew.b)
+        - np.log1p(alpha * spec.b)
         - np.log(spec.scale)
     )
     return float(out) if scalar else out
@@ -341,17 +283,12 @@ def quantile(spec: DistributionSpec, u: float) -> float:
 # ---------- moments ----------
 
 
-def base_abs_moment(spec: DistributionSpec, r: int) -> float:
-    """m_r = 2 * integral_0^inf z^r f(z) dz of the symmetric base density."""
-    return spec.base.abs_moment(r)
-
-
 def skew_moment(spec: DistributionSpec, r: int) -> float:
     """r-th moment of the untilted two-piece density (standardized variable).
 
     E(Z^r | gamma) = (gamma^(r+1) + (-1)^r gamma^-(r+1)) / (gamma + 1/gamma) * m_r.
     """
-    g = spec.skew.gamma
+    g = spec.gamma
     m = spec.base.abs_moment(r)
     sign = -1.0 if r % 2 else 1.0
     return (g ** (r + 1) + sign * g ** (-(r + 1))) / (g + 1.0 / g) * m
@@ -359,10 +296,10 @@ def skew_moment(spec: DistributionSpec, r: int) -> float:
 
 def _canonical_moment(spec: DistributionSpec, r: int) -> float:
     """E(Z^r | alpha, gamma) = (E(Z^r|gamma) + alpha E(Z^(r+2)|gamma)) / (1 + alpha b)."""
-    alpha = spec.skew.alpha
+    alpha = spec.alpha
     if alpha == 0.0:
         return skew_moment(spec, r)
-    return (skew_moment(spec, r) + alpha * skew_moment(spec, r + 2)) / (1.0 + alpha * spec.skew.b)
+    return (skew_moment(spec, r) + alpha * skew_moment(spec, r + 2)) / (1.0 + alpha * spec.b)
 
 
 def full_moment(spec: DistributionSpec, r: int) -> float:
@@ -383,7 +320,7 @@ def full_moment(spec: DistributionSpec, r: int) -> float:
 def moment_exists(spec: DistributionSpec, r: int) -> bool:
     """Whether the r-th moment of the tilted, skewed density is finite."""
     base = spec.base
-    if spec.skew.alpha == 0.0:
+    if spec.alpha == 0.0:
         return base.moment_exists(r)
     return base.moment_exists(r + 2)
 
@@ -431,7 +368,7 @@ def find_modes(spec: DistributionSpec) -> list[tuple[float, float]]:
     wide grid in standardized coordinates and refines each descending sign
     change by bisection.
     """
-    g = spec.skew.gamma
+    g = spec.gamma
     reach = 10.0 * max(g, 1.0 / g)
     zs = np.linspace(-reach, reach, _MODE_GRID_POINTS)
     mids = 0.5 * (zs[:-1] + zs[1:])

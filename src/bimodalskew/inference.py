@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .bases import StudentTBase
 from .errors import CapabilityError, DomainError
 from .families import bsgt, log_pdf
 from .sampling import RngStream, _gen
@@ -74,7 +75,6 @@ class McmcConfig:
     thin: int = 5
     chains: int = 1
     target_accept: float = 0.44
-    adapt_until: int | None = None  # defaults to burn_in
     init_scale: float = 0.5
 
     def __post_init__(self):
@@ -88,10 +88,6 @@ class McmcConfig:
             raise DomainError("target_accept must lie in (0, 1)")
         if not self.init_scale > 0:
             raise DomainError("init_scale must be positive (a zero proposal scale cannot move)")
-
-    @property
-    def adaptation_end(self) -> int:
-        return self.burn_in if self.adapt_until is None else self.adapt_until
 
 
 @dataclass
@@ -148,10 +144,8 @@ def _check_data(data) -> np.ndarray:
     return x
 
 
-def _weighted_half_sums(x: np.ndarray, lam: np.ndarray | None) -> tuple[float, float]:
-    """(sum of lam x^2 over x >= 0, same over x < 0); sign(0) = +1."""
-    w = x * x if lam is None else lam * x * x
-    pos = x >= 0
+def _half_sums(w: np.ndarray, pos: np.ndarray) -> tuple[float, float]:
+    """(sum of w over x >= 0, same over x < 0), given the mask pos = x >= 0."""
     return float(w[pos].sum()), float(w[~pos].sum())
 
 
@@ -160,19 +154,7 @@ def log_likelihood_bsn(data, alpha: float, phi: float) -> float:
 
     At alpha = 0, phi = 1 this is the standard normal log likelihood.
     """
-    x = _check_data(data)
-    if alpha < 0 or phi <= 0:
-        return -np.inf
-    n = x.size
-    s_pos, s_neg = _weighted_half_sums(x, None)
-    return (
-        n * _HALF_LOG_2_OVER_PI
-        + float(np.sum(np.log1p(alpha * x * x)))
-        - n * np.log1p(alpha * _b_phi(phi))
-        + 0.5 * n * math.log(phi)
-        - n * np.log1p(phi)
-        - 0.5 * (s_pos / phi + s_neg * phi)
-    )
+    return log_likelihood_augmented(data, alpha, phi, np.ones(np.shape(data)))
 
 
 def log_likelihood_augmented(data, alpha: float, phi: float, lam) -> float:
@@ -185,7 +167,7 @@ def log_likelihood_augmented(data, alpha: float, phi: float, lam) -> float:
     if alpha < 0 or phi <= 0 or np.any(lam <= 0):
         return -np.inf
     n = x.size
-    s_pos, s_neg = _weighted_half_sums(x, lam)
+    s_pos, s_neg = _half_sums(lam * x * x, x >= 0)
     return (
         n * _HALF_LOG_2_OVER_PI
         + 0.5 * float(np.sum(np.log(lam)))
@@ -208,26 +190,16 @@ def _log_prior_alpha(alpha: float, priors: PriorConfig) -> float:
     return a * math.log(b) - gammaln(a) + edge - b * alpha
 
 
-def _log_prior_phi(phi: float, priors: PriorConfig) -> float:
+# One kernel per block.  The public log_cond_* and gibbs_update_lambda check
+# their data and call these; the sampler calls them directly with the
+# per-data-set invariants (x^2, the sign mask) computed once.
+
+
+def _lc_phi(
+    phi: float, alpha: float, n: int, s_pos: float, s_neg: float, priors: PriorConfig
+) -> float:
     if phi <= 0:
         return -np.inf
-    a, b = priors.a_phi, priors.b_phi
-    return a * math.log(b) - gammaln(a) + (a - 1.0) * math.log(phi) - b * phi
-
-
-def _log_prior_nu(nu: float, priors: PriorConfig) -> float:
-    if nu <= 2:
-        return -np.inf
-    return math.log(priors.beta_nu) - priors.beta_nu * (nu - 2.0)
-
-
-def log_cond_phi(phi: float, alpha: float, data, lam, priors: PriorConfig) -> float:
-    """Unnormalized log full conditional of phi = gamma^2."""
-    if phi <= 0:
-        return -np.inf
-    x = _check_data(data)
-    n = x.size
-    s_pos, s_neg = _weighted_half_sums(x, None if lam is None else np.asarray(lam, float))
     return (
         -n * np.log1p(alpha * _b_phi(phi))
         + (priors.a_phi + 0.5 * n - 1.0) * math.log(phi)
@@ -237,37 +209,58 @@ def log_cond_phi(phi: float, alpha: float, data, lam, priors: PriorConfig) -> fl
     )
 
 
-def log_cond_alpha(alpha: float, phi: float, data, priors: PriorConfig) -> float:
-    """Unnormalized log full conditional of the tilt parameter."""
+def _lc_alpha(alpha: float, phi: float, xx: np.ndarray, priors: PriorConfig) -> float:
     if alpha < 0:
         return -np.inf
-    x = _check_data(data)
-    n = x.size
     return (
-        -n * np.log1p(alpha * _b_phi(phi))
-        + float(np.sum(np.log1p(alpha * x * x)))
+        -xx.size * np.log1p(alpha * _b_phi(phi))
+        + float(np.sum(np.log1p(alpha * xx)))
         + _log_prior_alpha(alpha, priors)
     )
 
 
-def log_cond_nu(nu: float, lam, priors: PriorConfig) -> float:
-    """Unnormalized log full conditional of the degrees of freedom given lambda."""
+def _nu_penalty(lam: np.ndarray, priors: PriorConfig) -> float:
+    """The lambda statistic of the nu conditional, with the prior rate folded in."""
+    return priors.beta_nu + 0.5 * float(np.sum(lam - np.log(lam)))
+
+
+def _lc_nu(nu: float, n: int, penalty: float) -> float:
     if nu <= 2:
         return -np.inf
-    lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    penalty = priors.beta_nu + 0.5 * float(np.sum(lam - np.log(lam)))
     return 0.5 * n * nu * math.log(0.5 * (nu - 2.0)) - n * gammaln(0.5 * nu) - nu * penalty
+
+
+def _draw_lambda(gen, xx: np.ndarray, pos: np.ndarray, phi: float, nu: float) -> np.ndarray:
+    rate = 0.5 * (nu - 2.0 + xx * np.where(pos, 1.0 / phi, phi))
+    return gen.gamma(0.5 * (nu + 1.0), 1.0 / rate)
+
+
+def log_cond_phi(phi: float, alpha: float, data, lam, priors: PriorConfig) -> float:
+    """Unnormalized log full conditional of phi = gamma^2."""
+    x = _check_data(data)
+    w = x * x if lam is None else np.asarray(lam, dtype=float) * x * x
+    return _lc_phi(phi, alpha, x.size, *_half_sums(w, x >= 0), priors)
+
+
+def log_cond_alpha(alpha: float, phi: float, data, priors: PriorConfig) -> float:
+    """Unnormalized log full conditional of the tilt parameter."""
+    x = _check_data(data)
+    return _lc_alpha(alpha, phi, x * x, priors)
+
+
+def log_cond_nu(nu: float, lam, priors: PriorConfig) -> float:
+    """Unnormalized log full conditional of the degrees of freedom given lambda."""
+    lam = np.asarray(lam, dtype=float)
+    return _lc_nu(nu, lam.size, _nu_penalty(lam, priors))
 
 
 def gibbs_update_lambda(data, phi: float, nu: float, rng) -> np.ndarray:
     """Exact draw of the augmented precisions from their Gamma full conditional."""
     x = _check_data(data)
-    if phi <= 0 or nu <= 2:
-        raise DomainError("need phi > 0 and nu > 2")
-    gen = _gen(rng)
-    rate = 0.5 * (nu - 2.0 + x * x * np.where(x >= 0, 1.0 / phi, phi))
-    return gen.gamma(0.5 * (nu + 1.0), 1.0 / rate)
+    if phi <= 0:
+        raise DomainError(f"need phi > 0, got {phi}")
+    StudentTBase(nu)  # validates nu
+    return _draw_lambda(_gen(rng), x * x, x >= 0, phi, nu)
 
 
 # ---------- Metropolis machinery ----------
@@ -357,6 +350,10 @@ class MetropolisWithinGibbs:
                 "pass enable_extensions=True to opt in"
             )
         self.x = _check_data(data)
+        # per-data-set invariants of the block kernels; sign(0) = +1
+        self._xx = self.x * self.x
+        self._pos = self.x >= 0
+        self._xx_sums = _half_sums(self._xx, self._pos)
         self.model = model
         self.priors = priors or PriorConfig()
         self.config = config or McmcConfig()
@@ -387,52 +384,6 @@ class MetropolisWithinGibbs:
         self.adapt_trace = {b: [(0, self.config.init_scale)] for b in blocks}
         self._iteration = 0
         self._post_iterations = 0
-
-    # conditional closures; partial sums are recomputed per block because lam moves
-    def _lt_phi(self, s_pos: float, s_neg: float):
-        n, a_phi, b_phi = self.x.size, self.priors.a_phi, self.priors.b_phi
-        alpha = self.state.alpha
-
-        def lt(phi: float) -> float:
-            if phi <= 0:
-                return -np.inf
-            return (
-                -n * np.log1p(alpha * _b_phi(phi))
-                + (a_phi + 0.5 * n - 1.0) * math.log(phi)
-                - n * np.log1p(phi)
-                - 0.5 * (s_pos / phi + s_neg * phi)
-                - b_phi * phi
-            )
-
-        return lt
-
-    def _lt_alpha(self):
-        n = self.x.size
-        xx = self.x * self.x
-        bphi = _b_phi(self.state.phi)
-        priors = self.priors
-
-        def lt(alpha: float) -> float:
-            if alpha < 0:
-                return -np.inf
-            return (
-                -n * np.log1p(alpha * bphi)
-                + float(np.sum(np.log1p(alpha * xx)))
-                + _log_prior_alpha(alpha, priors)
-            )
-
-        return lt
-
-    def _lt_nu(self):
-        lam_pen = self.priors.beta_nu + 0.5 * float(np.sum(self.state.lam - np.log(self.state.lam)))
-        n = self.x.size
-
-        def lt(nu: float) -> float:
-            if nu <= 2:
-                return -np.inf
-            return 0.5 * n * nu * math.log(0.5 * (nu - 2.0)) - n * gammaln(0.5 * nu) - nu * lam_pen
-
-        return lt
 
     def _gt_loglik(self, p: float, q_tilt: float) -> float:
         if p <= 0 or q_tilt <= 0:
@@ -467,18 +418,22 @@ class MetropolisWithinGibbs:
         t = self._iteration
         if t > self.config.burn_in:
             self._post_iterations += 1
-        adapting = t <= self.config.adaptation_end
+        adapting = t <= self.config.burn_in
         rate = 1.0 / t**0.6 if adapting else None
-        st = self.state
+        st, n, priors = self.state, self.x.size, self.priors
 
-        if self.model == "bsgt":
-            lam_for_phi = None
+        # lam moves every sweep, so only the unweighted half sums are fixed
+        if self.model == "bsstd":
+            s_pos, s_neg = _half_sums(st.lam * self.x * self.x, self._pos)
         else:
-            lam_for_phi = st.lam if self.model == "bsstd" else None
-        s_pos, s_neg = _weighted_half_sums(self.x, lam_for_phi)
-        st.phi = self._update_block("phi", self._lt_phi(s_pos, s_neg), st.phi, 0.0, rate)
+            s_pos, s_neg = self._xx_sums
+        alpha = st.alpha
+        st.phi = self._update_block(
+            "phi", lambda phi: _lc_phi(phi, alpha, n, s_pos, s_neg, priors), st.phi, 0.0, rate
+        )
+        phi = st.phi
         st.alpha = self._update_block(
-            "alpha", self._lt_alpha(), st.alpha, -_ALPHA_SHIFT, rate
+            "alpha", lambda a: _lc_alpha(a, phi, self._xx, priors), st.alpha, -_ALPHA_SHIFT, rate
         )
         if self.model == "bsgt":
             # likelihood blocks for the non-augmented extension; mild Gamma priors
@@ -497,17 +452,15 @@ class MetropolisWithinGibbs:
         do_nu = (self.model == "bsstd") if update_nu is None else update_nu
         do_lam = (self.model == "bsstd") if update_lambda is None else update_lambda
         if do_nu:
-            st.nu = self._update_block("nu", self._lt_nu(), st.nu, 2.0, rate)
+            penalty = _nu_penalty(st.lam, priors)
+            st.nu = self._update_block("nu", lambda nu: _lc_nu(nu, n, penalty), st.nu, 2.0, rate)
         if do_lam:
-            rate_vec = 0.5 * (
-                st.nu - 2.0 + self.x * self.x * np.where(self.x >= 0, 1.0 / st.phi, st.phi)
-            )
-            st.lam = self._gen.gamma(0.5 * (st.nu + 1.0), 1.0 / rate_vec)
+            st.lam = _draw_lambda(self._gen, self._xx, self._pos, st.phi, st.nu)
         if adapting:
             self._record_adapt(t)
 
     def _record_adapt(self, t: int) -> None:
-        if t % 100 == 0 or t == self.config.adaptation_end:
+        if t % 100 == 0 or t == self.config.burn_in:
             for b in self.blocks:
                 self.adapt_trace[b].append((t, self.scales[b]))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -20,7 +20,7 @@ from scipy.stats import betaprime, ks_2samp, norm
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import t as student_t
 
-from .bases import NormalBase, StudentTBase, gt_standard_scale
+from .bases import GenTBase, NormalBase, StudentTBase, gt_standard_scale
 from .errors import DomainError, ExistenceError
 from .families import (
     DistributionSpec,
@@ -217,8 +217,7 @@ def gamma_mixture_density(x: float, alpha: float, gamma: float, nu: float, tol: 
     lambda^(-1/2); marginalizing over Gamma(nu/2, rate (nu-2)/2) must
     reproduce the closed-form family density.
     """
-    if not nu > 2:
-        raise DomainError(f"need nu > 2, got {nu}")
+    StudentTBase(nu)  # validates nu
     m = _stretched(x, gamma)
     c = math.log(2.0) - math.log(gamma + 1.0 / gamma)
     shape, rate = 0.5 * nu, 0.5 * (nu - 2.0)
@@ -387,9 +386,10 @@ _MIX_GAMMAS = (0.8, 1.5)
 
 
 def _corrupt(spec: DistributionSpec, delta_scale: float | None) -> DistributionSpec:
-    if delta_scale is not None and spec.family == "bsgt":
-        object.__setattr__(spec.shape, "delta", spec.shape.delta * delta_scale)
-    return spec
+    if delta_scale is None or not isinstance(spec.base, GenTBase):
+        return spec
+    base = spec.base
+    return replace(spec, base=GenTBase(base.p, base.q, base.delta * delta_scale))
 
 
 def _norm_discrepancy(spec: DistributionSpec) -> float:

@@ -33,14 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import NormalBase
+from .bases import GenTBase, NormalBase, StudentTBase, _check_shape
 from .errors import DomainError
-from .families import (
-    BimodalSkewParams,
-    DistributionSpec,
-    gt_standard_scale,
-    two_piece_second_moment,
-)
+from .families import DistributionSpec, bsgt, bsn, bsstd, two_piece_second_moment
 
 __all__ = [
     "RngStream",
@@ -119,7 +114,7 @@ def sample_quadratic_tilt(gamma: float, base, rng, size: int | None = None):
     """Draw from the density proportional to x^2 times the two-piece density.
 
     Only bases with a closed-form x^2-weighted half-line sampler support this
-    (normal and exponential-power); others raise CapabilityError.
+    (the normal); others raise CapabilityError.
     """
     two_piece_second_moment(gamma)
     gen = _gen(rng)
@@ -142,21 +137,20 @@ def sample_bsn(alpha: float, gamma: float, rng, size: int | None = None, path: s
     (chi-square(3) radii, chi-square(5) on the tilted component).  Both are
     exact.
     """
-    params = BimodalSkewParams(alpha, gamma)  # validates
+    spec = bsn(alpha, gamma)  # validates
     if path not in ("direct", "uniform"):
         raise DomainError(f"path must be 'direct' or 'uniform', got {path!r}")
     gen = _gen(rng)
     n = 1 if size is None else int(size)
-    tilt = _tilt_mask(alpha, params.b, gen, n)
+    tilt = _tilt_mask(alpha, spec.b, gen, n)
     x = np.empty(n)
     n_tilt = int(tilt.sum())
     n_plain = n - n_tilt
     if path == "direct":
-        base = NormalBase()
         if n_plain:
-            x[~tilt] = sample_two_piece(gamma, base, gen, n_plain)
+            x[~tilt] = sample_two_piece(gamma, spec.base, gen, n_plain)
         if n_tilt:
-            x[tilt] = sample_quadratic_tilt(gamma, base, gen, n_tilt)
+            x[tilt] = sample_quadratic_tilt(gamma, spec.base, gen, n_tilt)
     else:
         if n_plain:
             mag = np.sqrt(gen.chisquare(3, n_plain)) * gen.random(n_plain)
@@ -173,12 +167,10 @@ def sample_bsstd(alpha: float, gamma: float, nu: float, rng, size: int | None = 
     Returns the precision-like mixing variable lambda alongside x; the joint
     law of (x, lambda) matches the augmented model used by the Gibbs sampler.
     """
-    params = BimodalSkewParams(alpha, gamma)
-    if not nu > 2:
-        raise DomainError(f"degrees of freedom must exceed 2, got nu={nu}")
+    spec = bsstd(alpha, gamma, nu)  # validates
     gen = _gen(rng)
     n = 1 if size is None else int(size)
-    tilt = _tilt_mask(alpha, params.b, gen, n)
+    tilt = _tilt_mask(alpha, spec.b, gen, n)
     base = NormalBase()
     rate = 0.5 * (nu - 2.0)
     lam = np.empty(n)
@@ -221,8 +213,7 @@ def sample_skewed_uniform_normal(gamma: float, lam: float, rng, size: int | None
 
 def sample_gen_gamma(p: float, q: float, rng, size: int | None = None):
     """Draw S with density p/(2 Gamma(q)) s^(pq/2 - 1) exp(-s^(p/2)), via S = Y^(2/p), Y ~ Gamma(q, 1)."""
-    if p <= 0 or q <= 0:
-        raise DomainError(f"generalized-gamma needs p > 0 and q > 0, got p={p}, q={q}")
+    _check_shape(p, q)
     gen = _gen(rng)
     n = 1 if size is None else int(size)
     s = gen.gamma(q, 1.0, n) ** (2.0 / p)
@@ -252,11 +243,11 @@ def sample_bsgt(
     """
     if path not in ("gg", "uniform-gg"):
         raise DomainError(f"path must be 'gg' or 'uniform-gg', got {path!r}")
-    params = BimodalSkewParams(alpha, gamma)
-    delta = gt_standard_scale(p, q)  # validates p, q
+    spec = bsgt(alpha, gamma, p, q)  # validates
+    delta = spec.base.delta
     gen = _gen(rng)
     n = 1 if size is None else int(size)
-    tilt = _tilt_mask(alpha, params.b, gen, n)
+    tilt = _tilt_mask(alpha, spec.b, gen, n)
     q_tilt = q - 2.0 / p  # positive because p*q > 2
     n_tilt = int(tilt.sum())
     n_plain = n - n_tilt
@@ -302,11 +293,11 @@ def sample(spec: DistributionSpec, n: int, rng) -> np.ndarray:
     """n draws from any family member, on the loc/scale of the spec."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
-    alpha, gamma = spec.skew.alpha, spec.skew.gamma
-    if spec.family == "bsn":
-        z = sample_bsn(alpha, gamma, rng, int(n))
-    elif spec.family == "bsstd":
-        z = sample_bsstd(alpha, gamma, spec.tail.nu, rng, int(n)).x
+    alpha, gamma, base = spec.alpha, spec.gamma, spec.base
+    if isinstance(base, StudentTBase):
+        z = sample_bsstd(alpha, gamma, base.nu, rng, int(n)).x
+    elif isinstance(base, GenTBase):
+        z = sample_bsgt(alpha, gamma, base.p, base.q, rng, int(n)).x
     else:
-        z = sample_bsgt(alpha, gamma, spec.shape.p, spec.shape.q, rng, int(n)).x
+        z = sample_bsn(alpha, gamma, rng, int(n))
     return spec.loc + spec.scale * z

@@ -64,6 +64,26 @@ class TestPdf:
         assert json.loads(out_g)["pdf"] == json.loads(out_p)["pdf"]
 
     @pytest.mark.parametrize(
+        "flags,params",
+        [
+            (
+                ("--model", "bsstd", "--alpha", "1", "--gamma", "0.8", "--nu", "5"),
+                {"alpha": 1.0, "gamma": 0.8, "mu": 0.0, "sigma": 1.0, "nu": 5.0},
+            ),
+            (
+                ("--model", "bsgt", "--alpha", "2", "--gamma", "1.5", "--p", "1.7", "--q", "2",
+                 "--mu", "0.5", "--sigma", "3"),
+                {"alpha": 2.0, "gamma": 1.5, "mu": 0.5, "sigma": 3.0, "p": 1.7, "q": 2.0},
+            ),
+        ],
+        ids=["bsstd", "bsgt"],
+    )
+    def test_json_params_payload(self, capsys, flags, params):
+        code, out, _ = run(capsys, "pdf", *flags, "--points", "3")
+        assert code == 0
+        assert json.loads(out)["params"] == params
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("pdf", "--model", "bsstd", "--gamma", "1"),  # nu missing
@@ -92,6 +112,28 @@ class TestSample:
         assert len(values) == 50
         meta = json.loads((tmp_path / "draws.txt.meta.json").read_text())
         assert meta["seed"] == 9 and meta["n"] == 50 and meta["model"] == "bsstd"
+
+    @pytest.mark.parametrize(
+        "flags,params",
+        [
+            (
+                ("--model", "bsstd", "--alpha", "1", "--gamma", "1.5", "--nu", "4"),
+                {"alpha": 1.0, "gamma": 1.5, "mu": 0.0, "sigma": 1.0, "nu": 4.0},
+            ),
+            (
+                ("--model", "bsgt", "--alpha", "1", "--phi", "0.64", "--p", "2.3", "--q", "2",
+                 "--mu", "-1", "--sigma", "0.5"),
+                {"alpha": 1.0, "gamma": 0.8, "mu": -1.0, "sigma": 0.5, "p": 2.3, "q": 2.0},
+            ),
+        ],
+        ids=["bsstd", "bsgt"],
+    )
+    def test_sidecar_params_payload(self, capsys, tmp_path, flags, params):
+        out = tmp_path / "draws.txt"
+        code, _, _ = run(capsys, "sample", *flags, "--n", "5", "--seed", "2", "--out", str(out))
+        assert code == 0
+        meta = json.loads((tmp_path / "draws.txt.meta.json").read_text())
+        assert meta["params"] == params
 
     def test_same_seed_same_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

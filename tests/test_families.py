@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm, t as student_t
 
-from bimodalskew.bases import gt_standard_scale
+from bimodalskew.bases import GenTBase, StudentTBase, gt_standard_scale
 from bimodalskew.errors import DomainError, ExistenceError
 from bimodalskew.families import (
+    DistributionSpec,
     bsgt,
     bsn,
     bsstd,
@@ -180,6 +181,16 @@ class TestModes:
         for loc, height in find_modes(spec):
             assert height == pytest.approx(float(pdf(spec, loc)), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "alpha,gamma,count",
+        [(1.0, 1.5, 1), (0.6, 0.5, 1), (0.3, 2.0, 1), (1.2, 1.5, 2), (2.1, 2.0, 2)],
+    )
+    def test_mode_count_law(self, alpha, gamma, count):
+        # both half-lines have an interior stationary point, and so two modes
+        # exist, exactly when alpha > max(gamma^2, gamma^-2) / 2
+        assert (alpha > max(gamma**2, gamma**-2) / 2.0) == (count == 2)
+        assert len(find_modes(bsn(alpha, gamma))) == count
+
     def test_modes_shift_with_location_scale(self):
         base = [m[0] for m in find_modes(bsn(1.0, 1.0))]
         moved = [m[0] for m in find_modes(bsn(1.0, 1.0, 5.0, 2.0))]
@@ -237,12 +248,27 @@ class TestValidation:
             lambda: bsn(-0.5, 1.0),
             lambda: bsn(1.0, 1.0, 0.0, -1.0),
             lambda: bsn(float("nan"), 1.0),
+            lambda: bsgt(1.0, 1.0, float("nan"), 2.0),
+            lambda: bsgt(1.0, 1.0, 2.0, float("inf")),
+            lambda: bsstd(1.0, 1.0, float("inf")),
+            lambda: StudentTBase(float("inf")),
+            lambda: GenTBase(float("nan"), 2.0, 1.0),
         ],
-        ids=["nu-at-2", "pq-at-2", "p-zero", "gamma-zero", "alpha-neg", "scale-neg", "alpha-nan"],
+        ids=[
+            "nu-at-2", "pq-at-2", "p-zero", "gamma-zero", "alpha-neg", "scale-neg", "alpha-nan",
+            "p-nan", "q-inf", "nu-inf", "student-base-nu-inf", "gent-base-p-nan-given-delta",
+        ],
     )
     def test_bad_parameters_rejected(self, build):
         with pytest.raises(DomainError):
             build()
+
+    def test_family_is_read_off_the_base(self):
+        assert [s.family for s in (bsn(1, 1), bsstd(1, 1, 5), bsgt(1, 1, 2, 2))] == [
+            "bsn", "bsstd", "bsgt",
+        ]
+        with pytest.raises(DomainError):
+            DistributionSpec(1.0, 1.0, object())
 
     def test_threshold_tilt_is_valid_but_unimodal(self):
         assert len(find_modes(bsn(0.5, 1.0))) == 1

@@ -119,7 +119,7 @@ class TestAugmentedVariables:
         # picking a squared coordinate re-weights the mixing law by its own
         # mean, pulling E(lambda) from nu/(nu-2) down to the two-branch blend
         alpha, gamma, nu = 1.0, 1.5, 4.0
-        b = bsstd(alpha, gamma, nu).skew.b
+        b = bsstd(alpha, gamma, nu).b
         w = alpha * b / (1.0 + alpha * b)
         want = w * 1.0 + (1.0 - w) * nu / (nu - 2.0)
         d = sample_bsstd(alpha, gamma, nu, RngStream(8, 1), size=100_000)
@@ -155,6 +155,19 @@ class TestValidation:
             sample_bsn(1.0, 1.5, RngStream(0), size=5, path="bogus")
         with pytest.raises(DomainError):
             sample_bsgt(1.0, 1.5, 2.3, 2.0, RngStream(0), size=5, path="bogus")
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: sample_bsstd(1.0, 1.0, float("inf"), rng, size=5),
+            lambda rng: sample_bsgt(1.0, 1.0, float("nan"), 2.0, rng, size=5),
+            lambda rng: sample_gen_gamma(float("nan"), 2.0, rng, size=5),
+        ],
+        ids=["bsstd-nu-inf", "bsgt-p-nan", "gen-gamma-p-nan"],
+    )
+    def test_non_finite_tail_parameters_rejected(self, draw):
+        with pytest.raises(DomainError):
+            draw(RngStream(0))
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(DomainError):
