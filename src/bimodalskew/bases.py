@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .errors import CapabilityError, DomainError, ExistenceError
+from .errors import DomainError, ExistenceError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # z**2 overflows above ~1.3e154; switch to log-space asymptotics before that.
@@ -137,12 +137,6 @@ class StudentTBase:
     def sample_abs(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return np.abs(gen.standard_t(self.nu, size)) * np.sqrt((self.nu - 2.0) / self.nu)
 
-    def sample_abs_tilted(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        raise CapabilityError(
-            "no closed-form sampler for the z^2-weighted Student-t half density; "
-            "draw through the gamma-mixture hierarchy instead"
-        )
-
 
 @dataclass(frozen=True)
 class GenTBase:
@@ -212,9 +206,3 @@ class GenTBase:
         g1 = gen.gamma(1.0 / self.p, 1.0, size)
         g2 = gen.gamma(self.q, 1.0, size)
         return self.delta * (self.q * g1 / g2) ** (1.0 / self.p)
-
-    def sample_abs_tilted(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        raise CapabilityError(
-            "no closed-form sampler for the z^2-weighted generalized-t half density; "
-            "draw through the generalized-gamma hierarchy instead"
-        )

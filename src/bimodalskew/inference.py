@@ -50,6 +50,7 @@ _HALF_LOG_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 # keeps alpha = 0 reachable under the log-scale random walk
 _ALPHA_SHIFT = 1e-12
 _SCALE_BOUNDS = (1e-4, 1e2)
+_INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,6 @@ class McmcConfig:
     burn_in: int = 5000
     thin: int = 5
     chains: int = 1
-    target_accept: float = 0.44
-    init_scale: float = 0.5
 
     def __post_init__(self):
         if self.iterations <= 0 or self.burn_in < 0 or self.burn_in >= self.iterations:
@@ -84,10 +83,6 @@ class McmcConfig:
             raise DomainError("thin must be >= 1")
         if self.chains < 1:
             raise DomainError("chains must be >= 1")
-        if not 0.0 < self.target_accept < 1.0:
-            raise DomainError("target_accept must lie in (0, 1)")
-        if not self.init_scale > 0:
-            raise DomainError("init_scale must be positive (a zero proposal scale cannot move)")
 
 
 @dataclass
@@ -328,8 +323,9 @@ class MetropolisWithinGibbs:
     ``model`` is "bsn" (normal base, blocks phi and alpha) or "bsstd"
     (Student-t base, adding the nu block and the exact lambda Gibbs step).
     The experimental "bsgt" model replaces the augmentation with plain
-    random-walk blocks on (p, q - 2/p); it is not part of the augmented
-    scheme and must be opted into explicitly.
+    random-walk Metropolis on the generalized-t likelihood for phi, p and
+    q - 2/p (alpha keeps its tilt conditional); it is not part of the
+    augmented scheme and must be opted into explicitly.
     """
 
     def __init__(
@@ -378,20 +374,19 @@ class MetropolisWithinGibbs:
         if model == "bsgt":
             blocks += ["p", "q_tilt"]
         self.blocks = blocks
-        self.scales = {b: self.config.init_scale for b in blocks}
+        self.scales = {b: _INIT_SCALE for b in blocks}
         self.accept_post = {b: 0 for b in blocks}
         self.accept_total = {b: 0 for b in blocks}
-        self.adapt_trace = {b: [(0, self.config.init_scale)] for b in blocks}
+        self.adapt_trace = {b: [(0, _INIT_SCALE)] for b in blocks}
         self._iteration = 0
         self._post_iterations = 0
 
-    def _gt_loglik(self, p: float, q_tilt: float) -> float:
+    def _gt_loglik(self, phi: float, p: float, q_tilt: float) -> float:
         if p <= 0 or q_tilt <= 0:
             return -np.inf
         q = q_tilt + 2.0 / p
-        st = self.state
         try:
-            spec = bsgt(st.alpha, math.sqrt(st.phi), p, q)
+            spec = bsgt(self.state.alpha, math.sqrt(phi), p, q)
         except DomainError:
             return -np.inf
         return float(np.sum(log_pdf(spec, self.x)))
@@ -403,7 +398,6 @@ class MetropolisWithinGibbs:
             self.scales[name],
             self._gen,
             floor=floor,
-            target_accept=self.config.target_accept,
             adapt_rate=adapt_rate,
         )
         self.scales[name] = new_scale
@@ -428,20 +422,26 @@ class MetropolisWithinGibbs:
         else:
             s_pos, s_neg = self._xx_sums
         alpha = st.alpha
-        st.phi = self._update_block(
-            "phi", lambda phi: _lc_phi(phi, alpha, n, s_pos, s_neg, priors), st.phi, 0.0, rate
-        )
+        if self.model == "bsgt":
+            # phi's conditional depends on the base: here the generalized-t likelihood
+            def lt_phi(phi: float) -> float:
+                return self._gt_loglik(phi, self.p, self.q_tilt) + _log_gamma(phi, priors.a_phi, priors.b_phi)
+        else:
+            def lt_phi(phi: float) -> float:
+                return _lc_phi(phi, alpha, n, s_pos, s_neg, priors)
+        st.phi = self._update_block("phi", lt_phi, st.phi, 0.0, rate)
         phi = st.phi
+        # the tilt is the only alpha term of any unit-variance base
         st.alpha = self._update_block(
             "alpha", lambda a: _lc_alpha(a, phi, self._xx, priors), st.alpha, -_ALPHA_SHIFT, rate
         )
         if self.model == "bsgt":
             # likelihood blocks for the non-augmented extension; mild Gamma priors
             def lt_p(p: float) -> float:
-                return self._gt_loglik(p, self.q_tilt) + _log_gamma(p, 2.0, 1.0)
+                return self._gt_loglik(phi, p, self.q_tilt) + _log_gamma(p, 2.0, 1.0)
 
             def lt_q(qt: float) -> float:
-                return self._gt_loglik(self.p, qt) + _log_gamma(qt, 2.0, 0.5)
+                return self._gt_loglik(phi, self.p, qt) + _log_gamma(qt, 2.0, 0.5)
 
             self.p = self._update_block("p", lt_p, self.p, 0.0, rate)
             self.q_tilt = self._update_block("q_tilt", lt_q, self.q_tilt, 0.0, rate)

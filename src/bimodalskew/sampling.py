@@ -29,12 +29,13 @@ streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .bases import GenTBase, NormalBase, StudentTBase, _check_shape
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 from .families import DistributionSpec, bsgt, bsn, bsstd, two_piece_second_moment
 
 __all__ = [
@@ -49,6 +50,9 @@ __all__ = [
     "sample_bsgt",
     "sample",
 ]
+
+# a positive double below 2**-1075 rounds to 0.0
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 
 
 class RngStream:
@@ -68,10 +72,6 @@ class RngStream:
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, stream: int) -> "RngStream":
-        """A fresh stream with the same seed and a different stream id."""
-        return RngStream(self.seed, stream)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
@@ -95,19 +95,71 @@ class AugmentedDraw:
     s: np.ndarray | None = None
 
 
-def _two_piece_signs(gamma: float, magnitude: np.ndarray, right_prob: float, gen) -> np.ndarray:
-    right = gen.random(magnitude.size) < right_prob
+def _count(size) -> int:
+    """Number of draws for a ``size`` argument; None means one scalar draw."""
+    if size is None:
+        return 1
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+        raise DomainError(f"sample size must be a positive integer or None, got {size!r}")
+    return int(size)
+
+
+def _out(values, size):
+    """The draws as arrays, or for ``size=None`` each one's single entry as a float."""
+    if size is not None:
+        return values
+    if isinstance(values, AugmentedDraw):
+        return AugmentedDraw(*(None if v is None else float(v[0]) for v in astuple(values)))
+    return float(values[0])
+
+
+def _two_piece_signs(gamma: float, magnitude: np.ndarray, tilted: bool, gen) -> np.ndarray:
+    """Two-piece draws from half-line magnitudes m: gamma*m at mass gamma^2:1
+    (gamma^6:1 when tilted), else -m/gamma."""
+    weight = gamma**6 if tilted else gamma**2
+    right = gen.random(magnitude.size) < weight / (1.0 + weight)
     return np.where(right, gamma * magnitude, -magnitude / gamma)
+
+
+def _restore_underflow(x, latent, tilt, exponents, gen) -> np.ndarray:
+    """Rescale by latent**-0.5, in logs, the draws built with 1.0 for a latent that underflowed to 0.0.
+
+    Near 0 a latent L = (c*G)**e, G ~ Gamma(a), has density proportional to
+    l**(a/e - 1), so given L < 2**-1075 it is 2**-1075 * V**(e/a), V uniform;
+    ``exponents`` holds e/a of the (plain, tilted) components.  Only calls
+    that hit an underflow draw these uniforms, after all the others.
+    """
+    low = latent == 0.0
+    if low.any():
+        e = np.where(tilt[low], exponents[1], exponents[0])
+        log_latent = _LOG_UNDERFLOW + e * np.log(gen.random(e.size))
+        with np.errstate(divide="ignore", over="ignore"):
+            x[low] = np.copysign(np.exp(np.log(np.abs(x[low])) - 0.5 * log_latent), x[low])
+    return x
+
+
+def _compose(alpha: float, gamma: float, b: float, gen, n: int, magnitudes):
+    """n draws of a family member and the mask of those from its x^2-weighted component.
+
+    A draw is the plain two-piece law with probability 1/(1 + alpha*b) and
+    its x^2-weighted version otherwise.  ``magnitudes(k, mask, tilted)``
+    draws the k half-line magnitudes of one component, filling any latent
+    arrays at ``mask``; each component draws its latents, then its
+    magnitudes, then its sign uniforms.
+    """
+    tilt = gen.random(n) < alpha * b / (1.0 + alpha * b)
+    x = np.empty(n)
+    for tilted, mask in ((False, ~tilt), (True, tilt)):
+        x[mask] = _two_piece_signs(gamma, magnitudes(int(mask.sum()), mask, tilted), tilted, gen)
+    return x, tilt
 
 
 def sample_two_piece(gamma: float, base, rng, size: int | None = None):
     """Draw from the two-piece skewed version of a symmetric base density."""
     two_piece_second_moment(gamma)  # validates gamma
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
-    mag = base.sample_abs(gen, n)
-    x = _two_piece_signs(gamma, mag, gamma**2 / (1.0 + gamma**2), gen)
-    return float(x[0]) if size is None else x
+    n = _count(size)
+    return _out(_two_piece_signs(gamma, base.sample_abs(gen, n), False, gen), size)
 
 
 def sample_quadratic_tilt(gamma: float, base, rng, size: int | None = None):
@@ -117,16 +169,14 @@ def sample_quadratic_tilt(gamma: float, base, rng, size: int | None = None):
     (the normal); others raise CapabilityError.
     """
     two_piece_second_moment(gamma)
+    if not hasattr(base, "sample_abs_tilted"):
+        raise CapabilityError(
+            f"{type(base).__name__} has no closed-form sampler for its z^2-weighted half "
+            "density; draw the family through its scale-mixture hierarchy instead"
+        )
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
-    mag = base.sample_abs_tilted(gen, n)
-    x = _two_piece_signs(gamma, mag, gamma**6 / (1.0 + gamma**6), gen)
-    return float(x[0]) if size is None else x
-
-
-def _tilt_mask(alpha: float, b: float, gen, n: int) -> np.ndarray:
-    w = alpha * b / (1.0 + alpha * b)
-    return gen.random(n) < w
+    n = _count(size)
+    return _out(_two_piece_signs(gamma, base.sample_abs_tilted(gen, n), True, gen), size)
 
 
 def sample_bsn(alpha: float, gamma: float, rng, size: int | None = None, path: str = "direct"):
@@ -141,24 +191,18 @@ def sample_bsn(alpha: float, gamma: float, rng, size: int | None = None, path: s
     if path not in ("direct", "uniform"):
         raise DomainError(f"path must be 'direct' or 'uniform', got {path!r}")
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
-    tilt = _tilt_mask(alpha, spec.b, gen, n)
-    x = np.empty(n)
-    n_tilt = int(tilt.sum())
-    n_plain = n - n_tilt
-    if path == "direct":
-        if n_plain:
-            x[~tilt] = sample_two_piece(gamma, spec.base, gen, n_plain)
-        if n_tilt:
-            x[tilt] = sample_quadratic_tilt(gamma, spec.base, gen, n_tilt)
-    else:
-        if n_plain:
-            mag = np.sqrt(gen.chisquare(3, n_plain)) * gen.random(n_plain)
-            x[~tilt] = _two_piece_signs(gamma, mag, gamma**2 / (1.0 + gamma**2), gen)
-        if n_tilt:
-            mag = np.sqrt(gen.chisquare(5, n_tilt)) * gen.random(n_tilt) ** (1.0 / 3.0)
-            x[tilt] = _two_piece_signs(gamma, mag, gamma**6 / (1.0 + gamma**6), gen)
-    return float(x[0]) if size is None else x
+    n = _count(size)
+
+    def uniform_layer(k, mask, tilted):
+        radius = np.sqrt(gen.chisquare(5 if tilted else 3, k))
+        v = gen.random(k)
+        return radius * (v ** (1.0 / 3.0) if tilted else v)
+
+    def direct_layer(k, mask, tilted):
+        return (spec.base.sample_abs_tilted if tilted else spec.base.sample_abs)(gen, k)
+
+    magnitudes = uniform_layer if path == "uniform" else direct_layer
+    return _out(_compose(alpha, gamma, spec.b, gen, n, magnitudes)[0], size)
 
 
 def sample_bsstd(alpha: float, gamma: float, nu: float, rng, size: int | None = None) -> AugmentedDraw:
@@ -169,24 +213,20 @@ def sample_bsstd(alpha: float, gamma: float, nu: float, rng, size: int | None = 
     """
     spec = bsstd(alpha, gamma, nu)  # validates
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
-    tilt = _tilt_mask(alpha, spec.b, gen, n)
-    base = NormalBase()
-    rate = 0.5 * (nu - 2.0)
+    n = _count(size)
+    base, rate = NormalBase(), 0.5 * (nu - 2.0)
     lam = np.empty(n)
-    x = np.empty(n)
-    n_tilt = int(tilt.sum())
-    if n - n_tilt:
-        lam[~tilt] = gen.gamma(0.5 * nu, 1.0 / rate, n - n_tilt)
-        x[~tilt] = sample_two_piece(gamma, base, gen, n - n_tilt)
-    if n_tilt:
+
+    def normal_layer(k, mask, tilted):
         # size-biased mixing law for the x^2-weighted component
-        lam[tilt] = gen.gamma(0.5 * nu - 1.0, 1.0 / rate, n_tilt)
-        x[tilt] = sample_quadratic_tilt(gamma, base, gen, n_tilt)
-    x = x / np.sqrt(lam)
-    if size is None:
-        return AugmentedDraw(x=float(x[0]), lam=float(lam[0]))
-    return AugmentedDraw(x=x, lam=lam)
+        lam[mask] = gen.gamma(0.5 * nu - 1.0 if tilted else 0.5 * nu, 1.0 / rate, k)
+        return (base.sample_abs_tilted if tilted else base.sample_abs)(gen, k)
+
+    x, tilt = _compose(alpha, gamma, spec.b, gen, n, normal_layer)
+    # near nu = 2 the tilted lam can underflow; 1.0 stands in for it until restored
+    x = x / np.sqrt(np.where(lam > 0.0, lam, 1.0))
+    x = _restore_underflow(x, lam, tilt, (2.0 / nu, 2.0 / (nu - 2.0)), gen)
+    return _out(AugmentedDraw(x=x, lam=lam), size)
 
 
 def sample_skewed_uniform_normal(gamma: float, lam: float, rng, size: int | None = None) -> AugmentedDraw:
@@ -200,29 +240,18 @@ def sample_skewed_uniform_normal(gamma: float, lam: float, rng, size: int | None
     if not lam > 0:
         raise DomainError(f"precision must be positive, got lambda={lam}")
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
+    n = _count(size)
     u = gen.chisquare(3, n)  # Gamma(3/2, rate 1/2)
-    a = np.sqrt(u / lam)
-    right = gen.random(n) < gamma**2 / (1.0 + gamma**2)
-    v = gen.random(n)
-    x = np.where(right, gamma * a * v, -(a / gamma) * v)
-    if size is None:
-        return AugmentedDraw(x=float(x[0]), u=float(u[0]))
-    return AugmentedDraw(x=x, u=u)
+    x = _two_piece_signs(gamma, np.sqrt(u / lam), False, gen) * gen.random(n)
+    return _out(AugmentedDraw(x=x, u=u), size)
 
 
 def sample_gen_gamma(p: float, q: float, rng, size: int | None = None):
     """Draw S with density p/(2 Gamma(q)) s^(pq/2 - 1) exp(-s^(p/2)), via S = Y^(2/p), Y ~ Gamma(q, 1)."""
     _check_shape(p, q)
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
-    s = gen.gamma(q, 1.0, n) ** (2.0 / p)
-    return float(s[0]) if size is None else s
-
-
-def _ep_kernel_scale(p: float, q: float, delta: float, s: np.ndarray) -> np.ndarray:
-    """Exponential-power kernel scale that makes the S-mixture a unit-variance generalized-t."""
-    return (0.5 * q) ** (1.0 / p) * delta / np.sqrt(s)
+    n = _count(size)
+    return _out(gen.gamma(q, 1.0, n) ** (2.0 / p), size)
 
 
 def sample_bsgt(
@@ -244,60 +273,37 @@ def sample_bsgt(
     if path not in ("gg", "uniform-gg"):
         raise DomainError(f"path must be 'gg' or 'uniform-gg', got {path!r}")
     spec = bsgt(alpha, gamma, p, q)  # validates
-    delta = spec.base.delta
     gen = _gen(rng)
-    n = 1 if size is None else int(size)
-    tilt = _tilt_mask(alpha, spec.b, gen, n)
-    q_tilt = q - 2.0 / p  # positive because p*q > 2
-    n_tilt = int(tilt.sum())
-    n_plain = n - n_tilt
-
+    n = _count(size)
     s = np.empty(n)
-    x = np.empty(n)
     u_out = np.empty(n) if path == "uniform-gg" else None
 
-    if n_plain:
-        idx = ~tilt
-        s[idx] = gen.gamma(q, 1.0, n_plain) ** (2.0 / p)
-        scale = _ep_kernel_scale(p, q, delta, s[idx])
+    def gt_layer(k, mask, tilted):
+        # size-biased mixing law for the x^2-weighted component; q - 2/p > 0 as p*q > 2
+        s[mask] = s_k = gen.gamma(q - 2.0 / p if tilted else q, 1.0, k) ** (2.0 / p)
+        # exponential-power kernel scale that makes the S-mixture a unit-variance
+        # generalized-t; near p*q = 2 the tilted s can underflow and 1.0 stands in for it
+        scale = (0.5 * q) ** (1.0 / p) * spec.base.delta / np.sqrt(np.where(s_k > 0.0, s_k, 1.0))
+        r = 3.0 if tilted else 1.0
         if path == "gg":
-            mag = scale * gen.gamma(1.0 / p, 2.0, n_plain) ** (1.0 / p)
-        else:
-            u = gen.gamma(1.0 + 1.0 / p, 1.0, n_plain)
-            u_out[idx] = u
-            # uniform layer: |x| spread uniformly below the envelope radius
-            mag = 2.0 ** (1.0 / p) * scale * u ** (1.0 / p) * gen.random(n_plain)
-        x[idx] = _two_piece_signs(gamma, mag, gamma**2 / (1.0 + gamma**2), gen)
-    if n_tilt:
-        idx = tilt
-        s[idx] = gen.gamma(q_tilt, 1.0, n_tilt) ** (2.0 / p)
-        scale = _ep_kernel_scale(p, q, delta, s[idx])
-        if path == "gg":
-            mag = scale * gen.gamma(3.0 / p, 2.0, n_tilt) ** (1.0 / p)
-        else:
-            u = gen.gamma(1.0 + 3.0 / p, 1.0, n_tilt)
-            u_out[idx] = u
-            mag = 2.0 ** (1.0 / p) * scale * u ** (1.0 / p) * gen.random(n_tilt) ** (1.0 / 3.0)
-        x[idx] = _two_piece_signs(gamma, mag, gamma**6 / (1.0 + gamma**6), gen)
+            return scale * gen.gamma(r / p, 2.0, k) ** (1.0 / p)
+        # uniform layer: |x| spread below the envelope radius, x^2-weighted when tilted
+        u_out[mask] = u = gen.gamma(1.0 + r / p, 1.0, k)
+        v = gen.random(k)
+        return 2.0 ** (1.0 / p) * scale * u ** (1.0 / p) * (v ** (1.0 / 3.0) if tilted else v)
 
-    if size is None:
-        return AugmentedDraw(
-            x=float(x[0]),
-            s=float(s[0]),
-            u=None if u_out is None else float(u_out[0]),
-        )
-    return AugmentedDraw(x=x, s=s, u=u_out)
+    x, tilt = _compose(alpha, gamma, spec.b, gen, n, gt_layer)
+    x = _restore_underflow(x, s, tilt, (2.0 / (p * q), 2.0 / (p * q - 2.0)), gen)
+    return _out(AugmentedDraw(x=x, s=s, u=u_out), size)
 
 
-def sample(spec: DistributionSpec, n: int, rng) -> np.ndarray:
-    """n draws from any family member, on the loc/scale of the spec."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"sample size must be a positive integer, got {n!r}")
+def sample(spec: DistributionSpec, n: int | None, rng):
+    """n draws from any family member, on the loc/scale of the spec (one float for n=None)."""
     alpha, gamma, base = spec.alpha, spec.gamma, spec.base
     if isinstance(base, StudentTBase):
-        z = sample_bsstd(alpha, gamma, base.nu, rng, int(n)).x
+        z = sample_bsstd(alpha, gamma, base.nu, rng, n).x
     elif isinstance(base, GenTBase):
-        z = sample_bsgt(alpha, gamma, base.p, base.q, rng, int(n)).x
+        z = sample_bsgt(alpha, gamma, base.p, base.q, rng, n).x
     else:
-        z = sample_bsn(alpha, gamma, rng, int(n))
+        z = sample_bsn(alpha, gamma, rng, n)
     return spec.loc + spec.scale * z

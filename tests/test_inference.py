@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from bimodalskew.errors import CapabilityError, DomainError
-from bimodalskew.families import bsn, bsstd
+from bimodalskew.families import bsgt, bsn, bsstd
 from bimodalskew.inference import (
     McmcConfig,
     MetropolisWithinGibbs,
@@ -230,6 +230,15 @@ class TestRunMcmc:
         g = summ["parameters"]["gamma"]["mean"]
         draws = np.concatenate([np.sqrt(c.params["phi"]) for c in chains])
         assert g == pytest.approx(float(np.mean(draws)), rel=1e-12)
+
+    def test_generalized_t_fit_recovers_skewness(self):
+        # phi's conditional depends on the base; the normal-base one drove
+        # the posterior mean of phi to about 49 on these data
+        data = sample(bsgt(3.0, 1.5, 1.7, 2.0), 1000, RngStream(5, 0))
+        cfg = McmcConfig(iterations=2000, burn_in=500, thin=1)
+        chains = run_mcmc(data, model="bsgt", config=cfg, seed=1, enable_extensions=True)
+        phi = posterior_summary(chains)["parameters"]["phi"]["mean"]
+        assert abs(phi - 2.25) / 2.25 < 0.15
 
     def test_tail_parameter_fitting_is_gated(self):
         data = fixture_data(100)

@@ -5,15 +5,18 @@ cdf below the asymptotic 1% critical value 1.63/sqrt(n), or a two-sample
 test between independent construction routes.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from bimodalskew.bases import NormalBase, StudentTBase
-from bimodalskew.errors import DomainError
+from bimodalskew.bases import GenTBase, NormalBase, StudentTBase
+from bimodalskew.errors import CapabilityError, DomainError
 from bimodalskew.families import bsgt, bsn, bsstd, full_moment
 from bimodalskew.oracle import ks_distance
 from bimodalskew.sampling import (
+    AugmentedDraw,
     RngStream,
     sample,
     sample_bsgt,
@@ -27,6 +30,172 @@ from bimodalskew.sampling import (
 
 N = 20_000
 KS_GATE = 1.63 / np.sqrt(N)
+
+# The first 8 of 64 draws of every entry point and path, and of their latent
+# variables, at RngStream(2024, k) for the k-th entry.  Any change to the
+# order in which a sampler consumes its stream changes these values.
+RECORDED_DRAWS = [
+    (
+        "two_piece-normal",
+        lambda rng: sample_two_piece(1.5, NormalBase(), rng, 64),
+        {
+            "x": [
+                0.05511188070589824, -0.39259028734536466, 2.0421054886795083, -1.0319248012699649,
+                0.2391853329976848, 0.00040251020673609837, 1.0569535635266645, 2.290024200726017,
+            ],
+        },
+    ),
+    (
+        "two_piece-student",
+        lambda rng: sample_two_piece(0.8, StudentTBase(5.0), rng, 64),
+        {
+            "x": [
+                0.2588823203604505, -1.427958462003791, -0.008232469047533938, 0.18536357643995738,
+                -1.17519835534445, -0.9254615427569541, 0.46409436767418194, -2.0118383859261986,
+            ],
+        },
+    ),
+    (
+        "two_piece-gent",
+        lambda rng: sample_two_piece(1.3, GenTBase(1.7, 2.0), rng, 64),
+        {
+            "x": [
+                -0.28222884240772794, -0.32667054298900156, 5.2618053833677605, 1.0136101798592536,
+                0.1431055631266922, -0.04692757978681666, 0.4449095737342251, 0.14010885173431076,
+            ],
+        },
+    ),
+    (
+        "quadratic_tilt",
+        lambda rng: sample_quadratic_tilt(2.0, NormalBase(), rng, 64),
+        {
+            "x": [
+                4.576765269566001, 1.81150820106556, 5.691340516718405, 2.8152331799546326,
+                2.2597309730458828, 3.1365995598154255, 1.7985513511539553, 1.5337996073655864,
+            ],
+        },
+    ),
+    (
+        "bsn-direct",
+        lambda rng: sample_bsn(1.0, 1.5, rng, 64),
+        {
+            "x": [
+                1.425166423672032, 3.038972104838777, 2.091443902911047, 0.09783990764489121,
+                1.3990458507879138, 2.7723326881216623, 1.7555437870326451, 2.0577596929971396,
+            ],
+        },
+    ),
+    (
+        "bsn-uniform",
+        lambda rng: sample_bsn(1.0, 1.5, rng, 64, path="uniform"),
+        {
+            "x": [
+                1.5945683400373607, -0.333142112238267, -0.09785333186473284, 2.00758533316782,
+                2.61922176887944, 1.6680823737477493, 2.425028920203205, -0.33920320763859896,
+            ],
+        },
+    ),
+    (
+        "bsstd",
+        lambda rng: sample_bsstd(1.0, 1.5, 4.0, rng, 64),
+        {
+            "x": [
+                4.4642383445302025, 0.019690694420453615, 2.8784275590231014, 1.570472631356587,
+                -0.5745758659546613, 2.0635344343766167, 2.1735662882606532, 0.9211486383049787,
+            ],
+            "lam": [
+                0.35967533477657576, 0.7638995851024042, 1.7469589339324385, 2.1757397720431033,
+                0.16590816521434879, 0.8779622069662735, 1.9122808778478022, 0.99814115550193,
+            ],
+        },
+    ),
+    (
+        "skewed_uniform_normal",
+        lambda rng: sample_skewed_uniform_normal(2.0, 2.5, rng, 64),
+        {
+            "x": [
+                1.0902412272518496, 1.6939150622188366, 0.8291463873669294, 0.4237311291859903,
+                1.8160418470132922, 0.5487569531265526, 1.5031396353448117, 0.8161989193986231,
+            ],
+            "u": [
+                2.1740825305753955, 2.2937214865313633, 0.7119180659429677, 3.612585281796412,
+                2.5042696151917507, 5.411905470784344, 2.066683652856306, 2.139391235951532,
+            ],
+        },
+    ),
+    (
+        "gen_gamma",
+        lambda rng: sample_gen_gamma(1.7, 2.0, rng, 64),
+        {
+            "x": [
+                1.4431753580543991, 4.1330603830909505, 0.22584134954827437, 1.2332528318197595,
+                1.335296723079717, 3.132028724251781, 1.4021288671635004, 0.13766792570681174,
+            ],
+        },
+    ),
+    (
+        "bsgt-gg",
+        lambda rng: sample_bsgt(1.0, 1.5, 1.7, 2.0, rng, 64),
+        {
+            "x": [
+                7.8750502521219605, -0.23527734022596328, 1.6039548571292306, 1.0063712761485635,
+                1.4410998613687607, -0.7851602612474244, 4.841180732435404, 3.189563670385769,
+            ],
+            "s": [
+                0.20088891223695307, 0.4625548840905538, 0.21707787824525548, 0.9272503125547962,
+                3.3213283600685157, 0.4888578904796285, 0.20290766574886648, 0.36992585444519804,
+            ],
+        },
+    ),
+    (
+        "bsgt-uniform-gg",
+        lambda rng: sample_bsgt(1.0, 0.8, 2.3, 2.0, rng, 64, path="uniform-gg"),
+        {
+            "x": [
+                -0.9616849689804527, -2.2529219199857367, -0.20391396234161963, -1.1196394726570054,
+                -0.4061803449034399, -3.259139358774087, -2.53015156135157, -0.868175102369393,
+            ],
+            "u": [
+                1.5412545322882143, 2.6179232113573434, 2.4735328169434316, 1.3905635541926276,
+                1.8178229446539613, 3.281084856617657, 3.2493715263257203, 0.584814260440452,
+            ],
+            "s": [
+                3.409736436137628, 1.5874179047215948, 2.342134648721696, 1.4962447667103684,
+                3.3945051302420004, 0.5926585018854575, 1.1755270394051016, 1.7986464841897958,
+            ],
+        },
+    ),
+    (
+        "sample-bsn",
+        lambda rng: sample(bsn(1.0, 1.5, 2.0, 0.5), 64, rng),
+        {
+            "x": [
+                2.759031589482596, 2.8023504273614956, 1.4618588093979912, 1.8774512872166849,
+                3.1160838433471603, 3.6883813081474353, 1.5694989166933937, 3.6278929643316937,
+            ],
+        },
+    ),
+    (
+        "sample-bsstd",
+        lambda rng: sample(bsstd(3.0, 1.5, 5.0), 64, rng),
+        {
+            "x": [
+                4.751236025320633, 0.6411880342454994, -0.0025550450670783066, 0.6068345998919819,
+                0.7662272911184177, 5.36008977410197, 1.1125972725907574, 2.4390479701530428,
+            ],
+        },
+    ),
+    (
+        "sample-bsgt",
+        lambda rng: sample(bsgt(3.0, 1.5, 1.7, 2.0), 64, rng),
+        {
+            "x": [
+                8.064968705000599, 9.17599988340121, 3.7288866275183423, 6.173082295105371,
+                1.6970849653815963, 0.2812954047277913, 24.698891967659527, 0.7657022351005907,
+            ],
+        },
+    ),
+]
 
 
 class TestRngStream:
@@ -48,6 +217,17 @@ class TestRngStream:
         d2 = sample_bsgt(1.0, 0.8, 2.3, 2.0, RngStream(11, 4), size=50)
         np.testing.assert_array_equal(d1.x, d2.x)
         np.testing.assert_array_equal(d1.s, d2.s)
+
+    def test_draws_match_recorded_values(self):
+        for k, (name, draw, want) in enumerate(RECORDED_DRAWS):
+            got = draw(RngStream(2024, k))
+            fields = vars(got) if isinstance(got, AugmentedDraw) else {"x": got}
+            assert {f for f, v in fields.items() if v is not None} == set(want), name
+            for field, values in want.items():
+                assert fields[field].size == 64
+                np.testing.assert_allclose(
+                    fields[field][:8], values, rtol=1e-13, err_msg=f"{name}: {field}"
+                )
 
 
 class TestDistributionGates:
@@ -106,6 +286,39 @@ class TestDistributionGates:
         want = full_moment(spec, r)
         se = float(np.std(x**r, ddof=1)) / np.sqrt(x.size)
         assert abs(float(np.mean(x**r)) - want) < 4.0 * se
+
+
+class TestNearBoundaryTails:
+    # Near nu = 2 and p*q = 2 the tilted latents are Gamma draws with shape
+    # near 0, which underflow to 0.0; the draws built on them used to be inf.
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_draws_are_finite(self, seed):
+        for x in (
+            sample(bsstd(1.0, 1.0, 2.02), 100_000, RngStream(seed, 0)),
+            sample(bsgt(1.0, 1.0, 2.0, 1.01), 100_000, RngStream(seed, 0)),
+            sample_bsgt(1.0, 1.0, 2.0, 1.01, RngStream(seed, 0), 100_000, path="uniform-gg").x,
+        ):
+            assert np.all(np.isfinite(x))
+
+    def test_inf_only_beyond_the_float_range(self):
+        # about 2.4% of this member lies beyond 1.8e308; 13% of draws were inf
+        x = sample(bsstd(3.0, 1.5, 2.005), 100_000, RngStream(1, 0))
+        assert np.mean(np.isinf(x)) < 0.04
+
+    def test_tail_beyond_the_old_cap(self):
+        # P(|x| > t) for the tilted component is the small-ball probability
+        # of lambda ~ Gamma(a, rate r): w * r^a E|z|^(2a) t^(-2a) / Gamma(1 + a),
+        # with z ~ chi(3) and a = nu/2 - 1; no draw used to exceed about 1e162
+        alpha, nu, t = 200.0, 2.02, 1e200
+        a, r = 0.5 * nu - 1.0, 0.5 * (nu - 2.0)
+        w = alpha * bsstd(alpha, 1.0, nu).b
+        w /= 1.0 + w
+        moment = 2.0**a * math.gamma(1.5 + a) / math.gamma(1.5)
+        want = w * r**a * moment * t ** (-2.0 * a) / math.gamma(1.0 + a)
+        m = 1_000_000
+        x = sample_bsstd(alpha, 1.0, nu, RngStream(8, 4), size=m).x
+        assert abs(float(np.mean(np.abs(x) > t)) - want) < 4.0 * math.sqrt(want / m)
 
 
 class TestAugmentedVariables:
@@ -174,3 +387,35 @@ class TestValidation:
             sample(bsn(1.0, 1.5), 0, RngStream(0))
         with pytest.raises(DomainError):
             sample(bsn(1.0, 1.5), -3, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, size: sample_two_piece(1.5, NormalBase(), rng, size),
+            lambda rng, size: sample_quadratic_tilt(1.5, NormalBase(), rng, size),
+            lambda rng, size: sample_bsn(1.0, 1.5, rng, size),
+            lambda rng, size: sample_bsn(1.0, 1.5, rng, size, path="uniform"),
+            lambda rng, size: sample_bsstd(1.0, 1.5, 4.0, rng, size),
+            lambda rng, size: sample_skewed_uniform_normal(2.0, 2.5, rng, size),
+            lambda rng, size: sample_gen_gamma(1.7, 2.0, rng, size),
+            lambda rng, size: sample_bsgt(1.0, 1.5, 1.7, 2.0, rng, size),
+            lambda rng, size: sample_bsgt(1.0, 1.5, 1.7, 2.0, rng, size, path="uniform-gg"),
+            lambda rng, size: sample(bsgt(1.0, 1.5, 1.7, 2.0), size, rng),
+        ],
+        ids=[
+            "two_piece", "quadratic_tilt", "bsn", "bsn-uniform", "bsstd",
+            "skewed_uniform_normal", "gen_gamma", "bsgt", "bsgt-uniform-gg", "sample",
+        ],
+    )
+    def test_size_must_be_a_positive_integer(self, draw):
+        # a fractional size used to be truncated, a negative one raised
+        # numpy's ValueError, 0 gave an empty array and True one draw
+        for size in (0, -3, 2.7, True, np.float64(5.0), "5"):
+            with pytest.raises(DomainError):
+                draw(RngStream(0), size)
+        out = draw(RngStream(0), np.int64(3))
+        assert getattr(out, "x", out).size == 3
+
+    def test_quadratic_tilt_needs_a_closed_form_tilted_sampler(self):
+        with pytest.raises(CapabilityError):
+            sample_quadratic_tilt(1.0, StudentTBase(5.0), RngStream(0), size=5)
