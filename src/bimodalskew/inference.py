@@ -17,15 +17,16 @@ fitting is out of scope here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
-from .bases import StudentTBase
+from .bases import GenTBase, StudentTBase
 from .errors import CapabilityError, DomainError
-from .families import bsgt, log_pdf
+from .families import DistributionSpec, log_pdf
 from .sampling import RngStream, _gen
 
 __all__ = [
@@ -51,6 +52,8 @@ _HALF_LOG_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _ALPHA_SHIFT = 1e-12
 _SCALE_BOUNDS = (1e-4, 1e2)
 _INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
+# a bsgt sweep evaluates the current (p, q) four times and two proposals once each
+_gt_base = functools.lru_cache(maxsize=8)(GenTBase)
 
 
 @dataclass(frozen=True)
@@ -386,7 +389,7 @@ class MetropolisWithinGibbs:
             return -np.inf
         q = q_tilt + 2.0 / p
         try:
-            spec = bsgt(self.state.alpha, math.sqrt(phi), p, q)
+            spec = DistributionSpec(self.state.alpha, math.sqrt(phi), _gt_base(p, q))
         except DomainError:
             return -np.inf
         return float(np.sum(log_pdf(spec, self.x)))

@@ -11,6 +11,7 @@ whole identity suite and is what the ``check`` CLI command prints.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -90,22 +91,6 @@ _WG = np.array([r[1] for r in _GK_ROWS[:-1]] + [r[1] for r in reversed(_GK_ROWS)
 _WK = np.array([r[2] for r in _GK_ROWS[:-1]] + [r[2] for r in reversed(_GK_ROWS)])
 
 
-def _gk_panel(f, lo: float, hi: float) -> tuple[float, float]:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    ys = np.asarray(f(mid + half * _NODES), dtype=float)
-    k = half * float(ys @ _WK)
-    g = half * float(ys @ _WG)
-    diff = abs(k - g)
-    # sharpen |K - G| relative to the panel's own variation: the Kronrod
-    # estimate is far better than the raw gap on smooth panels, but not on
-    # rough ones, and an absolute cutoff would misjudge small-valued tails
-    spread = half * float(np.abs(ys - k / (hi - lo)) @ _WK)
-    if spread > 0.0 and diff > 0.0:
-        return k, spread * min(1.0, (200.0 * diff / spread) ** 1.5)
-    return k, diff
-
-
 def _t_of(y: float) -> float:
     """Inverse of y = t/(1 - t^2) on (-1, 1), in a cancellation-free form."""
     if y == 0.0:
@@ -113,23 +98,16 @@ def _t_of(y: float) -> float:
     return 2.0 * y / (1.0 + math.hypot(1.0, 2.0 * y))
 
 
-def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_000, points=()):
-    """Adaptive Gauss-Kronrod integral of ``f`` over (a, b), infinite ends allowed.
+def _plan(a: float, b: float, points=()) -> tuple[float | None, list[tuple[float, float]]]:
+    """The fold anchor (None on a finite range) and the first panels of one integral.
 
-    ``f`` must accept an ndarray and return one.  ``points`` lists interior
-    abscissae to split at from the start (the densities here kink at 0, which
-    callers pass explicitly).  Infinite tails are folded onto (-1, 1) by
-    x = anchor + t/(1 - t^2); the worst-error interval is bisected until the
-    summed error estimate drops below ``tol`` or the evaluation budget runs
-    out, in which case ``converged`` is False and the best estimate is
-    returned.
+    Infinite tails are folded onto (-1, 1) by x = anchor + t/(1 - t^2).  The
+    range is cut at ``points`` and at an interior 0, and each segment is
+    halved once so a lone panel cannot fake convergence.
     """
     a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b) or not a < b:
         raise DomainError(f"need an interval with a < b, got ({a}, {b})")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-
     if math.isinf(a) or math.isinf(b):
         if math.isinf(a) and math.isinf(b):
             anchor, lo, hi = 0.0, -1.0, 1.0
@@ -137,65 +115,140 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_
             anchor, lo, hi = a, 0.0, 1.0
         else:
             anchor, lo, hi = b, -1.0, 0.0
-
-        def g(ts):
-            ts = np.asarray(ts, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                one_minus = 1.0 - ts * ts
-                xs = anchor + ts / one_minus
-                jac = (1.0 + ts * ts) / one_minus**2
-            # deep bisection can round a node onto t = +-1; the true
-            # contribution there is zero and the integrand never sees inf
-            ok = np.isfinite(xs) & np.isfinite(jac)
-            with np.errstate(invalid="ignore", over="ignore"):
-                vals = np.asarray(f(np.where(ok, xs, 0.0)), dtype=float) * jac
-            return np.where(ok & np.isfinite(vals), vals, 0.0)
-
         breaks = [_t_of(p - anchor) for p in points]
         if a < 0.0 < b:
             breaks.append(_t_of(0.0 - anchor))
     else:
-        g, lo, hi = f, a, b
+        anchor, lo, hi = None, a, b
         breaks = list(points)
         if a < 0.0 < b:
             breaks.append(0.0)
 
     cuts = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
-    # halve each initial segment once so a lone panel cannot fake convergence
-    seams = []
+    panels = []
     for left, right in zip(cuts[:-1], cuts[1:]):
-        seams += [(left, 0.5 * (left + right)), (0.5 * (left + right), right)]
+        panels += [(left, 0.5 * (left + right)), (0.5 * (left + right), right)]
+    return anchor, panels
 
-    heap = []
-    evals = 0
-    err_total = 0.0
-    for i, (left, right) in enumerate(seams):
-        val, err = _gk_panel(g, left, right)
-        evals += 15
-        err_total += err
-        heapq.heappush(heap, (-err, i, left, right, val))
-    counter = len(seams)
-    retired_val, retired_err = [], []
 
-    while heap and err_total > tol and evals + 30 <= max_evals:
-        neg_err, _, left, right, val = heapq.heappop(heap)
-        mid = 0.5 * (left + right)
-        if not left < mid < right:
-            # no representable interior point, cannot resolve further
-            retired_val.append(val)
-            retired_err.append(-neg_err)
-            continue
-        v1, e1 = _gk_panel(g, left, mid)
-        v2, e2 = _gk_panel(g, mid, right)
-        evals += 30
-        err_total += e1 + e2 + neg_err  # neg_err removes the parent's share
-        heapq.heappush(heap, (-e1, counter, left, mid, v1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, right, v2))
-        counter += 2
+def _gk_rows(f, lo, hi, rows, anchors, folded):
+    """Kronrod values and error estimates of the panels (lo[i], hi[i]) of integrals rows[i]."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    ts = mid[:, None] + half[:, None] * _NODES
+    fold = folded[rows][:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        one_minus = 1.0 - ts * ts
+        xs = np.where(fold, anchors[rows][:, None] + ts / one_minus, ts)
+        jac = np.where(fold, (1.0 + ts * ts) / one_minus**2, 1.0)
+        # deep bisection can round a node onto t = +-1; the true
+        # contribution there is zero and the integrand never sees inf
+        ok = np.isfinite(xs) & np.isfinite(jac)
+        ys = np.asarray(f(np.where(ok, xs, 0.0), rows), dtype=float) * jac
+    # only folded rows drop non-finite values: on a finite range a NaN is the answer
+    ys = np.where(ok & (np.isfinite(ys) | ~fold), ys, 0.0)
 
-    value = math.fsum([item[4] for item in heap] + retired_val)
-    err_total = math.fsum([-item[0] for item in heap] + retired_err)
-    return OracleResult(value, err_total, evals, err_total <= tol)
+    kronrod = half * (ys * _WK).sum(axis=1)
+    diff = np.abs(kronrod - half * (ys * _WG).sum(axis=1))
+    # sharpen |K - G| relative to the panel's own variation: the Kronrod
+    # estimate is far better than the raw gap on smooth panels, but not on
+    # rough ones, and an absolute cutoff would misjudge small-valued tails
+    spread = half * (np.abs(ys - (kronrod / (hi - lo))[:, None]) * _WK).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sharp = spread * np.minimum(1.0, (200.0 * diff / spread) ** 1.5)
+    err = np.where((spread > 0.0) & (diff > 0.0), sharp, diff)
+    return kronrod.tolist(), err.tolist()
+
+
+def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
+    """Advance the adaptive integrals ``plans`` (from `_plan`) in shared rounds.
+
+    Each round, every integral whose summed error estimate is above ``tol``
+    and whose budget has room for two more panels pops its own worst panel
+    (panels with no representable midpoint are retired unsplit) and bisects
+    it; all children of the round go to ``f`` in one call as ``f(xs, rows)``,
+    where ``xs`` is an (m, 15) array of nodes, one panel per row, and
+    ``rows[i]`` the index into ``plans`` of the integral that row i belongs
+    to.  ``f`` returns the (m, 15) integrand values.  Each integral follows
+    the bisection sequence it would follow alone.
+    """
+    anchors = np.array([0.0 if anchor is None else anchor for anchor, _ in plans])
+    folded = np.array([anchor is not None for anchor, _ in plans])
+    heaps = [[] for _ in plans]
+    retired = [[] for _ in plans]
+    evals = [0] * len(plans)
+    err_total = [0.0] * len(plans)
+    tick = itertools.count()  # heap tie-break: older panels first
+
+    def evaluate(panels):
+        rows, lo, hi = zip(*panels)
+        return _gk_rows(f, np.array(lo), np.array(hi), np.array(rows), anchors, folded)
+
+    first = [(j, left, right) for j, (_, panels) in enumerate(plans) for left, right in panels]
+    for (j, left, right), val, err in zip(first, *evaluate(first)):
+        evals[j] += 15
+        err_total[j] += err
+        heapq.heappush(heaps[j], (-err, next(tick), left, right, val))
+
+    active = range(len(plans))
+    while True:
+        splits = []
+        for j in active:
+            heap = heaps[j]
+            while heap and err_total[j] > tol and evals[j] + 30 <= max_evals:
+                neg_err, _, left, right, val = heapq.heappop(heap)
+                mid = 0.5 * (left + right)
+                if left < mid < right:
+                    splits.append((j, neg_err, left, mid, right))
+                    break
+                # no representable interior point, cannot resolve further
+                retired[j].append((val, -neg_err))
+        if not splits:
+            break
+        children = [c for j, _, lo, mid, hi in splits for c in ((j, lo, mid), (j, mid, hi))]
+        vals, errs = evaluate(children)
+        for i, (j, neg_err, left, mid, right) in enumerate(splits):
+            v1, v2, e1, e2 = vals[2 * i], vals[2 * i + 1], errs[2 * i], errs[2 * i + 1]
+            evals[j] += 30
+            err_total[j] += e1 + e2 + neg_err  # neg_err removes the parent's share
+            heapq.heappush(heaps[j], (-e1, next(tick), left, mid, v1))
+            heapq.heappush(heaps[j], (-e2, next(tick), mid, right, v2))
+        active = [j for j, *_ in splits]
+
+    results = []
+    for j, heap in enumerate(heaps):
+        value = math.fsum([item[4] for item in heap] + [v for v, _ in retired[j]])
+        err = math.fsum([-item[0] for item in heap] + [e for _, e in retired[j]])
+        results.append(OracleResult(value, err, evals[j], err <= tol))
+    return results
+
+
+def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_000, points=()):
+    """Adaptive Gauss-Kronrod integral of ``f`` over (a, b), infinite ends allowed.
+
+    ``f`` must accept a 1-D ndarray and return one of the same length.
+    ``points`` lists interior abscissae to split at from the start (the
+    densities here kink at 0, which callers pass explicitly).  Infinite tails
+    are folded onto (-1, 1) by x = anchor + t/(1 - t^2), and on a folded
+    range non-finite integrand values count as zero.  The worst-error
+    interval is bisected until the summed error estimate drops below ``tol``
+    or the evaluation budget runs out, in which case ``converged`` is False
+    and the best estimate is returned.
+
+    This is the one-integral case of the private `_integrate_rows`, which
+    advances many integrals in shared rounds and hands ``f(xs, rows)`` an
+    (m, 15) node array, one 15-point panel per row, plus each row's integral
+    index; here ``f`` sees those nodes flattened, both children of a
+    bisection in one call.
+    """
+    plan = _plan(a, b, points)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+
+    def rows_f(xs, rows):
+        return np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+
+    return _integrate_rows(rows_f, [plan], tol, max_evals)[0]
 
 
 # ---------- numeric marginalization of the mixture hierarchies ----------
@@ -309,28 +362,24 @@ def uniform_gg_mixture_density(
     log_gg_const = math.log(p) - math.log(2.0) - gammaln(q)
     inv_width = 1.0 / (gamma + 1.0 / gamma)
     log_u_const = -gammaln(1.0 + 1.0 / p)
+    radius_scale = q ** (1.0 / p) * delta
     evaluations = 0
 
-    def inner(s: float) -> float:
+    def outer(ss):
         nonlocal evaluations
-        u_min = (m * math.sqrt(s) / (q ** (1.0 / p) * delta)) ** p
+        ss = np.asarray(ss, dtype=float)
+        root_s = np.sqrt(ss)
 
-        def integrand(u):
-            u = np.asarray(u, dtype=float)
-            radius = q ** (1.0 / p) * delta * u ** (1.0 / p) / math.sqrt(s)
+        # the inner integrals of all nodes advance together, one row per node
+        def integrand(u, rows):
+            radius = radius_scale * u ** (1.0 / p) / root_s[rows][:, None]
             return inv_width / radius * np.exp(log_u_const + (1.0 / p) * np.log(u) - u)
 
-        res = integrate(integrand, u_min, math.inf, tol=0.01 * tol, max_evals=50_000)
-        evaluations += res.evaluations
-        return res.value
-
-    def outer(ss):
-        ss = np.asarray(ss, dtype=float)
-        out = np.empty_like(ss)
-        for i, s in enumerate(ss):
-            log_gg = log_gg_const + (0.5 * p * q - 1.0) * math.log(s) - s ** (0.5 * p)
-            out[i] = math.exp(log_gg) * inner(float(s))
-        return out * tilt
+        plans = [_plan((m * r / radius_scale) ** p, math.inf) for r in root_s.tolist()]
+        inner = _integrate_rows(integrand, plans, 0.01 * tol, 50_000)
+        evaluations += sum(res.evaluations for res in inner)
+        log_gg = log_gg_const + (0.5 * p * q - 1.0) * np.log(ss) - ss ** (0.5 * p)
+        return np.exp(log_gg) * np.array([res.value for res in inner]) * tilt
 
     res = integrate(outer, 0.0, math.inf, tol=tol)
     return OracleResult(res.value, res.abs_error_estimate, res.evaluations + evaluations, res.converged)
@@ -438,6 +487,9 @@ def run_checks(
     constant before checking, as a deliberate-fault hook proving the suite
     can fail.
     """
+    n = int(sample_size)
+    if n < 1:
+        raise DomainError(f"sample size must be at least 1, got {sample_size}")
     checks: list[dict] = []
 
     def want(identity: str) -> bool:
@@ -647,7 +699,6 @@ def run_checks(
         add(ident, abs(modes[0][0]) + float(len(modes) != 1), 1e-6)
 
     # sampler goodness-of-fit gates
-    n = int(sample_size)
     gate = 1.63 / math.sqrt(n)
     ident = "sampler/two-piece gamma=2"
     if want(ident):

@@ -251,6 +251,13 @@ class TestCheck:
                          "--corrupt-delta-scale", "1.05")
         assert code == 1
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_rejects_nonpositive_sample_size(self, capsys, size):
+        code, out, err = run(capsys, "check", "--only", "modes/", "--sample-size", size)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_unmatched_filter(self, capsys):
         code, _, err = run(capsys, "check", "--only", "zzz-nothing")
         assert code == 2

@@ -9,6 +9,8 @@ from scipy import stats
 from bimodalskew.errors import DomainError, ExistenceError
 from bimodalskew.families import bsgt, bsn, bsstd, pdf
 from bimodalskew.oracle import (
+    _integrate_rows,
+    _plan,
     gamma_mixture_density,
     gg_mixture_density,
     integrate,
@@ -69,6 +71,31 @@ class TestIntegrate:
         res = integrate(lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, tol=1e-9)
         assert abs(res.value - 2.5) <= 10.0 * max(res.abs_error_estimate, 1e-15)
 
+    def test_nan_reaches_a_finite_range_result(self):
+        nan = lambda x: np.full_like(x, np.nan)
+        res = integrate(nan, 0.0, 1.0)
+        assert math.isnan(res.value) and not res.converged
+        # on a folded range non-finite values count as zero
+        assert integrate(nan, 0.0, np.inf).value == 0.0
+
+    def test_shared_rounds_match_separate_integrals(self):
+        cases = [
+            (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf),
+            (np.exp, -np.inf, 0.0),
+            (lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf),
+            (np.abs, -1.0, 2.0),
+            (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0),
+            (lambda x: np.abs(x) ** -0.5, -1.0, 1.0),  # runs out of budget
+        ]
+
+        def rows_f(xs, rows):
+            return np.stack([cases[j][0](x) for j, x in zip(rows, xs)])
+
+        shared = _integrate_rows(rows_f, [_plan(a, b) for _, a, b in cases], 1e-10, 3000)
+        alone = [integrate(f, a, b, tol=1e-10, max_evals=3000) for f, a, b in cases]
+        assert shared == alone
+        assert [r.converged for r in shared] == [True] * 5 + [False]
+
     @pytest.mark.parametrize(
         "a,b",
         [(1.0, 1.0), (2.0, 1.0), (float("nan"), 1.0)],
@@ -107,6 +134,12 @@ class TestMixtureRoutes:
         spec = bsgt(1.0, 1.5, 2.0, 2.0)
         res = uniform_gg_mixture_density(0.5, 1.0, 1.5, 2.0, 2.0)
         assert res.value == pytest.approx(float(pdf(spec, 0.5)), abs=1e-4)
+
+    def test_double_layer_evaluation_count(self):
+        # the inner integrals share rounds but bisect as they would alone
+        res = uniform_gg_mixture_density(0.5, 1.0, 1.5, 2.3, 2.0)
+        assert res.evaluations == 17520
+        assert res.value == pytest.approx(float(pdf(bsgt(1.0, 1.5, 2.3, 2.0), 0.5)), abs=1e-4)
 
 
 class TestSampleDiagnostics:

@@ -13,7 +13,7 @@ from scipy import stats
 
 from bimodalskew.bases import GenTBase, NormalBase, StudentTBase
 from bimodalskew.errors import CapabilityError, DomainError
-from bimodalskew.families import bsgt, bsn, bsstd, full_moment
+from bimodalskew.families import DistributionSpec, bsgt, bsn, bsstd, full_moment
 from bimodalskew.oracle import ks_distance
 from bimodalskew.sampling import (
     AugmentedDraw,
@@ -415,6 +415,16 @@ class TestValidation:
                 draw(RngStream(0), size)
         out = draw(RngStream(0), np.int64(3))
         assert getattr(out, "x", out).size == 3
+
+    def test_non_standard_generalized_t_scale_is_refused(self):
+        # such a spec has mass 1.75; sample used to draw the standard member
+        spec = DistributionSpec(1.0, 1.0, GenTBase(2.0, 5.0, 2.0))
+        with pytest.raises(DomainError):
+            sample(spec, 10, RngStream(0))
+        standard = DistributionSpec(1.0, 1.0, GenTBase(2.0, 5.0, GenTBase(2.0, 5.0).delta))
+        np.testing.assert_array_equal(
+            sample(standard, 10, RngStream(0)), sample(bsgt(1.0, 1.0, 2.0, 5.0), 10, RngStream(0))
+        )
 
     def test_quadratic_tilt_needs_a_closed_form_tilted_sampler(self):
         with pytest.raises(CapabilityError):
