@@ -37,7 +37,6 @@ from .inference import (
     posterior_summary,
     run_mcmc,
 )
-from .oracle import OracleResult, integrate, mc_moment, run_checks
 from .sampling import (
     AugmentedDraw,
     RngStream,
@@ -52,6 +51,19 @@ from .sampling import (
 )
 
 __version__ = "0.1.0"
+
+# the oracle loads on first use of these names; each access reads the oracle's
+# current binding (a tracing wrapper, say), so none is cached here
+_ORACLE_NAMES = frozenset({"OracleResult", "integrate", "mc_moment", "run_checks"})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AugmentedDraw",

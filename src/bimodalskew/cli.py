@@ -19,7 +19,6 @@ import numpy as np
 from .errors import CapabilityError, DomainError, NumericError
 from .families import DistributionSpec, bsgt, bsn, bsstd, pdf
 from .inference import McmcConfig, PriorConfig, posterior_summary, run_mcmc
-from .oracle import run_checks
 from .sampling import RngStream, sample
 
 SCHEMA = "bimodal-skew/1"
@@ -255,6 +254,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .oracle import run_checks  # the only command that needs the oracle and scipy.stats
+
     results = run_checks(
         only=args.only,
         seed=args.seed,

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .bases import GenTBase, NormalBase, StudentTBase
 from .errors import DomainError, ExistenceError, NumericError
@@ -172,6 +170,8 @@ def pdf(spec: DistributionSpec, x):
 
 
 def _quad_pdf(spec: DistributionSpec, lo: float, hi: float) -> tuple[float, float]:
+    from scipy.integrate import quad  # loaded on first use: only cdf needs it
+
     value, err = quad(
         lambda t: pdf(spec, t),
         lo,
@@ -277,6 +277,8 @@ def quantile(spec: DistributionSpec, u: float) -> float:
             if step > 1e12 * spec.scale:
                 raise NumericError(f"failed to bracket quantile u={u} above the location")
         bracket = (center, hi)
+    from scipy.optimize import brentq  # loaded on first use: only quantile needs it
+
     return float(brentq(lambda t: cdf(spec, t) - u, *bracket, xtol=1e-12, rtol=8.9e-16))
 
 

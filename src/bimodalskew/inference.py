@@ -52,8 +52,12 @@ _HALF_LOG_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _ALPHA_SHIFT = 1e-12
 _SCALE_BOUNDS = (1e-4, 1e2)
 _INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
-# a bsgt sweep evaluates the current (p, q) four times and two proposals once each
+# a bsgt sweep builds the base for the current (p, q) at most twice and for
+# two proposals once each
 _gt_base = functools.lru_cache(maxsize=8)(GenTBase)
+# likelihoods a bsgt sampler remembers, most recently used first: each block
+# re-reads a current state stored at most three evaluations earlier
+_GT_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -301,6 +305,17 @@ def mh_block_update(
     return new_value, accepted, new_scale
 
 
+def _gt_loglik(x: np.ndarray, alpha: float, phi: float, p: float, q_tilt: float) -> float:
+    if p <= 0 or q_tilt <= 0:
+        return -np.inf
+    q = q_tilt + 2.0 / p
+    try:
+        spec = DistributionSpec(alpha, math.sqrt(phi), _gt_base(p, q))
+    except DomainError:
+        return -np.inf
+    return float(np.sum(log_pdf(spec, x)))
+
+
 def _default_init(x: np.ndarray, model: str) -> dict[str, float]:
     m2 = float(np.mean(x * x))
     if 0.0 < m2 < 3.0:
@@ -349,6 +364,9 @@ class MetropolisWithinGibbs:
                 "pass enable_extensions=True to opt in"
             )
         self.x = _check_data(data)
+        # (alpha, phi, p, q_tilt) -> generalized-t log likelihood of the data
+        memo = functools.lru_cache(maxsize=_GT_MEMO_SIZE)
+        self._gt_loglik = memo(functools.partial(_gt_loglik, self.x))
         # per-data-set invariants of the block kernels; sign(0) = +1
         self._xx = self.x * self.x
         self._pos = self.x >= 0
@@ -384,16 +402,6 @@ class MetropolisWithinGibbs:
         self._iteration = 0
         self._post_iterations = 0
 
-    def _gt_loglik(self, phi: float, p: float, q_tilt: float) -> float:
-        if p <= 0 or q_tilt <= 0:
-            return -np.inf
-        q = q_tilt + 2.0 / p
-        try:
-            spec = DistributionSpec(self.state.alpha, math.sqrt(phi), _gt_base(p, q))
-        except DomainError:
-            return -np.inf
-        return float(np.sum(log_pdf(spec, self.x)))
-
     def _update_block(self, name: str, log_target, value: float, floor: float, adapt_rate):
         new, accepted, new_scale = mh_block_update(
             value,
@@ -428,7 +436,8 @@ class MetropolisWithinGibbs:
         if self.model == "bsgt":
             # phi's conditional depends on the base: here the generalized-t likelihood
             def lt_phi(phi: float) -> float:
-                return self._gt_loglik(phi, self.p, self.q_tilt) + _log_gamma(phi, priors.a_phi, priors.b_phi)
+                loglik = self._gt_loglik(alpha, phi, self.p, self.q_tilt)
+                return loglik + _log_gamma(phi, priors.a_phi, priors.b_phi)
         else:
             def lt_phi(phi: float) -> float:
                 return _lc_phi(phi, alpha, n, s_pos, s_neg, priors)
@@ -441,10 +450,10 @@ class MetropolisWithinGibbs:
         if self.model == "bsgt":
             # likelihood blocks for the non-augmented extension; mild Gamma priors
             def lt_p(p: float) -> float:
-                return self._gt_loglik(phi, p, self.q_tilt) + _log_gamma(p, 2.0, 1.0)
+                return self._gt_loglik(st.alpha, phi, p, self.q_tilt) + _log_gamma(p, 2.0, 1.0)
 
             def lt_q(qt: float) -> float:
-                return self._gt_loglik(phi, self.p, qt) + _log_gamma(qt, 2.0, 0.5)
+                return self._gt_loglik(st.alpha, phi, self.p, qt) + _log_gamma(qt, 2.0, 0.5)
 
             self.p = self._update_block("p", lt_p, self.p, 0.0, rate)
             self.q_tilt = self._update_block("q_tilt", lt_q, self.q_tilt, 0.0, rate)

@@ -1,0 +1,96 @@
+"""Import hygiene: a command loads only the modules it runs.
+
+Importing the package costs numpy, ``scipy.special`` and the package's own
+modules. The oracle and ``scipy.stats`` load on first use of ``run_checks``,
+``integrate`` or ``mc_moment``; ``scipy.integrate`` and ``scipy.optimize`` load
+on the first ``cdf`` or ``quantile``. Each case runs in a fresh interpreter,
+because this test process has long since imported all of them. No case times
+anything: the modules present are the measurement.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bimodalskew
+from bimodalskew import oracle
+
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "bimodalskew.oracle")
+SRC = str(Path(bimodalskew.__file__).resolve().parents[1])
+
+
+def heavy_loaded(code: str) -> dict[str, list[str]]:
+    """Run ``code`` in a fresh interpreter; the HEAVY modules it left loaded.
+
+    ``code`` may call ``mark(label)`` to record the HEAVY modules loaded at
+    that point; the end of the script is recorded as "end".
+    """
+    probe = "\n".join(
+        [
+            "import json, sys",
+            f"HEAVY = {HEAVY!r}",
+            "seen = {}",
+            "def mark(label):",
+            "    seen[label] = [m for m in HEAVY if m in sys.modules]",
+            code,
+            "mark('end')",
+            "sys.stdout.write('\\n' + json.dumps(seen) + '\\n')",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_cli(*argv: str) -> str:
+    return f"from bimodalskew.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+@pytest.mark.parametrize("statement", ["import bimodalskew", "import bimodalskew.cli"])
+def test_import_loads_no_heavy_module(statement):
+    assert heavy_loaded(statement)["end"] == []
+
+
+@pytest.mark.parametrize("command", ["pdf", "sample", "fit"])
+def test_commands_without_checks_load_no_heavy_module(command, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "\n".join(f"{0.37 * k - 3.1:.3f}" for k in range(17)) + "\n")
+    argv = {
+        "pdf": ["pdf", "--model", "bsn", "--alpha", "3", "--gamma", "1.5"],
+        "sample": ["sample", "--model", "bsn", "--n", "10", "--seed", "1",
+                   "--out", str(tmp_path / "draws.txt")],
+        "fit": ["fit", "--model", "bsn", "--in", str(data), "--iters", "300", "--burnin", "100"],
+    }[command]
+    assert heavy_loaded(run_cli(*argv))["end"] == []
+
+
+def test_check_loads_the_oracle_when_it_runs():
+    check = run_cli("check", "--only", "modes/count")
+    seen = heavy_loaded("import bimodalskew.cli\nmark('before')\n" + check)
+    assert seen["before"] == []
+    # the mode identities need the oracle but no scipy.stats reference
+    assert seen["end"] == ["bimodalskew.oracle"]
+
+
+def test_oracle_integrator_does_not_load_scipy_stats():
+    assert heavy_loaded("from bimodalskew import integrate")["end"] == ["bimodalskew.oracle"]
+
+
+def test_oracle_names_are_looked_up_on_each_access(monkeypatch):
+    # a wrapper bound onto the oracle (as a tracer does) is what the package serves
+    assert bimodalskew.run_checks is oracle.run_checks
+    wrapper = object()
+    monkeypatch.setattr(oracle, "run_checks", wrapper)
+    assert bimodalskew.run_checks is wrapper
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bimodalskew.no_such_name  # noqa: B018

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bimodalskew import inference
 from bimodalskew.errors import CapabilityError, DomainError
 from bimodalskew.families import bsgt, bsn, bsstd
 from bimodalskew.inference import (
@@ -157,6 +158,70 @@ class TestCollapseToMarginalSampler:
             b.step(update_nu=False, update_lambda=False)
             assert b.state.phi == a.state.phi
             assert b.state.alpha == a.state.alpha
+
+
+class TestGeneralizedTLikelihoodMemo:
+    """The bsgt sampler re-reads the likelihood at the current state from a memo."""
+
+    @staticmethod
+    def sampler():
+        data = sample(bsgt(3.0, 1.5, 1.7, 2.0), 500, RngStream(5, 0))
+        cfg = McmcConfig(iterations=400, burn_in=100)
+        return MetropolisWithinGibbs(
+            data, model="bsgt", config=cfg, rng=RngStream(11, 0), enable_extensions=True
+        )
+
+    # (alpha, phi, p, q_tilt) after each of the first 20 sweeps, recorded
+    # before the memo existed
+    RECORDED = [
+        (0.937695621641103, 6.42496165994941, 1.01645636084024, 2.0),
+        (0.937695621641103, 6.42496165994941, 1.01645636084024, 2.0),
+        (0.937695621641103, 3.1507317367426797, 1.01645636084024, 2.2035795321750284),
+        (2.262493905423629, 2.6077514227148475, 1.0174192812076375, 2.2035795321750284),
+        (2.262493905423629, 2.6077514227148475, 1.0174192812076375, 2.402736780782864),
+        (1.4890943096047367, 2.6077514227148475, 1.0174192812076375, 2.402736780782864),
+        (2.2513052988018982, 2.6077514227148475, 1.0130780135235395, 2.402736780782864),
+        (2.2513052988018982, 2.6077514227148475, 1.0130780135235395, 2.402736780782864),
+        (1.994174379298262, 2.6077514227148475, 1.054903807976261, 2.402736780782864),
+        (1.994174379298262, 2.6077514227148475, 1.054903807976261, 2.5647424576809907),
+        (1.7596928370705869, 2.6077514227148475, 1.054903807976261, 2.5647424576809907),
+        (2.2475466712079206, 2.6077514227148475, 1.054903807976261, 2.3588035291482394),
+        (1.5806124162403832, 2.6077514227148475, 1.054903807976261, 2.3588035291482394),
+        (1.5806124162403832, 2.6077514227148475, 1.054903807976261, 2.3588035291482394),
+        (1.5806124162403832, 2.6077514227148475, 1.054903807976261, 2.494627283931419),
+        (1.5806124162403832, 2.6077514227148475, 1.054903807976261, 2.494627283931419),
+        (2.790841903280509, 2.2302865154090354, 1.054903807976261, 2.3971144758791243),
+        (2.790841903280509, 2.2302865154090354, 1.054903807976261, 2.268785097504517),
+        (2.790841903280509, 2.1366003440634067, 1.054903807976261, 2.268785097504517),
+        (2.790841903280509, 2.1366003440634067, 1.054903807976261, 2.3468565548747335),
+    ]
+
+    def test_chain_matches_recorded_values(self):
+        s = self.sampler()
+        trace = []
+        for _ in range(20):
+            s.step()
+            trace.append((s.state.alpha, s.state.phi, s.p, s.q_tilt))
+        np.testing.assert_allclose(trace, self.RECORDED, rtol=1e-13, atol=0.0)
+
+    def test_at_most_four_density_evaluations_per_sweep(self, monkeypatch):
+        # without the memo a sweep evaluates the density six times: a proposal
+        # and the current state in each of the phi, p and q blocks
+        calls = 0
+        evaluate = inference.log_pdf
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "log_pdf", counted)
+        s = self.sampler()
+        sweeps = 200
+        for _ in range(sweeps):
+            s.step()
+        # the first sweep may miss on its two current states
+        assert calls <= 4 * sweeps + 2
 
 
 class TestEffectiveSampleSize:
