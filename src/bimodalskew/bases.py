@@ -3,9 +3,11 @@
 Every base is standardized so that its variance equals one; the skewing and
 tilting layers in :mod:`bimodalskew.families` then never need to renormalize
 second moments.  Each base exposes its log density, its absolute moments
-m_r = E|Z|^r, and exact samplers for |Z| and for the quadratically weighted
+m_r = E|Z|^r, exact samplers for |Z| and for the quadratically weighted
 half-line density proportional to z^2 f(z) on z > 0 (where one is available
-in closed form).
+in closed form), and its mode law: the triple (p, a, b) for which, on a
+half-line stretched by s, d/dz log f of the tilted density has the sign of
+A(y) = 2 alpha s^p a y^(1 - p/2) - alpha b y - 1 with y = z^2.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ class NormalBase:
     """Standard normal base."""
 
     name = "normal"
+    mode_law = (2.0, 1.0, 1.0)
 
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -98,6 +101,11 @@ class StudentTBase:
     @property
     def name(self) -> str:
         return "student"
+
+    @property
+    def mode_law(self) -> tuple[float, float, float]:
+        nu = self.nu
+        return 2.0, (nu - 2.0) / (nu + 1.0), (nu - 1.0) / (nu + 1.0)
 
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -160,6 +168,11 @@ class GenTBase:
     @property
     def name(self) -> str:
         return "gent"
+
+    @property
+    def mode_law(self) -> tuple[float, float, float]:
+        p, q = self.p, self.q
+        return p, q * self.delta**p / (p * q + 1.0), (p * q - 1.0) / (p * q + 1.0)
 
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)

@@ -9,11 +9,14 @@ base density f:
   x >= 0;
 * a quadratic tilt (1 + alpha x^2) / (1 + alpha b(gamma)) with alpha >= 0,
   where b(gamma) is the second moment of the skewed density.  The tilt
-  carves mass out of the center.  With the normal base the stationary
-  points of the two halves sit at x^2 = 2 gamma^2 - 1/alpha (right) and
-  x^2 = 2 / gamma^2 - 1/alpha (left), so the density has two modes exactly
-  when alpha > max(gamma^2, gamma^-2) / 2; at gamma = 1 the threshold
-  alpha = 0.5 itself still gives one mode.
+  carves mass out of the center.  On the half-line stretched by s (gamma on
+  the right, 1/gamma on the left) d/dz log f has the sign of
+  A(y) = 2 alpha s^p a y^(1-p/2) - alpha b y - 1 with y = z^2, where the base
+  supplies (p, a, b).  So bsn is bimodal exactly when
+  alpha > max(gamma^2, gamma^-2) / 2 (alpha = 0.5 at gamma = 1 still gives
+  one mode), bsstd exactly when alpha > (nu+1)/(2(nu-2)) max(gamma^2,
+  gamma^-2), and bsgt keeps a mode at the fold for p < 2 and splits its peak
+  at any alpha > 0 for p > 2.
 
 Three bases are supported: the standard normal ("bsn"), the unit-variance
 Student-t ("bsstd", nu > 2) and the unit-variance generalized-t ("bsgt",
@@ -27,6 +30,7 @@ of the argument.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +58,8 @@ __all__ = [
 ]
 
 _FAMILY_OF_BASE = {"normal": "bsn", "student": "bsstd", "gent": "bsgt"}
+
+_LOG_2 = np.log(2.0)
 
 # Tolerances for the numeric CDF; quantile() brackets on top of these.
 _CDF_EPSABS = 1e-12
@@ -131,18 +137,27 @@ def bsgt(
 # ---------- density ----------
 
 
-def _tilt_log(alpha: float, z: np.ndarray) -> np.ndarray:
-    """log(1 + alpha z^2), stable when alpha * z^2 overflows."""
-    t = alpha * z * z
-    if np.all(np.isfinite(t)):
-        return np.log1p(t)
+def _far_log_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
+    """log_pdf where the standardized argument overflows.
+
+    Far out, the standardized log density is -inf (normal base) or linear in
+    log|z|, so it follows the line through |z| = e^(top-1) and e^top, where
+    top = 700 - |log gamma| keeps z and its stretched argument finite, out to
+    log|z| = log|x - loc| - log(scale); halving keeps x - loc finite.
+    """
+    top = 700.0 - abs(math.log(spec.gamma))
+    ref = np.multiply.outer(np.exp([top - 1.0, top]), np.where(x >= spec.loc, 1.0, -1.0))
+    with np.errstate(over="ignore"):
+        inner, edge = log_pdf(DistributionSpec(spec.alpha, spec.gamma, spec.base), ref)
+    # only the overflowed entries are kept, so log(0) and -inf - -inf drop out
     with np.errstate(divide="ignore", invalid="ignore"):
-        fallback = np.log(alpha) + 2.0 * np.log(np.abs(z))
-    return np.where(np.isfinite(t), np.log1p(np.where(np.isfinite(t), t, 0.0)), fallback)
+        log_z = np.log(np.abs(0.5 * x - 0.5 * spec.loc)) + math.log(2.0) - math.log(spec.scale)
+        line = edge + (edge - inner) * (log_z - top)
+    return np.where(edge == -np.inf, -np.inf, line) - math.log(spec.scale)
 
 
 def log_pdf(spec: DistributionSpec, x):
-    """Log density at x; vectorized, never NaN for finite x."""
+    """Log density at x; vectorized, never NaN for non-NaN x."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     z = (x - spec.loc) / spec.scale
@@ -150,14 +165,25 @@ def log_pdf(spec: DistributionSpec, x):
     alpha = spec.alpha
     # sign(0) = +1: z = 0 goes through the stretched positive branch.
     arg = np.where(z >= 0, z / g, z * g)
-    out = (
-        spec.base.log_pdf(arg)
-        + np.log(2.0)
-        - np.log(g + 1.0 / g)
-        + _tilt_log(alpha, z)
-        - np.log1p(alpha * spec.b)
-        - np.log(spec.scale)
+    out = spec.base.log_pdf(arg) + _LOG_2 - np.log(g + 1.0 / g)
+    t = alpha * z * z
+    # The slow path handles an overflowed alpha z^2, whose log(1 + alpha z^2)
+    # then comes from logs, and an overflowed arg.  While alpha z^2 is finite,
+    # arg = z * max(g, 1/g) at most can overflow only for a tiny alpha.
+    slow = not np.isfinite(t).all() or (
+        alpha < 4.0 * max(g, 1.0 / g) ** 2 / sys.float_info.max and not np.isfinite(arg).all()
     )
+    if slow:
+        far = np.isinf(arg)  # x is infinite, or the standardized argument overflowed
+        z, t = np.where(far, 0.0, z), np.where(far, 0.0, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fallback = np.log(alpha) + 2.0 * np.log(np.abs(z))
+        tilt = np.where(np.isfinite(t), np.log1p(np.where(np.isfinite(t), t, 0.0)), fallback)
+    else:
+        tilt = np.log1p(t)
+    out = out + tilt - np.log1p(alpha * spec.b) - np.log(spec.scale)
+    if slow and far.any():
+        out = np.where(far, _far_log_pdf(spec, x), out)
     return float(out) if scalar else out
 
 
@@ -358,45 +384,57 @@ def moment_report(spec: DistributionSpec, orders=(1, 2, 3, 4)) -> list[MomentRep
 
 # ---------- modes ----------
 
-_MODE_GRID_POINTS = 2001
-_MODE_DERIV_STEP = 1e-5
-_MODE_XTOL = 1e-10
+
+def _interior_mode(alpha: float, s: float, law: tuple[float, float, float]) -> float | None:
+    """|z| of the maximum inside the half-line of stretch s, or None.
+
+    d/dz log f has the sign of A(y) = c y^k - alpha b y - 1 at y = z^2, with
+    (p, a, b) = ``law``, c = 2 alpha s^p a and k = 1 - p/2.  The maximum is
+    where A falls through zero, found by bisection on u = log y.
+    """
+    p, a, b = law
+    if alpha == 0.0:
+        return None
+    if p == 2.0:  # A is linear in y
+        c = 2.0 * alpha * s * s * a
+        return math.sqrt((c - 1.0) / (alpha * b)) if c > 1.0 else None
+    k = 1.0 - 0.5 * p
+    log_ab = math.log(alpha) + math.log(b)
+    log_c = log_ab + math.log(2.0 * a / b) + p * math.log(s)
+
+    def rising(u):  # A(e^u) > 0, as log(c y^k) > log(1 + alpha b y)
+        m = log_ab + u
+        return log_c + k * u > max(m, 0.0) + math.log1p(math.exp(-abs(m)))
+
+    if k > 0.0:  # p < 2: A is concave, peaks at lo and equals -1 at hi
+        lo, hi = (log_c + math.log(k) - log_ab) / (1.0 - k), (log_c - log_ab) / (1.0 - k)
+        if not rising(lo):
+            return None
+    else:  # p > 2: A falls from +inf; c y^k is 1 at hi and 2 max(1, alpha b e^hi) at lo
+        hi = -log_c / k
+        lo = (math.log(2.0) + max(log_ab + hi, 0.0) - log_c) / k
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+    return math.exp(0.5 * mid)
 
 
 def find_modes(spec: DistributionSpec) -> list[tuple[float, float]]:
     """Local maxima of the density as (location, density) pairs, ascending.
 
-    Scans the sign of a finite-difference derivative of the log density on a
-    wide grid in standardized coordinates and refines each descending sign
-    change by bisection.
+    Each half-line follows the sign law of its base's ``mode_law`` (p, a, b)
+    with stretch s = gamma on the right and 1/gamma on the left.  bsn
+    (2, 1, 1) and bsstd (2, (nu-2)/(nu+1), (nu-1)/(nu+1)) have their interior
+    maximum at z^2 = (2 alpha s^2 a - 1) / (alpha b) when that is positive, so
+    both are bimodal exactly when alpha > max(gamma^2, gamma^-2) / (2 a).  For
+    bsgt (p, q delta^p/(pq+1), (pq-1)/(pq+1)), p < 2 always keeps a mode at
+    the fold and p > 2 splits the peak at any alpha > 0.  The fold z = 0 is a
+    mode exactly when the density falls away from it on both sides.
+    Locations are loc + scale * z; roots that round to the same x count once.
     """
-    g = spec.gamma
-    reach = 10.0 * max(g, 1.0 / g)
-    zs = np.linspace(-reach, reach, _MODE_GRID_POINTS)
-    mids = 0.5 * (zs[:-1] + zs[1:])
-
-    def deriv(z, h):
-        zp = spec.loc + spec.scale * (np.asarray(z) + h)
-        zm = spec.loc + spec.scale * (np.asarray(z) - h)
-        return log_pdf(spec, zp) - log_pdf(spec, zm)
-
-    d = deriv(mids, _MODE_DERIV_STEP)
-    falling = np.flatnonzero((d[:-1] > 0) & (d[1:] <= 0))
-
-    modes: list[tuple[float, float]] = []
-    for i in falling:
-        lo, hi = mids[i], mids[i + 1]
-        while hi - lo > _MODE_XTOL:
-            mid = 0.5 * (lo + hi)
-            # the step shrinks with the bracket so the density fold at 0
-            # cannot bias the sign test by more than the remaining width
-            if deriv(mid, max(0.25 * (hi - lo), 1e-9)) > 0:
-                lo = mid
-            else:
-                hi = mid
-        z_star = 0.5 * (lo + hi)
-        x_star = spec.loc + spec.scale * z_star
-        if modes and abs(x_star - modes[-1][0]) < 1e-6 * spec.scale:
-            continue
-        modes.append((float(x_star), float(pdf(spec, x_star))))
-    return modes
+    law = spec.base.mode_law
+    left, right = (_interior_mode(spec.alpha, s, law) for s in (1.0 / spec.gamma, spec.gamma))
+    fold = law[0] < 2.0 or (left is None and right is None)
+    candidates = (None if left is None else -left, 0.0 if fold else None, right)
+    zs = [z for z in candidates if z is not None]
+    xs = np.array(sorted({spec.loc + spec.scale * z for z in zs}))
+    return [(float(x), float(d)) for x, d in zip(xs, pdf(spec, xs))]

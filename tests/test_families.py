@@ -1,6 +1,7 @@
 """Density-level behavior: closed forms, reductions, moments, modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,22 +150,38 @@ class TestCdfQuantile:
         assert np.all(np.diff(vec) >= 0)
 
 
+def mode_spec(family, alpha, gamma, tail, p):
+    """A member of the north-star domain; ``tail`` is nu - 2 or p*q - 2."""
+    if family == "bsn":
+        return bsn(alpha, gamma)
+    if family == "bsstd":
+        return bsstd(alpha, gamma, 2.0 + tail)
+    return bsgt(alpha, gamma, p, (2.0 + tail) / p)
+
+
+# log_pdf sums constants up to ~20x its own size (heavy tails at small p), so
+# neighbouring values jitter by up to ~10 ulps
+LOG_PDF_ROUNDING = 64.0 * np.finfo(float).eps
+
+
+def not_above(spec, x, y):
+    """log_pdf(x) <= log_pdf(y), up to the rounding of log_pdf."""
+    ly = float(log_pdf(spec, y))
+    return float(log_pdf(spec, x)) <= ly + LOG_PDF_ROUNDING * max(abs(ly), 1.0)
+
+
 class TestModes:
     def test_single_mode_below_threshold(self):
         for alpha in (0.0, 0.2, 0.4):
-            modes = find_modes(bsn(alpha, 1.0))
-            assert len(modes) == 1
-            # the peak flattens as alpha nears the splitting threshold, so
-            # the locator loses an order of precision against the smooth case
-            assert modes[0][0] == pytest.approx(0.0, abs=2e-7)
+            assert [m[0] for m in find_modes(bsn(alpha, 1.0))] == [0.0]
 
     def test_two_modes_above_threshold(self):
         for alpha in (0.6, 0.8, 1.0):
             locs = [m[0] for m in find_modes(bsn(alpha, 1.0))]
             want = math.sqrt(2.0 - 1.0 / alpha)
             assert len(locs) == 2
-            assert locs[0] == pytest.approx(-want, abs=1e-7)
-            assert locs[1] == pytest.approx(want, abs=1e-7)
+            assert locs[0] == pytest.approx(-want, rel=1e-15)
+            assert locs[1] == pytest.approx(want, rel=1e-15)
 
     def test_asymmetric_modes_sit_at_stationary_points(self):
         # each half-line carries its own quadratic: x^2 = 2*gamma^2 - 1/alpha
@@ -172,9 +189,19 @@ class TestModes:
         alpha, gamma = 3.0, 1.5
         modes = find_modes(bsn(alpha, gamma))
         assert len(modes) == 2
-        assert modes[0][0] == pytest.approx(-math.sqrt(2.0 / gamma**2 - 1.0 / alpha), abs=1e-8)
-        assert modes[1][0] == pytest.approx(math.sqrt(2.0 * gamma**2 - 1.0 / alpha), abs=1e-8)
+        assert modes[0][0] == pytest.approx(-math.sqrt(2.0 / gamma**2 - 1.0 / alpha), rel=1e-15)
+        assert modes[1][0] == pytest.approx(math.sqrt(2.0 * gamma**2 - 1.0 / alpha), rel=1e-15)
         assert modes[1][1] > modes[0][1]
+
+    def test_student_modes_sit_at_stationary_points(self):
+        # z^2 = (2 alpha s^2 (nu - 2) - (nu + 1)) / (alpha (nu - 1)), s = gamma or 1/gamma
+        alpha, gamma, nu = 3.0, 1.5, 5.0
+        want = [
+            -math.sqrt((2 * alpha * (nu - 2) / gamma**2 - (nu + 1)) / (alpha * (nu - 1))),
+            math.sqrt((2 * alpha * (nu - 2) * gamma**2 - (nu + 1)) / (alpha * (nu - 1))),
+        ]
+        locs = [m[0] for m in find_modes(bsstd(alpha, gamma, nu))]
+        assert locs == pytest.approx(want, rel=1e-14)
 
     def test_mode_heights_match_density(self):
         spec = bsn(0.6, 1.0)
@@ -191,10 +218,116 @@ class TestModes:
         assert (alpha > max(gamma**2, gamma**-2) / 2.0) == (count == 2)
         assert len(find_modes(bsn(alpha, gamma))) == count
 
+    @pytest.mark.parametrize("nu", [2.001, 2.5, 5.0, 40.0])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+    def test_student_count_law_at_its_threshold(self, nu, gamma):
+        threshold = (nu + 1) / (2 * (nu - 2)) * max(gamma**2, gamma**-2)
+        assert len(find_modes(bsstd(threshold * (1 - 1e-3), gamma, nu))) == 1
+        assert len(find_modes(bsstd(threshold * (1 + 1e-3), gamma, nu))) == 2
+
     def test_modes_shift_with_location_scale(self):
         base = [m[0] for m in find_modes(bsn(1.0, 1.0))]
         moved = [m[0] for m in find_modes(bsn(1.0, 1.0, 5.0, 2.0))]
-        np.testing.assert_allclose(moved, [5.0 + 2.0 * x for x in base], atol=1e-6)
+        assert moved == [5.0 + 2.0 * x for x in base]
+
+    @pytest.mark.parametrize(
+        "spec", [bsn(51, 10), bsn(4.501, 3), bsn(50.5, 0.1), bsn(3, 1.5, loc=1e8, scale=1e-8)],
+        ids=["gamma10", "gamma3", "gamma0.1", "loc1e8-scale1e-8"],
+    )
+    def test_small_mode_beside_the_fold_is_found(self, spec):
+        # the smaller mode sits within 0.02 of the fold
+        assert len(find_modes(spec)) == 2
+
+    @pytest.mark.parametrize(
+        "spec,count",
+        [
+            (bsgt(3, 1, 1.5, 3), 3),  # p < 2: both interior maxima and the fold
+            (bsgt(13.59, 0.4915, 3.0316, 0.6689), 2),  # p > 2: an interior mode near the fold
+            (bsgt(9.33, 0.1818, 1.98, 1.0854), 2),  # p < 2: the fold itself
+        ],
+        ids=["three", "p-above-2", "p-below-2"],
+    )
+    def test_generalized_t_mode_counts(self, spec, count):
+        assert len(find_modes(spec)) == count
+
+    def test_fold_mode_is_exactly_loc(self):
+        specs = (bsn(0.2, 1.3, loc=0.7, scale=3.0), bsgt(3, 1, 1.5, 3, loc=-2.5), bsgt(0, 2, 3, 1))
+        for spec in specs:
+            assert spec.loc in [m[0] for m in find_modes(spec)]
+
+    @given(
+        family=st.sampled_from(["bsn", "bsstd", "bsgt"]),
+        alpha=st.one_of(st.just(0.0), st.floats(0.0, 15.0)),
+        log_gamma=st.floats(-1.0, 1.0),
+        log_tail=st.floats(-3.0, 1.5),
+        p=st.floats(0.05, 4.0),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_modes_are_the_local_maxima(self, family, alpha, log_gamma, log_tail, p):
+        spec = mode_spec(family, alpha, 10.0**log_gamma, 10.0**log_tail, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modes = [m[0] for m in find_modes(spec)]
+        assert modes and modes == sorted(set(modes))
+        for x in modes:
+            if x != 0.0:
+                h = 1e-6 * abs(x)
+                assert not_above(spec, x - h, x) and not_above(spec, x + h, x)
+        if 0.0 in modes:
+            # the fold is checked only toward a side without another mode: on such
+            # a side the density falls all the way, while the dip between the fold
+            # and an interior mode can be narrower than float resolution
+            if modes[0] == 0.0:
+                assert not_above(spec, -1e-6, 0.0)
+            if modes[-1] == 0.0:
+                assert not_above(spec, 1e-6, 0.0)
+        for x0, x1 in zip(modes, modes[1:]):
+            if x0 < 0.0 < x1:  # two interior maxima: the fold between them is lower
+                assert not_above(spec, 0.0, x0) and not_above(spec, 0.0, x1)
+        # a grid point that clears both neighbours by more than rounding has a
+        # maximum between them, so it must bracket a mode; the grid is geometric
+        # toward the fold, and its coarser strides resolve shallow peaks
+        side = 12.0 * max(spec.gamma, 1.0 / spec.gamma) * np.logspace(-12.0, 0.0, 4000)
+        grid = np.concatenate([-side[::-1], [0.0], side])
+        for zs in (grid, grid[::8], grid[::64], grid[::512]):
+            lp = log_pdf(spec, zs)
+            top = lp[1:-1] - LOG_PDF_ROUNDING * np.maximum(np.abs(lp[1:-1]), 1.0)
+            for i in np.flatnonzero((top > lp[:-2]) & (top > lp[2:])) + 1:
+                assert any(zs[i - 1] < x < zs[i + 1] for x in modes)
+
+
+# numpy reports the overflow of (x - loc) / scale as it happens; log_pdf keeps
+# that warning rather than pay for an errstate guard on every call
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestFarTail:
+    @pytest.mark.parametrize(
+        "spec,want",
+        [
+            (bsn(1, 1, scale=1e-10), -math.inf),
+            (bsstd(1, 1, 5, scale=1e-10), -2830.29018147),
+            (bsgt(1, 1, 2, 3, scale=1e-10), -3542.57984583),
+        ],
+        ids=["bsn", "bsstd", "bsgt"],
+    )
+    def test_log_pdf_past_an_overflowing_argument(self, spec, want):
+        # (x - loc) / scale overflows although x is finite; the answer follows
+        # from log|x - loc| - log(scale)
+        for x in (1e300, -1e300):
+            assert log_pdf(spec, x) == pytest.approx(want, rel=1e-10)
+        assert log_pdf(spec, np.inf) == -math.inf
+        values = log_pdf(spec, [1e300, 0.5e-10, math.inf])
+        assert values[0] == pytest.approx(want, rel=1e-10) and math.isfinite(values[1])
+
+    def test_far_tail_joins_the_finite_path(self):
+        # (x - loc) / scale overflows past x = 1.797e298 on the right; on the
+        # left, z * gamma overflows past z = -1.198e308 while z stays finite
+        pairs = (
+            log_pdf(bsstd(1.0, 1.5, 5.0, scale=1e-10), [1.79e298, 1.8e298]),
+            log_pdf(bsstd(1.0, 1.5, 5.0), [-1.19e308, -1.2e308]),
+            log_pdf(bsstd(0.0, 1.5, 5.0), [-1.19e308, -1.2e308]),
+        )
+        for near, far in pairs:
+            assert far < near and far == pytest.approx(near, abs=0.1)
 
 
 class TestMoments:
