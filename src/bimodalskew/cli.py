@@ -254,7 +254,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .oracle import run_checks  # the only command that needs the oracle and scipy.stats
+    from .oracle import run_checks  # the only command that needs the oracle
 
     results = run_checks(
         only=args.only,

@@ -239,41 +239,37 @@ def cdf(spec: DistributionSpec, x: float) -> float:
 
 
 def cdf_values(spec: DistributionSpec, xs) -> np.ndarray:
-    """CDF at many points at once.
+    """CDF at many points at once, in closed form; any order, O(n) work.
 
-    One adaptive integration anchors the lowest point; the rest accumulate
-    fixed-order Gauss-Legendre panels between consecutive sorted points, with
-    an extra break at the fold so no panel straddles it.  Intended for
-    goodness-of-fit work on large sorted samples.
+    On the half-line stretched by s the density is c f(z/s) (1 + alpha z^2)
+    with c = 2 / ((gamma + 1/gamma)(1 + alpha b)), so each half needs only
+    the base's partial moments of order 0 and 2 (``partial_moment``).  Below
+    the fold F = c/gamma (upper_0 + alpha/gamma^2 upper_2) at t = |z| gamma;
+    above it F is the left-half mass plus c gamma (lower_0 + alpha gamma^2
+    lower_2) at t = z/gamma.  A NaN point raises DomainError.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.ndim != 1:
         raise DomainError("cdf_values expects a one-dimensional array")
-    if xs.size == 0:
-        return np.empty(0)
-    order = np.argsort(xs, kind="stable")
-    sx = xs[order]
+    if np.isnan(xs).any():
+        raise DomainError("cdf argument must not be NaN")
+    g, alpha, base = spec.gamma, spec.alpha, spec.base
+    c = 2.0 / ((g + 1.0 / g) * (1.0 + alpha * spec.b))
 
-    first = cdf(spec, sx[0])
-    bounds = sx
-    positions = np.arange(sx.size)
-    if sx[0] < spec.loc < sx[-1]:
-        k = int(np.searchsorted(sx, spec.loc))
-        bounds = np.insert(sx, k, spec.loc)
-        positions = positions + (positions >= k)
+    def half(t, s: float, upper: bool):
+        """Mass of the half-line stretched by s beyond t (upper) or below it, t = |z|/s."""
+        tilted = alpha * s * s * base.partial_moment(2, t, upper)
+        return c * s * (base.partial_moment(0, t, upper) + tilted)
 
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    lo, hi = bounds[:-1], bounds[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # (panels, 16) evaluation grid; a zero-width panel contributes zero.
-    grid = mid[:, None] + half[:, None] * nodes[None, :]
-    panel = (pdf(spec, grid) @ weights) * half
-    cum = np.concatenate(([0.0], np.cumsum(panel)))
-
-    result = np.empty_like(xs)
-    result[order] = np.minimum(first + cum[positions], 1.0)
-    return result
+    # an overflowed standardized point is an infinite one
+    with np.errstate(over="ignore"):
+        z = (xs - spec.loc) / spec.scale
+        below = z < 0
+        result = np.empty_like(z)
+        result[below] = half(-z[below] * g, 1.0 / g, True)
+        result[~below] = half(0.0, 1.0 / g, True) + half(z[~below] / g, g, False)
+    # the two half masses sum to 1 only up to rounding
+    return np.where(z == np.inf, 1.0, np.minimum(result, 1.0))
 
 
 def quantile(spec: DistributionSpec, u: float) -> float:

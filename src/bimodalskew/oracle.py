@@ -4,8 +4,11 @@ Everything here exists to cross-check the closed-form code in `families` and
 the samplers in `sampling` by a second route: adaptive Gauss-Kronrod
 quadrature (self-contained, deliberately not sharing the library CDF's
 integration code), numeric marginalization of the scale-mixture hierarchies,
-Monte Carlo moments, and Kolmogorov-Smirnov gates.  `run_checks` executes the
-whole identity suite and is what the ``check`` CLI command prints.
+Monte Carlo moments, and Kolmogorov-Smirnov gates against the closed-form
+distribution functions.  The textbook reference densities and the two-sample
+KS p-value are written out here on `scipy.special`, so a check needs nothing
+from `scipy.stats`.  `run_checks` executes the whole identity suite and is
+what the ``check`` CLI command prints.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln, gammainc, gammaln, kolmogorov
 
 from .bases import GenTBase, NormalBase, StudentTBase, gt_standard_scale
 from .errors import DomainError, ExistenceError
@@ -54,7 +57,6 @@ __all__ = [
     "uniform_gg_mixture_density",
     "mc_moment",
     "ks_distance",
-    "ks_distance_pdf",
     "run_checks",
 ]
 
@@ -406,19 +408,53 @@ def ks_distance(sample_values, spec: DistributionSpec) -> float:
     return _ks_from_cdf(cdf_values(spec, xs))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+def _quadratic_tilt_cdf(xs: np.ndarray, gamma: float, base) -> np.ndarray:
+    """CDF of x^2 f_gamma(x) / b(gamma), f_gamma the two-piece density on ``base``.
+
+    It is the density `sample_quadratic_tilt` draws from; on each half-line it
+    is the base's r = 2 partial moment, stretched by gamma on the right and
+    1/gamma on the left.
+    """
+    k = 2.0 / ((gamma + 1.0 / gamma) * two_piece_second_moment(gamma))
+    below = xs < 0
+    out = np.empty_like(xs)
+    out[below] = k / gamma**3 * base.partial_moment(2, -xs[below] * gamma, upper=True)
+    left = k / gamma**3 * base.partial_moment(2, 0.0, upper=True)
+    out[~below] = left + k * gamma**3 * base.partial_moment(2, xs[~below] / gamma)
+    return out
 
 
-def ks_distance_pdf(sample_values, pdf_fn) -> float:
-    """KS distance against the CDF of an arbitrary density callable."""
-    xs = np.sort(np.asarray(sample_values, dtype=float))
-    anchor = integrate(pdf_fn, -math.inf, xs[0], tol=1e-11).value
-    mid = 0.5 * (xs[1:] + xs[:-1])
-    half = 0.5 * (xs[1:] - xs[:-1])
-    grid = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    panels = (np.asarray(pdf_fn(grid.ravel())).reshape(grid.shape) @ _GL_WEIGHTS) * half
-    f = np.clip(anchor + np.concatenate([[0.0], np.cumsum(panels)]), 0.0, 1.0)
-    return _ks_from_cdf(f)
+def _ks_2samp_pvalue(a, b) -> float:
+    """Two-sided two-sample KS p-value from Smirnov's limit law.
+
+    D is the largest gap between the two empirical CDFs over the pooled
+    points, and sqrt(nm / (n + m)) D follows the Kolmogorov distribution as
+    n and m grow.
+    """
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    n, m = a.size, b.size
+    ecdf_a = np.searchsorted(a, pooled, side="right") / n
+    gap = ecdf_a - np.searchsorted(b, pooled, side="right") / m
+    return float(kolmogorov(math.sqrt(n * m / (n + m)) * np.max(np.abs(gap))))
+
+
+def _normal_pdf(xs):
+    xs = np.asarray(xs, dtype=float)
+    return np.exp(-0.5 * xs * xs) / math.sqrt(2.0 * math.pi)
+
+
+def _student_pdf(xs, nu: float):
+    """Textbook (unit-scale) Student-t density with nu degrees of freedom."""
+    xs = np.asarray(xs, dtype=float)
+    log_const = gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    return np.exp(log_const - 0.5 * (nu + 1.0) * np.log1p(xs * xs / nu))
+
+
+def _beta_prime_pdf(ws, a: float, b: float):
+    """Beta-prime density w^(a-1) (1 + w)^(-a-b) / B(a, b) on w > 0."""
+    ws = np.asarray(ws, dtype=float)
+    return np.exp((a - 1.0) * np.log(ws) - (a + b) * np.log1p(ws) - betaln(a, b))
 
 
 # ---------- the identity suite ----------
@@ -479,10 +515,10 @@ def run_checks(
 
     Each record is {"identity", "status", "value", "tolerance"}; ``value`` is
     the achieved discrepancy except for "sampler/paths-agree", where it is a
-    two-sample KS p-value and larger is better.  ``only`` filters identities
-    by substring.  ``delta_scale`` rescales the generalized-t standardization
-    constant before checking, as a deliberate-fault hook proving the suite
-    can fail.
+    two-sample KS p-value from Smirnov's limit law and larger is better.
+    ``only`` filters identities by substring.  ``delta_scale`` rescales the
+    generalized-t standardization constant before checking, as a
+    deliberate-fault hook proving the suite can fail.
     """
     n = int(sample_size)
     if n < 1:
@@ -539,38 +575,32 @@ def run_checks(
             )
             add(ident, value, 1e-3)
 
-    # scipy.stats is the independent reference below; each check imports what it
-    # uses, so importing the oracle, or running a subset, does not load it
+    # the textbook densities written out above are the references below
     ident = "reduction/symmetric-base normal"
     if want(ident):
-        from scipy.stats import norm
-
-        add(ident, _sup_diff(lambda xs: pdf(bsn(0.0, 1.0), xs), norm.pdf, grid), 1e-12)
+        add(ident, _sup_diff(lambda xs: pdf(bsn(0.0, 1.0), xs), _normal_pdf, grid), 1e-12)
     ident = "reduction/symmetric-base student nu=5"
     if want(ident):
-        from scipy.stats import t as student_t
-
         k = math.sqrt(5.0 / 3.0)
         add(
             ident,
             _sup_diff(
                 lambda xs: pdf(bsstd(0.0, 1.0, 5.0), xs),
-                lambda xs: student_t.pdf(xs * k, 5.0) * k,
+                lambda xs: _student_pdf(xs * k, 5.0) * k,
                 grid,
             ),
             1e-12,
         )
     ident = "reduction/symmetric-base gent p=1.7 q=2"
     if want(ident):
-        from scipy.stats import betaprime
-
         p, q = 1.7, 2.0
         delta = gt_standard_scale(p, q)
 
         def gt_via_betaprime(xs):
             az = np.abs(np.asarray(xs, dtype=float))
             w = (az / delta) ** p / q
-            return betaprime.pdf(w, 1.0 / p, q) * 0.5 * p * (az / delta) ** (p - 1.0) / (q * delta)
+            jacobian = 0.5 * p * (az / delta) ** (p - 1.0) / (q * delta)
+            return _beta_prime_pdf(w, 1.0 / p, q) * jacobian
 
         zero_free = np.linspace(-10.0, 10.0, 400)
         add(
@@ -580,12 +610,10 @@ def run_checks(
         )
     ident = "reduction/two-piece-normal gamma=2"
     if want(ident):
-        from scipy.stats import norm
-
         def two_piece_direct(xs):
             xs = np.asarray(xs, dtype=float)
             stretched = np.where(xs >= 0, xs / 2.0, xs * 2.0)
-            return 2.0 / 2.5 * norm.pdf(stretched)
+            return 2.0 / 2.5 * _normal_pdf(stretched)
 
         add(ident, _sup_diff(lambda xs: pdf(bsn(0.0, 2.0), xs), two_piece_direct, grid), 1e-12)
 
@@ -716,10 +744,8 @@ def run_checks(
         add(ident, ks_distance(xs, bsstd(0.0, 0.8, 5.0)), gate)
     ident = "sampler/quadratic-tilt gamma=2"
     if want(ident):
-        xs = sample_quadratic_tilt(2.0, NormalBase(), RngStream(seed, 3), n)
-        b = two_piece_second_moment(2.0)
-        tilt_pdf = lambda v: v**2 * pdf(bsn(0.0, 2.0), v) / b
-        add(ident, ks_distance_pdf(xs, tilt_pdf), gate)
+        xs = np.sort(sample_quadratic_tilt(2.0, NormalBase(), RngStream(seed, 3), n))
+        add(ident, _ks_from_cdf(_quadratic_tilt_cdf(xs, 2.0, NormalBase())), gate)
     ident = "sampler/bsn alpha=1 gamma=1.5"
     if want(ident):
         xs = sample_bsn(1.0, 1.5, RngStream(seed, 4), n)
@@ -738,10 +764,9 @@ def run_checks(
         add(ident, ks_distance(draw.x, bsstd(1.0, 1.5, 4.0)), gate)
     ident = "sampler/gen-gamma p=1.7 q=2"
     if want(ident):
-        from scipy.stats import gamma as gamma_dist
-
+        # s^(p/2) of a generalized-gamma draw is Gamma(q, 1)
         s = sample_gen_gamma(1.7, 2.0, RngStream(seed, 8), n)
-        f = gamma_dist.cdf(np.sort(s ** (1.7 / 2.0)), 2.0)
+        f = gammainc(2.0, np.sort(s ** (1.7 / 2.0)))
         add(ident, _ks_from_cdf(f), gate)
     ident = "sampler/bsgt p=1.7 q=2 alpha=1 gamma=1.5"
     if want(ident):
@@ -753,10 +778,8 @@ def run_checks(
         add(ident, ks_distance(draw.x, bsgt(1.0, 0.8, 2.3, 2.0)), gate)
     ident = "sampler/paths-agree p=2.3 q=2"
     if want(ident):
-        from scipy.stats import ks_2samp
-
         a_side = sample_bsgt(1.0, 1.5, 2.3, 2.0, RngStream(seed, 11), n).x
         b_side = sample_bsgt(1.0, 1.5, 2.3, 2.0, RngStream(seed, 12), n, path="uniform-gg").x
-        add(ident, float(ks_2samp(a_side, b_side).pvalue), 0.01, larger_is_better=True)
+        add(ident, _ks_2samp_pvalue(a_side, b_side), 0.01, larger_is_better=True)
 
     return checks

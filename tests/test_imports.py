@@ -1,11 +1,13 @@
 """Import hygiene: a command loads only the modules it runs.
 
 Importing the package costs numpy, ``scipy.special`` and the package's own
-modules. The oracle and ``scipy.stats`` load on first use of ``run_checks``,
-``integrate`` or ``mc_moment``; ``scipy.integrate`` and ``scipy.optimize`` load
-on the first ``cdf`` or ``quantile``. Each case runs in a fresh interpreter,
-because this test process has long since imported all of them. No case times
-anything: the modules present are the measurement.
+modules. The oracle loads on first use of ``run_checks``, ``integrate`` or
+``mc_moment``, and a full ``check`` runs on it, numpy and ``scipy.special``
+alone; ``scipy.integrate`` and ``scipy.optimize`` load on the first scalar
+``cdf`` or ``quantile``, and nothing in the package loads ``scipy.stats``.
+Each case runs in a fresh interpreter, because this test process has long
+since imported all of them. No case times anything: the modules present are
+the measurement.
 """
 
 import json
@@ -77,6 +79,14 @@ def test_check_loads_the_oracle_when_it_runs():
     assert seen["before"] == []
     # the mode identities need the oracle but no scipy.stats reference
     assert seen["end"] == ["bimodalskew.oracle"]
+
+
+def test_full_check_loads_only_the_oracle(tmp_path):
+    # the closed-form cdf_values and the scipy.special references need no
+    # scipy.stats, scipy.integrate or scipy.optimize
+    assert heavy_loaded(run_cli("check", "--out", str(tmp_path / "check.json")))["end"] == [
+        "bimodalskew.oracle"
+    ]
 
 
 def test_oracle_integrator_does_not_load_scipy_stats():

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from bimodalskew.bases import NormalBase
 from bimodalskew.errors import DomainError, ExistenceError
-from bimodalskew.families import bsgt, bsn, bsstd, pdf
+from bimodalskew.families import bsgt, bsn, bsstd, pdf, two_piece_second_moment
 from bimodalskew.oracle import (
+    _beta_prime_pdf,
     _integrate_rows,
+    _ks_2samp_pvalue,
+    _normal_pdf,
     _plan,
+    _quadratic_tilt_cdf,
+    _student_pdf,
     gamma_mixture_density,
     gg_mixture_density,
     integrate,
@@ -157,6 +163,29 @@ class TestSampleDiagnostics:
         spec = bsn(1.0, 1.5)
         res = mc_moment(spec, 2, 200_000, RngStream(40, 2))
         assert abs(res.value - full_moment(spec, 2)) < 5.0 * res.abs_error_estimate
+
+    def test_two_sample_pvalue_is_the_smirnov_limit(self):
+        a = RngStream(40, 4).generator.standard_normal(3000)
+        b = RngStream(40, 5).generator.standard_normal(2000) + 0.05
+        d = stats.ks_2samp(a, b).statistic
+        want = special.kolmogorov(math.sqrt(3000 * 2000 / 5000) * d)
+        assert _ks_2samp_pvalue(a, b) == pytest.approx(want, rel=1e-12)
+
+    def test_quadratic_tilt_cdf_integrates_its_density(self):
+        gamma = 2.0
+        xs = np.array([-3.0, -0.4, 0.0, 0.9, 5.0])
+        tilt_pdf = lambda v: v**2 * pdf(bsn(0.0, gamma), v) / two_piece_second_moment(gamma)
+        want = [integrate(tilt_pdf, -np.inf, x, tol=1e-12).value for x in xs]
+        np.testing.assert_allclose(_quadratic_tilt_cdf(xs, gamma, NormalBase()), want, atol=1e-11)
+
+    def test_reference_densities_match_scipy_stats(self):
+        xs = np.linspace(-10.0, 10.0, 401)
+        ws = np.linspace(0.01, 50.0, 400)
+        np.testing.assert_allclose(_normal_pdf(xs), stats.norm.pdf(xs), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(_student_pdf(xs, 5.0), stats.t.pdf(xs, 5.0), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            _beta_prime_pdf(ws, 1.0 / 1.7, 2.0), stats.betaprime.pdf(ws, 1.0 / 1.7, 2.0), rtol=1e-13
+        )
 
     def test_mc_moment_refuses_divergent_order(self):
         with pytest.raises(ExistenceError):
