@@ -258,8 +258,10 @@ def cdf_values(spec: DistributionSpec, xs) -> np.ndarray:
 
     def half(t, s: float, upper: bool):
         """Mass of the half-line stretched by s beyond t (upper) or below it, t = |z|/s."""
-        tilted = alpha * s * s * base.partial_moment(2, t, upper)
-        return c * s * (base.partial_moment(0, t, upper) + tilted)
+        mass = base.partial_moment(0, t, upper)
+        if alpha:  # at alpha = 0 the tilt term is exactly 0: skip its partial moment
+            mass = mass + alpha * s * s * base.partial_moment(2, t, upper)
+        return c * s * mass
 
     # an overflowed standardized point is an infinite one
     with np.errstate(over="ignore"):

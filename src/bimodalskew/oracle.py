@@ -8,7 +8,9 @@ Monte Carlo moments, and Kolmogorov-Smirnov gates against the closed-form
 distribution functions.  The textbook reference densities and the two-sample
 KS p-value are written out here on `scipy.special`, so a check needs nothing
 from `scipy.stats`.  `run_checks` executes the whole identity suite and is
-what the ``check`` CLI command prints.
+what the ``check`` CLI command prints.  Its cases run as independent tasks
+on up to two forked worker processes; the records are the same as when they
+run in-process.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import betaln, gammainc, gammaln, kolmogorov
@@ -474,11 +480,31 @@ def _corrupt(spec: DistributionSpec, delta_scale: float | None) -> DistributionS
     return replace(spec, base=GenTBase(base.p, base.q, base.delta * delta_scale))
 
 
-def _norm_discrepancy(spec: DistributionSpec) -> float:
-    res = integrate(lambda xs: pdf(spec, xs), -math.inf, math.inf, tol=1e-10)
-    off = abs(res.value - 1.0)
-    # an unconverged run still proves the identity if its error bound is tiny
-    return off if res.converged else max(off, res.abs_error_estimate)
+def _masses(specs) -> list[OracleResult]:
+    """Total mass of each spec over the line, all integrals in one `_integrate_rows` call.
+
+    Each row of a round goes to its own spec's `pdf`, so every integral
+    bisects, and ends, exactly as `integrate` would run it alone.
+    """
+
+    def rows_f(xs, rows):
+        out = np.empty_like(xs)
+        # rows come in runs of one integral; each run is one pdf call
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]).tolist() + [len(rows)]
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            out[lo:hi] = pdf(specs[rows[lo]], xs[lo:hi].ravel()).reshape(hi - lo, -1)
+        return out
+
+    return _integrate_rows(rows_f, [_plan(-math.inf, math.inf)] * len(specs), 1e-10, 1_000_000)
+
+
+def _norm_discrepancies(specs) -> list[float]:
+    out = []
+    for res in _masses(specs):
+        off = abs(res.value - 1.0)
+        # an unconverged run still proves the identity if its error bound is tiny
+        out.append(off if res.converged else max(off, res.abs_error_estimate))
+    return out
 
 
 def _oracle_moment(spec: DistributionSpec, r: int) -> float:
@@ -505,94 +531,69 @@ def _sup_diff(f, g, grid) -> float:
     return float(np.max(np.abs(f(grid) - g(grid))))
 
 
-def run_checks(
-    only: str | None = None,
-    seed: int = 20260814,
-    sample_size: int = 100_000,
-    delta_scale: float | None = None,
-) -> list[dict]:
-    """Run the identity suite; returns one record per identity.
+@dataclass(frozen=True)
+class _Case:
+    """One identity: ``run()`` builds its specs and returns its value.
 
-    Each record is {"identity", "status", "value", "tolerance"}; ``value`` is
-    the achieved discrepancy except for "sampler/paths-agree", where it is a
-    two-sample KS p-value from Smirnov's limit law and larger is better.
-    ``only`` filters identities by substring.  ``delta_scale`` rescales the
-    generalized-t standardization constant before checking, as a
-    deliberate-fault hook proving the suite can fail.
+    The value must be at most ``tolerance``, or at least it when
+    ``larger_is_better``.
     """
-    n = int(sample_size)
-    if n < 1:
-        raise DomainError(f"sample size must be at least 1, got {sample_size}")
-    checks: list[dict] = []
 
-    def want(identity: str) -> bool:
-        return only is None or only in identity
+    identity: str
+    run: Callable[[], object]
+    tolerance: float
+    larger_is_better: bool = False
 
-    def add(identity: str, value: float, tolerance: float, larger_is_better: bool = False) -> None:
-        ok = value >= tolerance if larger_is_better else value <= tolerance
-        checks.append(
-            {
-                "identity": identity,
-                "status": "pass" if ok else "fail",
-                "value": float(value),
-                "tolerance": float(tolerance),
-            }
-        )
 
-    def family_grid():
-        for a in _GRID_ALPHAS:
-            for g in _GRID_GAMMAS:
-                yield f"bsn alpha={a} gamma={g}", bsn(a, g)
-                for nu in _GRID_NUS:
-                    yield f"bsstd alpha={a} gamma={g} nu={nu}", bsstd(a, g, nu)
-                for p, q in _GRID_PQS:
-                    yield f"bsgt alpha={a} gamma={g} p={p} q={q}", _corrupt(
-                        bsgt(a, g, p, q), delta_scale
-                    )
+def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable | None, list[_Case]]]:
+    """The identity suite as tasks ``(batch, cases)``; their cases in order are the suite.
 
-    # normalization over the full parameter grid
-    for label, spec in family_grid():
-        ident = f"normalization/{label}"
-        if want(ident):
-            add(ident, _norm_discrepancy(spec), 1e-8)
+    Nothing is built here: each case builds its specs when it runs.  A task
+    with a ``batch`` hands what its cases' ``run`` return to ``batch`` at
+    once, which returns their values.
+    """
+
+    def gt(a, g, p, q):
+        return _corrupt(bsgt(a, g, p, q), delta_scale)
+
+    def rng(stream):
+        return RngStream(seed, stream)
+
+    # normalization over the full parameter grid, every spec in one shared integral
+    norm = []
+    for a in _GRID_ALPHAS:
+        for g in _GRID_GAMMAS:
+            norm.append(_Case(f"normalization/bsn alpha={a} gamma={g}", partial(bsn, a, g), 1e-8))
+            for nu in _GRID_NUS:
+                ident = f"normalization/bsstd alpha={a} gamma={g} nu={nu}"
+                norm.append(_Case(ident, partial(bsstd, a, g, nu), 1e-8))
+            for p, q in _GRID_PQS:
+                ident = f"normalization/bsgt alpha={a} gamma={g} p={p} q={q}"
+                norm.append(_Case(ident, partial(gt, a, g, p, q), 1e-8))
+    tasks = [(_norm_discrepancies, norm)]
+
+    def task(*cases):
+        tasks.append((None, list(cases)))
 
     # reduction chain
     grid = np.linspace(-10.0, 10.0, 401)
-    for a, g in ((0.0, 1.0), (1.0, 0.8), (3.0, 1.5)):
-        ident = f"reduction/gent-student alpha={a} gamma={g}"
-        if want(ident):
-            value = _sup_diff(
-                lambda xs: pdf(_corrupt(bsgt(a, g, 2.0, 2.0), delta_scale), xs),
-                lambda xs: pdf(bsstd(a, g, 4.0), xs),
-                grid,
-            )
-            add(ident, value, 1e-10)
-    for a, g in ((1.0, 1.5), (3.0, 0.8)):
-        ident = f"reduction/student-normal-limit alpha={a} gamma={g}"
-        if want(ident):
-            value = _sup_diff(
-                lambda xs: pdf(bsstd(a, g, 1e4), xs), lambda xs: pdf(bsn(a, g), xs), grid
-            )
-            add(ident, value, 1e-3)
+
+    def gent_student(a, g):
+        return _sup_diff(
+            lambda xs: pdf(gt(a, g, 2.0, 2.0), xs), lambda xs: pdf(bsstd(a, g, 4.0), xs), grid
+        )
+
+    def normal_limit(a, g):
+        return _sup_diff(lambda xs: pdf(bsstd(a, g, 1e4), xs), lambda xs: pdf(bsn(a, g), xs), grid)
 
     # the textbook densities written out above are the references below
-    ident = "reduction/symmetric-base normal"
-    if want(ident):
-        add(ident, _sup_diff(lambda xs: pdf(bsn(0.0, 1.0), xs), _normal_pdf, grid), 1e-12)
-    ident = "reduction/symmetric-base student nu=5"
-    if want(ident):
+    def symmetric_student():
         k = math.sqrt(5.0 / 3.0)
-        add(
-            ident,
-            _sup_diff(
-                lambda xs: pdf(bsstd(0.0, 1.0, 5.0), xs),
-                lambda xs: _student_pdf(xs * k, 5.0) * k,
-                grid,
-            ),
-            1e-12,
+        return _sup_diff(
+            lambda xs: pdf(bsstd(0.0, 1.0, 5.0), xs), lambda xs: _student_pdf(xs * k, 5.0) * k, grid
         )
-    ident = "reduction/symmetric-base gent p=1.7 q=2"
-    if want(ident):
+
+    def symmetric_gent():
         p, q = 1.7, 2.0
         delta = gt_standard_scale(p, q)
 
@@ -603,183 +604,330 @@ def run_checks(
             return _beta_prime_pdf(w, 1.0 / p, q) * jacobian
 
         zero_free = np.linspace(-10.0, 10.0, 400)
-        add(
-            ident,
-            _sup_diff(lambda xs: pdf(bsgt(0.0, 1.0, p, q), xs), gt_via_betaprime, zero_free),
-            1e-12,
-        )
-    ident = "reduction/two-piece-normal gamma=2"
-    if want(ident):
-        def two_piece_direct(xs):
-            xs = np.asarray(xs, dtype=float)
-            stretched = np.where(xs >= 0, xs / 2.0, xs * 2.0)
-            return 2.0 / 2.5 * _normal_pdf(stretched)
+        return _sup_diff(lambda xs: pdf(bsgt(0.0, 1.0, p, q), xs), gt_via_betaprime, zero_free)
 
-        add(ident, _sup_diff(lambda xs: pdf(bsn(0.0, 2.0), xs), two_piece_direct, grid), 1e-12)
+    def two_piece_direct(xs):
+        xs = np.asarray(xs, dtype=float)
+        return 2.0 / 2.5 * _normal_pdf(np.where(xs >= 0, xs / 2.0, xs * 2.0))
+
+    task(
+        *(
+            _Case(f"reduction/gent-student alpha={a} gamma={g}", partial(gent_student, a, g), 1e-10)
+            for a, g in ((0.0, 1.0), (1.0, 0.8), (3.0, 1.5))
+        ),
+        *(
+            _Case(
+                f"reduction/student-normal-limit alpha={a} gamma={g}", partial(normal_limit, a, g), 1e-3
+            )
+            for a, g in ((1.0, 1.5), (3.0, 0.8))
+        ),
+        _Case(
+            "reduction/symmetric-base normal",
+            lambda: _sup_diff(lambda xs: pdf(bsn(0.0, 1.0), xs), _normal_pdf, grid),
+            1e-12,
+        ),
+        _Case("reduction/symmetric-base student nu=5", symmetric_student, 1e-12),
+        _Case("reduction/symmetric-base gent p=1.7 q=2", symmetric_gent, 1e-12),
+        _Case(
+            "reduction/two-piece-normal gamma=2",
+            lambda: _sup_diff(lambda xs: pdf(bsn(0.0, 2.0), xs), two_piece_direct, grid),
+            1e-12,
+        ),
+    )
 
     # reflection: pdf(x; gamma) = pdf(-x; 1/gamma)
     refl_grid = np.linspace(-6.0, 6.0, 241)
-    for label, make in (
-        ("bsn", lambda g: bsn(1.0, g)),
-        ("bsstd nu=4", lambda g: bsstd(1.0, g, 4.0)),
-        ("bsgt p=1.7 q=2", lambda g: bsgt(1.0, g, 1.7, 2.0)),
-    ):
-        ident = f"reflection/{label}"
-        if want(ident):
-            worst = 0.0
-            for g in (0.5, 1.0, 2.0):
-                worst = max(
-                    worst,
-                    float(
-                        np.max(np.abs(pdf(make(g), refl_grid) - pdf(make(1.0 / g), -refl_grid)))
-                    ),
-                )
-            add(ident, worst, 1e-12)
+
+    def reflection(make):
+        return max(
+            float(np.max(np.abs(pdf(make(g), refl_grid) - pdf(make(1.0 / g), -refl_grid))))
+            for g in (0.5, 1.0, 2.0)
+        )
+
+    task(
+        _Case("reflection/bsn", partial(reflection, partial(bsn, 1.0)), 1e-12),
+        _Case("reflection/bsstd nu=4", partial(reflection, lambda g: bsstd(1.0, g, 4.0)), 1e-12),
+        _Case("reflection/bsgt p=1.7 q=2", partial(reflection, lambda g: bsgt(1.0, g, 1.7, 2.0)), 1e-12),
+    )
 
     # mass ratio at alpha = 0
-    for label, spec_of in (
-        ("bsn", lambda g: bsn(0.0, g)),
-        ("bsstd nu=4", lambda g: bsstd(0.0, g, 4.0)),
-        ("bsgt p=2 q=5", lambda g: bsgt(0.0, g, 2.0, 5.0)),
-    ):
-        for g in (0.5, 2.0):
-            ident = f"mass-ratio/{label} gamma={g}"
-            if want(ident):
-                spec = spec_of(g)
-                upper = integrate(lambda xs: pdf(spec, xs), 0.0, math.inf, tol=1e-11).value
-                lower = integrate(lambda xs: pdf(spec, xs), -math.inf, 0.0, tol=1e-11).value
-                add(ident, abs(upper / lower - g * g), 1e-8)
+    def mass_ratio(make, g):
+        spec = make(g)
+        upper = integrate(lambda xs: pdf(spec, xs), 0.0, math.inf, tol=1e-11).value
+        lower = integrate(lambda xs: pdf(spec, xs), -math.inf, 0.0, tol=1e-11).value
+        return abs(upper / lower - g * g)
+
+    task(
+        *(
+            _Case(f"mass-ratio/{label} gamma={g}", partial(mass_ratio, make, g), 1e-8)
+            for label, make in (
+                ("bsn", partial(bsn, 0.0)),
+                ("bsstd nu=4", lambda g: bsstd(0.0, g, 4.0)),
+                ("bsgt p=2 q=5", lambda g: bsgt(0.0, g, 2.0, 5.0)),
+            )
+            for g in (0.5, 2.0)
+        )
+    )
 
     # closed-form moments vs direct quadrature, with existence bookkeeping
-    moment_cases = [
-        ("bsn alpha=0 gamma=1.5", bsn(0.0, 1.5), (1, 2, 3, 4)),
-        ("bsn alpha=1 gamma=0.5", bsn(1.0, 0.5), (1, 2, 3, 4)),
-        ("bsn alpha=3 gamma=1", bsn(3.0, 1.0), (1, 2, 3, 4)),
-        ("bsstd alpha=0 gamma=1.5 nu=8", bsstd(0.0, 1.5, 8.0), (1, 2, 3, 4)),
-        ("bsstd alpha=1 gamma=0.8 nu=8", bsstd(1.0, 0.8, 8.0), (1, 2, 3, 4)),
-        ("bsstd alpha=0 gamma=1.5 nu=4", bsstd(0.0, 1.5, 4.0), (1, 2, 3)),
-        ("bsgt alpha=0 gamma=1.5 p=2 q=5", bsgt(0.0, 1.5, 2.0, 5.0), (1, 2, 3, 4)),
-        ("bsgt alpha=1 gamma=0.8 p=2 q=5", bsgt(1.0, 0.8, 2.0, 5.0), (1, 2, 3, 4)),
-        ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", bsgt(0.0, 1.2, 1.7, 2.0), (1, 2, 3)),
-        ("bsgt alpha=1 gamma=1.2 p=1.7 q=2", bsgt(1.0, 1.2, 1.7, 2.0), (1,)),
-    ]
-    for label, spec, orders in moment_cases:
-        for r in orders:
-            ident = f"moments/{label} r={r}"
-            if want(ident):
-                add(ident, abs(full_moment(spec, r) - _oracle_moment(spec, r)), 1e-6)
-    existence_cases = [
-        ("bsstd nu=3", bsstd(1.0, 1.0, 3.0), {1: False, 2: False, 3: False, 4: False}),
-        ("bsstd nu=3 alpha=0", bsstd(0.0, 1.0, 3.0), {1: True, 2: True, 3: False, 4: False}),
-        ("bsstd nu=4", bsstd(1.0, 1.0, 4.0), {1: True, 2: False, 3: False, 4: False}),
-        ("bsstd nu=8", bsstd(1.0, 1.0, 8.0), {1: True, 2: True, 3: True, 4: True}),
-        ("bsgt p=2 q=2", bsgt(1.0, 1.0, 2.0, 2.0), {1: True, 2: False, 3: False, 4: False}),
-        ("bsgt p=1.7 q=2 alpha=0", bsgt(0.0, 1.0, 1.7, 2.0), {1: True, 2: True, 3: True, 4: False}),
-        ("bsgt p=2 q=5", bsgt(1.0, 1.0, 2.0, 5.0), {1: True, 2: True, 3: True, 4: True}),
-    ]
-    for label, spec, expected in existence_cases:
-        ident = f"moments/existence {label}"
-        if want(ident):
-            wrong = sum(moment_exists(spec, r) != exp for r, exp in expected.items())
-            add(ident, float(wrong), 0.0)
+    def moment_gap(make, r):
+        spec = make()
+        return abs(full_moment(spec, r) - _oracle_moment(spec, r))
+
+    for label, make, orders in (
+        ("bsn alpha=0 gamma=1.5", partial(bsn, 0.0, 1.5), (1, 2, 3, 4)),
+        ("bsn alpha=1 gamma=0.5", partial(bsn, 1.0, 0.5), (1, 2, 3, 4)),
+        ("bsn alpha=3 gamma=1", partial(bsn, 3.0, 1.0), (1, 2, 3, 4)),
+        ("bsstd alpha=0 gamma=1.5 nu=8", partial(bsstd, 0.0, 1.5, 8.0), (1, 2, 3, 4)),
+        ("bsstd alpha=1 gamma=0.8 nu=8", partial(bsstd, 1.0, 0.8, 8.0), (1, 2, 3, 4)),
+        ("bsstd alpha=0 gamma=1.5 nu=4", partial(bsstd, 0.0, 1.5, 4.0), (1, 2, 3)),
+        ("bsgt alpha=0 gamma=1.5 p=2 q=5", partial(bsgt, 0.0, 1.5, 2.0, 5.0), (1, 2, 3, 4)),
+        ("bsgt alpha=1 gamma=0.8 p=2 q=5", partial(bsgt, 1.0, 0.8, 2.0, 5.0), (1, 2, 3, 4)),
+        ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", partial(bsgt, 0.0, 1.2, 1.7, 2.0), (1, 2, 3)),
+        ("bsgt alpha=1 gamma=1.2 p=1.7 q=2", partial(bsgt, 1.0, 1.2, 1.7, 2.0), (1,)),
+    ):
+        task(*(_Case(f"moments/{label} r={r}", partial(moment_gap, make, r), 1e-6) for r in orders))
+
+    def existence_misses(make, expected):
+        spec = make()
+        return float(sum(moment_exists(spec, r) != exp for r, exp in enumerate(expected, 1)))
+
+    task(
+        *(
+            _Case(f"moments/existence {label}", partial(existence_misses, make, exists), 0.0)
+            for label, make, exists in (
+                ("bsstd nu=3", partial(bsstd, 1.0, 1.0, 3.0), (False, False, False, False)),
+                ("bsstd nu=3 alpha=0", partial(bsstd, 0.0, 1.0, 3.0), (True, True, False, False)),
+                ("bsstd nu=4", partial(bsstd, 1.0, 1.0, 4.0), (True, False, False, False)),
+                ("bsstd nu=8", partial(bsstd, 1.0, 1.0, 8.0), (True, True, True, True)),
+                ("bsgt p=2 q=2", partial(bsgt, 1.0, 1.0, 2.0, 2.0), (True, False, False, False)),
+                ("bsgt p=1.7 q=2 alpha=0", partial(bsgt, 0.0, 1.0, 1.7, 2.0), (True, True, True, False)),
+                ("bsgt p=2 q=5", partial(bsgt, 1.0, 1.0, 2.0, 5.0), (True, True, True, True)),
+            )
+        )
+    )
 
     # mixture marginalizations vs closed forms
-    for g in _MIX_GAMMAS:
-        for x in _MIX_XS:
-            ident = f"mixture/gamma x={x} gamma={g}"
-            if want(ident):
-                res = gamma_mixture_density(x, 1.0, g, 4.0)
-                add(ident, abs(res.value - float(pdf(bsstd(1.0, g, 4.0), x))), 1e-6)
-    for g in _MIX_GAMMAS:
-        for lam in (1.0, 2.5):
-            for x in _MIX_XS:
-                ident = f"mixture/uniform x={x} gamma={g} lambda={lam}"
-                if want(ident):
-                    res = uniform_mixture_density(x, g, lam)
-                    ref = float(pdf(bsn(0.0, g, scale=lam**-0.5), x))
-                    add(ident, abs(res.value - ref), 1e-6)
-    for p, _q in ((1.7, 2.0), (2.0, 2.0), (2.3, 2.0)):
+    def gamma_gap(x, g):
+        return abs(gamma_mixture_density(x, 1.0, g, 4.0).value - float(pdf(bsstd(1.0, g, 4.0), x)))
+
+    def uniform_gap(x, g, lam):
+        ref = float(pdf(bsn(0.0, g, scale=lam**-0.5), x))
+        return abs(uniform_mixture_density(x, g, lam).value - ref)
+
+    def gg_gap(density, x, g, p, q):
+        return abs(density(x, 1.0, g, p, q).value - float(pdf(gt(1.0, g, p, q), x)))
+
+    task(
+        *(
+            _Case(f"mixture/gamma x={x} gamma={g}", partial(gamma_gap, x, g), 1e-6)
+            for g in _MIX_GAMMAS
+            for x in _MIX_XS
+        )
+    )
+    task(
+        *(
+            _Case(f"mixture/uniform x={x} gamma={g} lambda={lam}", partial(uniform_gap, x, g, lam), 1e-6)
+            for g in _MIX_GAMMAS
+            for lam in (1.0, 2.5)
+            for x in _MIX_XS
+        )
+    )
+    # the gg and uniform-gg identities alternate in the suite: one task per (p, gamma)
+    layers = (("gg", gg_mixture_density, 1e-5), ("uniform-gg", uniform_gg_mixture_density, 1e-4))
+    for p, q in ((1.7, 2.0), (2.0, 2.0), (2.3, 2.0)):
         for g in _MIX_GAMMAS:
-            for x in _MIX_XS:
-                spec = _corrupt(bsgt(1.0, g, p, _q), delta_scale)
-                ident = f"mixture/gg x={x} gamma={g} p={p} q={_q}"
-                if want(ident):
-                    res = gg_mixture_density(x, 1.0, g, p, _q)
-                    add(ident, abs(res.value - float(pdf(spec, x))), 1e-5)
-                ident = f"mixture/uniform-gg x={x} gamma={g} p={p} q={_q}"
-                if want(ident):
-                    res = uniform_gg_mixture_density(x, 1.0, g, p, _q)
-                    add(ident, abs(res.value - float(pdf(spec, x))), 1e-4)
+            cases = [
+                _Case(f"mixture/{name} x={x} gamma={g} p={p} q={q}", partial(gg_gap, f, x, g, p, q), tol)
+                for x in _MIX_XS
+                for name, f, tol in layers
+            ]
+            task(*cases)
 
     # mode-count law for the normal base at gamma = 1, plus mode geometry
-    for a in (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0):
-        ident = f"modes/count alpha={a}"
-        if want(ident):
-            n_modes = len(find_modes(bsn(a, 1.0)))
-            add(ident, float(abs(n_modes - (1 if a < 0.5 else 2))), 0.0)
-    ident = "modes/location alpha=0.6"
-    if want(ident):
+    def count_miss(a):
+        return float(abs(len(find_modes(bsn(a, 1.0))) - (1 if a < 0.5 else 2)))
+
+    def location_gap():
         locs = sorted(loc for loc, _ in find_modes(bsn(0.6, 1.0)))
         target = math.sqrt(2.0 - 1.0 / 0.6)
-        add(ident, max(abs(locs[0] + target), abs(locs[1] - target)), 1e-6)
-    ident = "modes/right-taller alpha=3 gamma=1.5"
-    if want(ident):
+        return max(abs(locs[0] + target), abs(locs[1] - target))
+
+    def right_taller():
         modes = find_modes(bsn(3.0, 1.5))
-        ok = len(modes) == 2 and modes[-1][1] > modes[0][1]
-        add(ident, 0.0 if ok else 1.0, 0.0)
-    ident = "modes/two-piece-peak alpha=0 gamma=2"
-    if want(ident):
+        return 0.0 if len(modes) == 2 and modes[-1][1] > modes[0][1] else 1.0
+
+    def two_piece_peak():
         modes = find_modes(bsn(0.0, 2.0))
-        add(ident, abs(modes[0][0]) + float(len(modes) != 1), 1e-6)
+        return abs(modes[0][0]) + float(len(modes) != 1)
 
-    # sampler goodness-of-fit gates
+    task(
+        *(
+            _Case(f"modes/count alpha={a}", partial(count_miss, a), 0.0)
+            for a in (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0)
+        ),
+        _Case("modes/location alpha=0.6", location_gap, 1e-6),
+        _Case("modes/right-taller alpha=3 gamma=1.5", right_taller, 0.0),
+        _Case("modes/two-piece-peak alpha=0 gamma=2", two_piece_peak, 1e-6),
+    )
+
+    # sampler goodness-of-fit gates, the heaviest cases: one task each
     gate = 1.63 / math.sqrt(n)
-    ident = "sampler/two-piece gamma=2"
-    if want(ident):
-        xs = sample_two_piece(2.0, NormalBase(), RngStream(seed, 1), n)
-        add(ident, ks_distance(xs, bsn(0.0, 2.0)), gate)
-    ident = "sampler/two-piece-student gamma=0.8 nu=5"
-    if want(ident):
-        xs = sample_two_piece(0.8, StudentTBase(5.0), RngStream(seed, 2), n)
-        add(ident, ks_distance(xs, bsstd(0.0, 0.8, 5.0)), gate)
-    ident = "sampler/quadratic-tilt gamma=2"
-    if want(ident):
-        xs = np.sort(sample_quadratic_tilt(2.0, NormalBase(), RngStream(seed, 3), n))
-        add(ident, _ks_from_cdf(_quadratic_tilt_cdf(xs, 2.0, NormalBase())), gate)
-    ident = "sampler/bsn alpha=1 gamma=1.5"
-    if want(ident):
-        xs = sample_bsn(1.0, 1.5, RngStream(seed, 4), n)
-        add(ident, ks_distance(xs, bsn(1.0, 1.5)), gate)
-    ident = "sampler/bsn-uniform alpha=1 gamma=1.5"
-    if want(ident):
-        xs = sample_bsn(1.0, 1.5, RngStream(seed, 5), n, path="uniform")
-        add(ident, ks_distance(xs, bsn(1.0, 1.5)), gate)
-    ident = "sampler/uniform-normal gamma=2 lambda=2.5"
-    if want(ident):
-        draw = sample_skewed_uniform_normal(2.0, 2.5, RngStream(seed, 6), n)
-        add(ident, ks_distance(draw.x, bsn(0.0, 2.0, scale=2.5**-0.5)), gate)
-    ident = "sampler/bsstd alpha=1 gamma=1.5 nu=4"
-    if want(ident):
-        draw = sample_bsstd(1.0, 1.5, 4.0, RngStream(seed, 7), n)
-        add(ident, ks_distance(draw.x, bsstd(1.0, 1.5, 4.0)), gate)
-    ident = "sampler/gen-gamma p=1.7 q=2"
-    if want(ident):
-        # s^(p/2) of a generalized-gamma draw is Gamma(q, 1)
-        s = sample_gen_gamma(1.7, 2.0, RngStream(seed, 8), n)
-        f = gammainc(2.0, np.sort(s ** (1.7 / 2.0)))
-        add(ident, _ks_from_cdf(f), gate)
-    ident = "sampler/bsgt p=1.7 q=2 alpha=1 gamma=1.5"
-    if want(ident):
-        draw = sample_bsgt(1.0, 1.5, 1.7, 2.0, RngStream(seed, 9), n)
-        add(ident, ks_distance(draw.x, bsgt(1.0, 1.5, 1.7, 2.0)), gate)
-    ident = "sampler/bsgt-uniform p=2.3 q=2 alpha=1 gamma=0.8"
-    if want(ident):
-        draw = sample_bsgt(1.0, 0.8, 2.3, 2.0, RngStream(seed, 10), n, path="uniform-gg")
-        add(ident, ks_distance(draw.x, bsgt(1.0, 0.8, 2.3, 2.0)), gate)
-    ident = "sampler/paths-agree p=2.3 q=2"
-    if want(ident):
-        a_side = sample_bsgt(1.0, 1.5, 2.3, 2.0, RngStream(seed, 11), n).x
-        b_side = sample_bsgt(1.0, 1.5, 2.3, 2.0, RngStream(seed, 12), n, path="uniform-gg").x
-        add(ident, _ks_2samp_pvalue(a_side, b_side), 0.01, larger_is_better=True)
 
-    return checks
+    def quadratic_tilt_ks():
+        xs = np.sort(sample_quadratic_tilt(2.0, NormalBase(), rng(3), n))
+        return _ks_from_cdf(_quadratic_tilt_cdf(xs, 2.0, NormalBase()))
+
+    def gen_gamma_ks():
+        # s^(p/2) of a generalized-gamma draw is Gamma(q, 1)
+        s = sample_gen_gamma(1.7, 2.0, rng(8), n)
+        return _ks_from_cdf(gammainc(2.0, np.sort(s ** (1.7 / 2.0))))
+
+    def paths_agree():
+        a_side = sample_bsgt(1.0, 1.5, 2.3, 2.0, rng(11), n).x
+        b_side = sample_bsgt(1.0, 1.5, 2.3, 2.0, rng(12), n, path="uniform-gg").x
+        return _ks_2samp_pvalue(a_side, b_side)
+
+    for label, run in (
+        (
+            "two-piece gamma=2",
+            lambda: ks_distance(sample_two_piece(2.0, NormalBase(), rng(1), n), bsn(0.0, 2.0)),
+        ),
+        (
+            "two-piece-student gamma=0.8 nu=5",
+            lambda: ks_distance(
+                sample_two_piece(0.8, StudentTBase(5.0), rng(2), n), bsstd(0.0, 0.8, 5.0)
+            ),
+        ),
+        ("quadratic-tilt gamma=2", quadratic_tilt_ks),
+        ("bsn alpha=1 gamma=1.5", lambda: ks_distance(sample_bsn(1.0, 1.5, rng(4), n), bsn(1.0, 1.5))),
+        (
+            "bsn-uniform alpha=1 gamma=1.5",
+            lambda: ks_distance(sample_bsn(1.0, 1.5, rng(5), n, path="uniform"), bsn(1.0, 1.5)),
+        ),
+        (
+            "uniform-normal gamma=2 lambda=2.5",
+            lambda: ks_distance(
+                sample_skewed_uniform_normal(2.0, 2.5, rng(6), n).x, bsn(0.0, 2.0, scale=2.5**-0.5)
+            ),
+        ),
+        (
+            "bsstd alpha=1 gamma=1.5 nu=4",
+            lambda: ks_distance(sample_bsstd(1.0, 1.5, 4.0, rng(7), n).x, bsstd(1.0, 1.5, 4.0)),
+        ),
+        ("gen-gamma p=1.7 q=2", gen_gamma_ks),
+        (
+            "bsgt p=1.7 q=2 alpha=1 gamma=1.5",
+            lambda: ks_distance(sample_bsgt(1.0, 1.5, 1.7, 2.0, rng(9), n).x, bsgt(1.0, 1.5, 1.7, 2.0)),
+        ),
+        (
+            "bsgt-uniform p=2.3 q=2 alpha=1 gamma=0.8",
+            lambda: ks_distance(
+                sample_bsgt(1.0, 0.8, 2.3, 2.0, rng(10), n, path="uniform-gg").x,
+                bsgt(1.0, 0.8, 2.3, 2.0),
+            ),
+        ),
+    ):
+        task(_Case(f"sampler/{label}", run, gate))
+    task(_Case("sampler/paths-agree p=2.3 q=2", paths_agree, 0.01, larger_is_better=True))
+    return tasks
+
+
+def _run_task(task) -> list[dict]:
+    """The records of one task's cases."""
+    batch, cases = task
+    outputs = [case.run() for case in cases]
+    values = outputs if batch is None else batch(outputs)
+    records = []
+    for case, value in zip(cases, values):
+        ok = value >= case.tolerance if case.larger_is_better else value <= case.tolerance
+        records.append(
+            {
+                "identity": case.identity,
+                "status": "pass" if ok else "fail",
+                "value": float(value),
+                "tolerance": float(case.tolerance),
+            }
+        )
+    return records
+
+
+# a forked worker's tasks, handed over at fork: the closures are never pickled
+_worker_tasks: list = []
+
+
+def _adopt(tasks) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _run_adopted(i: int) -> list[dict]:
+    return _run_task(_worker_tasks[i])
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _fork_context(n_tasks: int):
+    """The "fork" multiprocessing context, or None where the tasks run in-process.
+
+    Forking needs two tasks to share, two usable CPUs and a caller with one
+    thread: a fork copies only the calling thread, and a lock another thread
+    held would stay locked in the child.  A daemonic process (a
+    `multiprocessing.Pool` worker) may not start children at all.
+    """
+    if n_tasks < 2 or _usable_cpus() < 2 or threading.active_count() > 1:
+        return None
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def run_checks(
+    only: str | None = None,
+    seed: int = 20260814,
+    sample_size: int = 100_000,
+    delta_scale: float | None = None,
+) -> list[dict]:
+    """Run the identity suite; returns one record per identity, in suite order.
+
+    Each record is {"identity", "status", "value", "tolerance"}; ``value`` is
+    the achieved discrepancy except for "sampler/paths-agree", where it is a
+    two-sample KS p-value from Smirnov's limit law and larger is better.
+    ``only`` filters identities by substring before anything is built.
+    ``delta_scale`` rescales the generalized-t standardization constant
+    before checking, as a deliberate-fault hook proving the suite can fail.
+
+    The selected cases run as independent tasks, largest first, on two
+    forked worker processes when the selection spans two tasks or more, two
+    CPUs are usable and the caller has one thread; otherwise in-process.
+    The records are the same either way, and an exception raised by a task
+    reaches the caller as it would in-process.
+    """
+    n = int(sample_size)
+    if n < 1:
+        raise DomainError(f"sample size must be at least 1, got {sample_size}")
+    tasks = []
+    for batch, cases in _suite(seed, n, delta_scale):
+        chosen = [case for case in cases if only is None or only in case.identity]
+        if chosen:
+            tasks.append((batch, chosen))
+    # largest first, so the small tasks fill in around the big ones
+    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][1]))
+
+    context = _fork_context(len(tasks))
+    if context is None:
+        done = list(map(_run_task, [tasks[i] for i in order]))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a task that raises cancels the tasks not yet started
+        with ProcessPoolExecutor(2, mp_context=context, initializer=_adopt, initargs=(tasks,)) as pool:
+            done = list(pool.map(_run_adopted, order))
+    by_task = dict(zip(order, done))
+    return [record for i in range(len(tasks)) for record in by_task[i]]

@@ -251,6 +251,14 @@ class TestCheck:
                          "--corrupt-delta-scale", "1.05")
         assert code == 1
 
+    def test_corruption_builds_only_selected_specs(self, capsys):
+        # a negative scale makes every bsgt spec invalid, but no selected
+        # identity builds one
+        code, out, err = run(capsys, "check", "--only", "normalization/bsn",
+                             "--corrupt-delta-scale", "-1")
+        assert code == 0, err
+        assert len(json.loads(out)["checks"]) == 25
+
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_rejects_nonpositive_sample_size(self, capsys, size):
         code, out, err = run(capsys, "check", "--only", "modes/", "--sample-size", size)

@@ -193,6 +193,30 @@ class TestCdfValues:
         pit = cdf_values(spec, sample(spec, 2000, RngStream(1, 1037)))
         assert kstest(pit, "uniform").pvalue > 1e-6
 
+    @pytest.mark.parametrize(
+        "spec",
+        [bsn(0, 1), bsstd(0, 0.8, 5), bsstd(0, 7.3, 2.001), bsgt(0, 1.5, 1.7, 2)],
+        ids=["bsn", "bsstd-nu5", "bsstd-nu2.001", "bsgt"],
+    )
+    def test_alpha_zero_skips_the_tilt_term_bitwise(self, spec):
+        # at alpha = 0 the r = 2 partial moment is not computed; the result
+        # must be bit for bit the two-term sum with its 0 * s^2 * P2 term
+        g, base = spec.gamma, spec.base
+        c = 2.0 / ((g + 1.0 / g) * (1.0 + spec.alpha * spec.b))
+
+        def half(t, s, upper):
+            tilted = spec.alpha * s * s * base.partial_moment(2, t, upper)
+            return c * s * (base.partial_moment(0, t, upper) + tilted)
+
+        tails = [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, np.inf, -np.inf]
+        z = np.concatenate([RngStream(3, 9).generator.standard_cauchy(20_000) * 3.0, tails])
+        below = z < 0
+        two_term = np.empty_like(z)
+        two_term[below] = half(-z[below] * g, 1.0 / g, True)
+        two_term[~below] = half(0.0, 1.0 / g, True) + half(z[~below] / g, g, False)
+        two_term = np.where(z == np.inf, 1.0, np.minimum(two_term, 1.0))
+        assert cdf_values(spec, z).tobytes() == two_term.tobytes()
+
     def test_nan_and_shape_raise(self):
         with pytest.raises(DomainError):
             cdf_values(bsn(1.0, 1.5), [0.0, float("nan")])

@@ -5,6 +5,7 @@ modules. The oracle loads on first use of ``run_checks``, ``integrate`` or
 ``mc_moment``, and a full ``check`` runs on it, numpy and ``scipy.special``
 alone; ``scipy.integrate`` and ``scipy.optimize`` load on the first scalar
 ``cdf`` or ``quantile``, and nothing in the package loads ``scipy.stats``.
+``multiprocessing`` loads only when ``run_checks`` forks its two workers.
 Each case runs in a fresh interpreter, because this test process has long
 since imported all of them. No case times anything: the modules present are
 the measurement.
@@ -25,16 +26,16 @@ HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "bimodalskew.oracle
 SRC = str(Path(bimodalskew.__file__).resolve().parents[1])
 
 
-def heavy_loaded(code: str) -> dict[str, list[str]]:
-    """Run ``code`` in a fresh interpreter; the HEAVY modules it left loaded.
+def heavy_loaded(code: str, heavy=HEAVY) -> dict[str, list[str]]:
+    """Run ``code`` in a fresh interpreter; the ``heavy`` modules it left loaded.
 
-    ``code`` may call ``mark(label)`` to record the HEAVY modules loaded at
+    ``code`` may call ``mark(label)`` to record the ``heavy`` modules loaded at
     that point; the end of the script is recorded as "end".
     """
     probe = "\n".join(
         [
             "import json, sys",
-            f"HEAVY = {HEAVY!r}",
+            f"HEAVY = {heavy!r}",
             "seen = {}",
             "def mark(label):",
             "    seen[label] = [m for m in HEAVY if m in sys.modules]",
@@ -87,6 +88,15 @@ def test_full_check_loads_only_the_oracle(tmp_path):
     assert heavy_loaded(run_cli("check", "--out", str(tmp_path / "check.json")))["end"] == [
         "bimodalskew.oracle"
     ]
+
+
+def test_worker_pool_loads_only_when_checks_fork():
+    # the check workers' pool is imported inside run_checks, and a one-task
+    # selection such as the mode-count law runs in-process
+    pool = ("multiprocessing", "concurrent.futures.process")
+    check = run_cli("check", "--only", "modes/count")
+    seen = heavy_loaded("import bimodalskew.cli\nmark('import')\n" + check, pool)
+    assert seen == {"import": [], "end": []}
 
 
 def test_oracle_integrator_does_not_load_scipy_stats():

@@ -1,18 +1,22 @@
 """Independent quadrature and the identity-check harness."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from bimodalskew import oracle
 from bimodalskew.bases import NormalBase
 from bimodalskew.errors import DomainError, ExistenceError
 from bimodalskew.families import bsgt, bsn, bsstd, pdf, two_piece_second_moment
 from bimodalskew.oracle import (
     _beta_prime_pdf,
+    _corrupt,
     _integrate_rows,
     _ks_2samp_pvalue,
+    _masses,
     _normal_pdf,
     _plan,
     _quadratic_tilt_cdf,
@@ -101,6 +105,18 @@ class TestIntegrate:
         alone = [integrate(f, a, b, tol=1e-10, max_evals=3000) for f, a, b in cases]
         assert shared == alone
         assert [r.converged for r in shared] == [True] * 5 + [False]
+
+        # the normalization grid's batch: each row goes to its own spec's pdf
+        specs = [
+            bsn(10.0, 0.5),
+            bsstd(3.0, 1.1, 3.0),
+            bsgt(0.0, 0.9, 1.7, 2.0),
+            bsgt(1.0, 1.5, 2.0, 5.0),
+            _corrupt(bsgt(0.5, 1.0, 2.3, 2.0), 1.05),
+        ]
+        alone = [integrate(lambda xs: pdf(s, xs), -np.inf, np.inf, tol=1e-10) for s in specs]
+        assert _masses(specs) == alone
+        assert abs(alone[-1].value - 1.0) > 1e-3  # the corrupted spec does not integrate to 1
 
     @pytest.mark.parametrize(
         "a,b",
@@ -211,3 +227,67 @@ class TestCheckHarness:
     def test_scale_corruption_is_detected(self):
         rows = run_checks(only="normalization/bsgt", delta_scale=1.05)
         assert any(r["status"] == "fail" for r in rows)
+
+
+class TestCheckWorkers:
+    """The forked two-worker path gives the in-process records."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The start methods run_checks asks multiprocessing for."""
+        asked = []
+        real = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", lambda m: asked.append(m) or real(m))
+        return asked
+
+    @staticmethod
+    def run(monkeypatch, cpus, **kw):
+        """run_checks at a small sample size, as if ``cpus`` CPUs were usable."""
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        return run_checks(sample_size=2000, **kw)
+
+    def test_forked_records_equal_in_process(self, monkeypatch, forks):
+        forked = self.run(monkeypatch, 2, only="gamma=1.5")
+        assert forks == ["fork"]
+        alone = self.run(monkeypatch, 1, only="gamma=1.5")
+        assert forks == ["fork"]
+        assert forked == alone
+        assert len(forked) == 107
+
+    def test_records_come_back_in_suite_order(self, monkeypatch, forks):
+        # the normalization batch and the mixture tasks are dispatched first,
+        # the one-case sampler tasks last; the records keep the suite's order
+        rows = self.run(monkeypatch, 2, only="gamma=1.5")
+        assert forks == ["fork"]
+        groups = [r["identity"].split("/")[0] for r in rows]
+        assert [g for i, g in enumerate(groups) if i == 0 or g != groups[i - 1]] == [
+            "normalization", "reduction", "moments", "mixture", "modes", "sampler"
+        ]
+        mixture = [r["identity"].split(" ")[0] for r in rows if r["identity"].startswith("mixture/")]
+        assert mixture[-2:] == ["mixture/gg", "mixture/uniform-gg"]  # they alternate
+        assert [r["identity"] for r in rows if r["identity"].startswith("sampler/")] == [
+            "sampler/bsn alpha=1 gamma=1.5",
+            "sampler/bsn-uniform alpha=1 gamma=1.5",
+            "sampler/bsstd alpha=1 gamma=1.5 nu=4",
+            "sampler/bsgt p=1.7 q=2 alpha=1 gamma=1.5",
+        ]
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in-process"])
+    def test_worker_domain_error_reaches_the_caller(self, monkeypatch, forks, cpus):
+        with pytest.raises(DomainError, match="scale delta must be positive") as excinfo:
+            self.run(monkeypatch, cpus, only="p=2.3", delta_scale=0.0)
+        assert excinfo.type is DomainError
+        assert forks == (["fork"] if cpus == 2 else [])
+
+    def test_one_task_runs_in_process(self, monkeypatch, forks):
+        assert len(self.run(monkeypatch, 2, only="modes/count")) == 10
+        assert forks == []
+
+    def test_daemonic_caller_runs_in_process(self, monkeypatch, forks):
+        # a multiprocessing.Pool worker is daemonic and may not start children
+        with monkeypatch.context() as daemonic:
+            daemonic.setitem(multiprocessing.current_process()._config, "daemon", True)
+            alone = self.run(monkeypatch, 2, only="gamma=2")
+        assert forks == []
+        assert self.run(monkeypatch, 2, only="gamma=2") == alone
+        assert forks == ["fork"]
