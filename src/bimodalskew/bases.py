@@ -15,9 +15,9 @@ A(y) = 2 alpha s^p a y^(1 - p/2) - alpha b y - 1 with y = z^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import betainc, betaln, erf, erfc, gammaln
 
 from .errors import DomainError, ExistenceError
 
@@ -52,6 +52,8 @@ def _beta_split(a: float, b: float, u: np.ndarray, upper: bool) -> np.ndarray:
     and never as 1 - x.  Complements are taken as 1 - I rather than with
     ``betaincc``, which costs 5 to 10 times as much per point.
     """
+    from scipy.special import betainc
+
     near = u <= 1.0
     out = np.empty_like(u)
     un, uf = u[near], u[~near]
@@ -73,6 +75,8 @@ def gt_variance(p: float, q: float) -> float:
     and the variance is q^(2/p) * Gamma(3/p) Gamma(q - 2/p) / (Gamma(1/p) Gamma(q)),
     finite only for p*q > 2.
     """
+    from scipy.special import gammaln
+
     _check_shape(p, q)
     if p * q <= 2:
         raise DomainError(f"generalized-t variance needs p*q > 2, got p*q={p * q}")
@@ -114,11 +118,15 @@ class NormalBase:
         return True
 
     def abs_moment(self, r: int) -> float:
+        from scipy.special import gammaln
+
         r = _validate_order(r)
         return float(np.exp(0.5 * r * np.log(2.0) + gammaln(0.5 * (r + 1)) - 0.5 * np.log(np.pi)))
 
     def partial_moment(self, r: int, t, upper: bool = False):
         """Integral of w^r f(w) over (0, t), or (t, inf) when ``upper``; r is 0 or 2."""
+        from scipy.special import erf, erfc
+
         t = _partial_args(r, t)
         half = 0.5 * (erfc if upper else erf)(t / _SQRT_2)
         if r == 0:
@@ -156,6 +164,14 @@ class StudentTBase:
         nu = self.nu
         return 2.0, (nu - 2.0) / (nu + 1.0), (nu - 1.0) / (nu + 1.0)
 
+    @cached_property
+    def _log_norm(self) -> float:
+        """log f(0), computed on the first density call."""
+        from scipy.special import gammaln
+
+        nu = self.nu
+        return gammaln(0.5 * (nu + 1)) - gammaln(0.5 * nu) - 0.5 * np.log(np.pi * (nu - 2.0))
+
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
         nu = self.nu
@@ -166,12 +182,7 @@ class StudentTBase:
                 np.log1p(zz / (nu - 2.0)),
                 2.0 * np.log(np.abs(z)) - np.log(nu - 2.0),
             )
-        return (
-            gammaln(0.5 * (nu + 1))
-            - gammaln(0.5 * nu)
-            - 0.5 * np.log(np.pi * (nu - 2.0))
-            - 0.5 * (nu + 1) * tail
-        )
+        return self._log_norm - 0.5 * (nu + 1) * tail
 
     def moment_exists(self, r: int) -> bool:
         return _validate_order(r) < self.nu
@@ -180,6 +191,8 @@ class StudentTBase:
         r = _validate_order(r)
         if r >= self.nu:
             raise ExistenceError(f"E|Z|^{r} diverges for nu={self.nu} (needs r < nu)")
+        from scipy.special import gammaln
+
         nu = self.nu
         return float(
             np.exp(
@@ -234,6 +247,16 @@ class GenTBase:
         p, q = self.p, self.q
         return p, q * self.delta**p / (p * q + 1.0), (p * q - 1.0) / (p * q + 1.0)
 
+    @cached_property
+    def _log_norm(self) -> float:
+        """log f(0), computed on the first density call."""
+        from scipy.special import betaln
+
+        p, q = self.p, self.q
+        return (
+            np.log(p) - np.log(2.0) - np.log(self.delta) - np.log(q) / p - betaln(1.0 / p, q)
+        )
+
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
         p, q, delta = self.p, self.q, self.delta
@@ -246,14 +269,7 @@ class GenTBase:
                 np.log1p(w / q),
                 p * (np.log(az) - np.log(delta)) - np.log(q),
             )
-        return (
-            np.log(p)
-            - np.log(2.0)
-            - np.log(delta)
-            - np.log(q) / p
-            - betaln(1.0 / p, q)
-            - (q + 1.0 / p) * tail
-        )
+        return self._log_norm - (q + 1.0 / p) * tail
 
     def moment_exists(self, r: int) -> bool:
         return _validate_order(r) < self.p * self.q
@@ -263,6 +279,8 @@ class GenTBase:
         p, q = self.p, self.q
         if r >= p * q:
             raise ExistenceError(f"E|Z|^{r} diverges for p={p}, q={q} (needs r < p*q)")
+        from scipy.special import gammaln
+
         return float(
             np.exp(
                 r * np.log(self.delta)

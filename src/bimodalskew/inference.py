@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bases import GenTBase, StudentTBase
 from .errors import CapabilityError, DomainError
@@ -74,6 +73,13 @@ class PriorConfig:
         for name in ("a_phi", "b_phi", "a_alpha", "b_alpha", "beta_nu"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"prior hyperparameter {name} must be positive")
+
+    @functools.cached_property
+    def _alpha_log_norm(self) -> float:
+        """Log normalizer a log b - log Gamma(a) of the alpha prior, computed once."""
+        from scipy.special import gammaln
+
+        return self.a_alpha * math.log(self.b_alpha) - gammaln(self.a_alpha)
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,7 @@ def _log_prior_alpha(alpha: float, priors: PriorConfig) -> float:
         edge = 0.0 if a == 1.0 else (-np.inf if a > 1.0 else np.inf)
     else:
         edge = (a - 1.0) * math.log(alpha)
-    return a * math.log(b) - gammaln(a) + edge - b * alpha
+    return priors._alpha_log_norm + edge - b * alpha
 
 
 # One kernel per block.  The public log_cond_* and gibbs_update_lambda check
@@ -226,10 +232,16 @@ def _nu_penalty(lam: np.ndarray, priors: PriorConfig) -> float:
     return priors.beta_nu + 0.5 * float(np.sum(lam - np.log(lam)))
 
 
-def _lc_nu(nu: float, n: int, penalty: float) -> float:
-    if nu <= 2:
-        return -np.inf
-    return 0.5 * n * nu * math.log(0.5 * (nu - 2.0)) - n * gammaln(0.5 * nu) - nu * penalty
+def _nu_kernel(n: int):
+    """The nu conditional of n precisions as a function of (nu, penalty)."""
+    from scipy.special import gammaln  # loaded once per kernel, not per nu step
+
+    def lc_nu(nu: float, penalty: float) -> float:
+        if nu <= 2:
+            return -np.inf
+        return 0.5 * n * nu * math.log(0.5 * (nu - 2.0)) - n * gammaln(0.5 * nu) - nu * penalty
+
+    return lc_nu
 
 
 def _draw_lambda(gen, xx: np.ndarray, pos: np.ndarray, phi: float, nu: float) -> np.ndarray:
@@ -253,7 +265,7 @@ def log_cond_alpha(alpha: float, phi: float, data, priors: PriorConfig) -> float
 def log_cond_nu(nu: float, lam, priors: PriorConfig) -> float:
     """Unnormalized log full conditional of the degrees of freedom given lambda."""
     lam = np.asarray(lam, dtype=float)
-    return _lc_nu(nu, lam.size, _nu_penalty(lam, priors))
+    return _nu_kernel(lam.size)(nu, _nu_penalty(lam, priors))
 
 
 def gibbs_update_lambda(data, phi: float, nu: float, rng) -> np.ndarray:
@@ -371,6 +383,7 @@ class MetropolisWithinGibbs:
         self._xx = self.x * self.x
         self._pos = self.x >= 0
         self._xx_sums = _half_sums(self._xx, self._pos)
+        self._lc_nu = _nu_kernel(self.x.size)
         self.model = model
         self.priors = priors or PriorConfig()
         self.config = config or McmcConfig()
@@ -465,7 +478,7 @@ class MetropolisWithinGibbs:
         do_lam = (self.model == "bsstd") if update_lambda is None else update_lambda
         if do_nu:
             penalty = _nu_penalty(st.lam, priors)
-            st.nu = self._update_block("nu", lambda nu: _lc_nu(nu, n, penalty), st.nu, 2.0, rate)
+            st.nu = self._update_block("nu", lambda nu: self._lc_nu(nu, penalty), st.nu, 2.0, rate)
         if do_lam:
             st.lam = _draw_lambda(self._gen, self._xx, self._pos, st.phi, st.nu)
         if adapting:
