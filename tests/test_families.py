@@ -74,6 +74,46 @@ class TestPinnedValues:
         assert cdf(bsn(1.0, 2.0), 0.0) == pytest.approx(1.0 / 17.0, abs=1e-12)
 
 
+class TestLargeTailParameters:
+    """Far out in nu and q the bases tend to the normal. Their log-gamma
+    ratios used to be differences of two gammaln values, which cancel there
+    and gave silent wrong answers."""
+
+    NORMAL_CENTER = 1.0 / math.sqrt(2.0 * math.pi)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            bsstd(0.0, 1.0, 1e14),
+            bsstd(0.0, 1.0, 1e15),
+            bsgt(0.0, 1.0, 2.0, 1e14),
+            bsgt(0.0, 1.0, 2.0, 1e15),
+        ],
+        ids=["nu1e14", "nu1e15", "q1e14", "q1e15"],
+    )
+    def test_center_density_tends_to_the_normal(self, spec):
+        assert pdf(spec, 0.0) == pytest.approx(self.NORMAL_CENTER, rel=1e-12)
+
+    def test_huge_nu_density_is_finite_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = pdf(bsstd(1.0, 1.0, 1e306), 0.0)
+        assert value == pytest.approx(0.5 * self.NORMAL_CENTER, rel=1e-12)
+
+    def test_student_first_absolute_moment(self):
+        want = math.sqrt(2.0 / math.pi)
+        assert StudentTBase(1e14).abs_moment(1) == pytest.approx(want, rel=1e-12)
+
+    def test_gen_t_standard_scale(self):
+        assert GenTBase(2.0, 1e14).delta == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "base", [StudentTBase(5.0), StudentTBase(1e14), GenTBase(1.7, 2.0), GenTBase(2.0, 1e14)]
+    )
+    def test_zeroth_absolute_moment_is_exactly_one(self, base):
+        assert base.abs_moment(0) == 1.0
+
+
 class TestReductions:
     """Special parameter values must collapse onto textbook densities."""
 
