@@ -28,15 +28,6 @@ from .families import (
     skew_moment,
     two_piece_second_moment,
 )
-from .inference import (
-    Chain,
-    McmcConfig,
-    MetropolisWithinGibbs,
-    PriorConfig,
-    effective_sample_size,
-    posterior_summary,
-    run_mcmc,
-)
 from .sampling import (
     AugmentedDraw,
     RngStream,
@@ -52,17 +43,31 @@ from .sampling import (
 
 __version__ = "0.1.0"
 
-# the oracle loads on first use of these names; each access reads the oracle's
-# current binding (a tracing wrapper, say), so none is cached here
+# the fitter and the oracle load on first use of these names; each access
+# reads the module's current binding (a tracing wrapper, say), so none is
+# cached here
+_INFERENCE_NAMES = frozenset(
+    {
+        "Chain",
+        "McmcConfig",
+        "MetropolisWithinGibbs",
+        "PriorConfig",
+        "effective_sample_size",
+        "posterior_summary",
+        "run_mcmc",
+    }
+)
 _ORACLE_NAMES = frozenset({"OracleResult", "integrate", "mc_moment", "run_checks"})
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _INFERENCE_NAMES:
+        from . import inference as module
+    elif name in _ORACLE_NAMES:
+        from . import oracle as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 __all__ = [

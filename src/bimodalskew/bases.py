@@ -26,6 +26,10 @@ _SQRT_2 = float(np.sqrt(2.0))
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # z**2 overflows above ~1.3e154; switch to log-space asymptotics before that.
 _HUGE = 1e150
+# From here up a Student-t's partial moments are the normal's: the beta form
+# differs from them by at most about 1e-16 at nu = 2e15, and scipy's betainc
+# returns NaN once its second parameter passes about 1e200.
+_NU_NORMAL = 2e15
 
 
 def _validate_order(r: int) -> int:
@@ -230,10 +234,13 @@ class StudentTBase:
     def partial_moment(self, r: int, t, upper: bool = False):
         """Integral of w^r f(w) over (0, t), or (t, inf) when ``upper``; r is 0 or 2.
 
-        It is (m_r / 2) I_x((r + 1)/2, (nu - r)/2) at x = t^2 / (t^2 + nu - 2).
+        It is (m_r / 2) I_x((r + 1)/2, (nu - r)/2) at x = t^2 / (t^2 + nu - 2),
+        and the normal base's value from nu = `_NU_NORMAL` up.
         """
-        t = _partial_args(r, t)
         nu = self.nu
+        if nu >= _NU_NORMAL:
+            return NormalBase().partial_moment(r, t, upper)
+        t = _partial_args(r, t)
         with np.errstate(over="ignore"):
             u = t * t / (nu - 2.0)
         return 0.5 * self.abs_moment(r) * _beta_split(0.5 * (r + 1), 0.5 * (nu - r), u, upper)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError, NumericError
 from .families import DistributionSpec, bsgt, bsn, bsstd, pdf
-from .inference import McmcConfig, PriorConfig, posterior_summary, run_mcmc
 from .sampling import RngStream, sample
 
 SCHEMA = "bimodal-skew/1"
@@ -201,6 +200,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "fitting bsgt tail-shape parameters goes beyond the augmented sampling "
             "scheme; opt in with --enable-extensions"
         )
+    from .inference import McmcConfig, PriorConfig, posterior_summary, run_mcmc
+
     data = _read_first_numeric_column(args.in_)
     priors = PriorConfig(a_phi=args.prior_a_phi, b_phi=args.prior_b_phi, beta_nu=args.prior_beta_nu)
     config = McmcConfig(

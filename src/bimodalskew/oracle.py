@@ -8,21 +8,20 @@ Monte Carlo moments, and Kolmogorov-Smirnov gates against the closed-form
 distribution functions.  The textbook reference densities and the two-sample
 KS p-value are written out here on `scipy.special`, so a check needs nothing
 from `scipy.stats`.  `run_checks` executes the whole identity suite and is
-what the ``check`` CLI command prints.  Its cases run as independent tasks
+what the ``check`` CLI command prints.  Its cases run as tasks
 on up to two forked worker processes; the records are the same as when they
 run in-process.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betaln, gammainc, gammaln, kolmogorov
@@ -94,6 +93,7 @@ _GK_ROWS = (
 _NODES = np.array([-r[0] for r in _GK_ROWS[:-1]] + [r[0] for r in reversed(_GK_ROWS)])
 _WG = np.array([r[1] for r in _GK_ROWS[:-1]] + [r[1] for r in reversed(_GK_ROWS)])
 _WK = np.array([r[2] for r in _GK_ROWS[:-1]] + [r[2] for r in reversed(_GK_ROWS)])
+_WKG = np.stack([_WK, _WG])
 
 
 def _t_of(y: float) -> float:
@@ -137,95 +137,176 @@ def _plan(a: float, b: float, points=()) -> tuple[float | None, list[tuple[float
 
 
 def _gk_rows(f, lo, hi, rows, anchors, folded):
-    """Kronrod values and error estimates of the panels (lo[i], hi[i]) of integrals rows[i]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    ts = mid[:, None] + half[:, None] * _NODES
-    fold = folded[rows][:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        one_minus = 1.0 - ts * ts
-        xs = np.where(fold, anchors[rows][:, None] + ts / one_minus, ts)
-        jac = np.where(fold, (1.0 + ts * ts) / one_minus**2, 1.0)
-        # deep bisection can round a node onto t = +-1; the true
-        # contribution there is zero and the integrand never sees inf
-        ok = np.isfinite(xs) & np.isfinite(jac)
-        ys = np.asarray(f(np.where(ok, xs, 0.0), rows), dtype=float) * jac
-    # only folded rows drop non-finite values: on a finite range a NaN is the answer
-    ys = np.where(ok & (np.isfinite(ys) | ~fold), ys, 0.0)
+    """Kronrod values, error estimates and midpoints of the panels (lo, hi).
 
-    kronrod = half * (ys * _WK).sum(axis=1)
-    diff = np.abs(kronrod - half * (ys * _WG).sum(axis=1))
+    ``lo`` and ``hi`` share one shape, which the three results take, and the
+    flat ``rows`` gives each panel's integral in row-major order.  ``folded``
+    is False when no integral is folded, True when every one is, and else
+    each integral's flag.  Runs under the errstate of `_integrate_rows`.
+    """
+    width = hi - lo
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * width
+    ts = mid[..., None] + half[..., None] * _NODES
+    if folded is False:
+        ys = np.asarray(f(ts.reshape(-1, 15), rows), dtype=float).reshape(ts.shape)
+    else:
+        column = ts.shape[:-1] + (1,)
+        tt = ts * ts
+        one_minus = 1.0 - tt
+        xs = anchors[rows].reshape(column) + ts / one_minus
+        jac = (1.0 + tt) / one_minus**2
+        # deep bisection can round a node onto t = +-1, the one place the
+        # map is not finite; the true contribution there is zero and the
+        # integrand never sees inf
+        ok = one_minus != 0.0
+        if folded is not True:
+            fold = folded[rows].reshape(column)
+            xs = np.where(fold, xs, ts)
+            jac = np.where(fold, jac, 1.0)
+            ok |= ~fold
+        ys = np.asarray(f(np.where(ok, xs, 0.0).reshape(-1, 15), rows), dtype=float)
+        ys = ys.reshape(ts.shape) * jac
+        # only folded rows drop non-finite values: on a finite range a NaN is the answer
+        keep = ok & np.isfinite(ys)
+        if folded is not True:
+            keep |= ~fold
+        ys = np.where(keep, ys, 0.0)
+
+    kronrod_gauss = np.add.reduce(ys[..., None, :] * _WKG, axis=-1)
+    kronrod = half * kronrod_gauss[..., 0]
+    diff = np.abs(kronrod - half * kronrod_gauss[..., 1])
     # sharpen |K - G| relative to the panel's own variation: the Kronrod
     # estimate is far better than the raw gap on smooth panels, but not on
     # rough ones, and an absolute cutoff would misjudge small-valued tails
-    spread = half * (np.abs(ys - (kronrod / (hi - lo))[:, None]) * _WK).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sharp = spread * np.minimum(1.0, (200.0 * diff / spread) ** 1.5)
-    err = np.where((spread > 0.0) & (diff > 0.0), sharp, diff)
-    return kronrod.tolist(), err.tolist()
+    spread = half * np.add.reduce(np.abs(ys - (kronrod / width)[..., None]) * _WK, axis=-1)
+    sharp = spread * np.minimum(1.0, (200.0 * diff / spread) ** 1.5)
+    return kronrod, np.where(np.minimum(spread, diff) > 0.0, sharp, diff), mid
+
+
+def _split_keys(lo, mid, hi, vals, errs, rows, retired) -> np.ndarray:
+    """The selection keys of new panels: each one's error, or -inf where it
+    has no representable midpoint.  Such a panel is retired unsplit: its
+    (value, error) goes to ``retired[rows[i]]``."""
+    whole = (lo < mid) & (mid < hi)
+    if np.count_nonzero(whole) == whole.size:
+        return errs
+    for i in zip(*np.nonzero(~whole)):
+        retired.setdefault(int(rows[i]), []).append((float(vals[i]), float(errs[i])))
+    return np.where(whole, errs, -np.inf)
 
 
 def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
     """Advance the adaptive integrals ``plans`` (from `_plan`) in shared rounds.
 
     Each round, every integral whose summed error estimate is above ``tol``
-    and whose budget has room for two more panels pops its own worst panel
-    (panels with no representable midpoint are retired unsplit) and bisects
-    it; all children of the round go to ``f`` in one call as ``f(xs, rows)``,
-    where ``xs`` is an (m, 15) array of nodes, one panel per row, and
-    ``rows[i]`` the index into ``plans`` of the integral that row i belongs
-    to.  ``f`` returns the (m, 15) integrand values.  Each integral follows
-    the bisection sequence it would follow alone.
+    and whose budget has room for two more panels bisects its worst panel,
+    the oldest on ties; a panel with no representable midpoint is retired
+    unsplit.  All children of the round go to ``f`` in one call as
+    ``f(xs, rows)``, where ``xs`` is an (m, 15) array of nodes, one panel per
+    row, and ``rows[i]`` the index into ``plans`` of the integral that row i
+    belongs to.  ``f`` returns the (m, 15) integrand values.  Each integral
+    follows the bisection sequence it would follow alone.
+
+    The panels live in one array with a row per integral still going and a
+    column per panel, in the order the panels were made: the first panels,
+    then the two children of each round.
     """
+    n = len(plans)
     anchors = np.array([0.0 if anchor is None else anchor for anchor, _ in plans])
     folded = np.array([anchor is not None for anchor, _ in plans])
-    heaps = [[] for _ in plans]
-    retired = [[] for _ in plans]
-    evals = [0] * len(plans)
-    err_total = [0.0] * len(plans)
-    tick = itertools.count()  # heap tie-break: older panels first
+    folded = folded if folded.any() and not folded.all() else bool(folded[0])
+    first = [(j, k, lo, hi) for j, (_, panels) in enumerate(plans) for k, (lo, hi) in enumerate(panels)]
+    rows, cols, lo, hi = zip(*first)
+    used = max(cols) + 1
+    rows, cols, (lo, hi) = np.array(rows), np.array(cols), np.array([lo, hi])
+    # per panel: lo, midpoint, hi, Kronrod value, and the error estimate
+    # while the panel can still be split, else -inf
+    box = np.full((5, n, used + 32), -np.inf)
+    # every coordinate is at most `ulp` apart from its neighbours, and a
+    # midpoint rounds by at most ulp / 2, so a panel d bisections below the
+    # first ones is at least narrowest / 2^d - ulp wide.  Through `deep`
+    # bisections that is over 2 ulps, which leaves a representable midpoint:
+    # the panels of the first `deep` rounds need no check
+    ulp = np.spacing(max(1.0, -lo.min(), hi.max()))
+    narrowest = float((hi - lo).min())
+    deep = math.floor(math.log2(narrowest / (4.0 * ulp))) if narrowest > 0.0 else -1
+    retired: dict[int, list] = {}  # integral: the (value, error) of its retired panels
+    results: list = [None] * n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals, errs, mids = _gk_rows(f, lo, hi, rows, anchors, folded)
+        keys = errs if deep >= 0 else _split_keys(lo, mids, hi, vals, errs, rows, retired)
+        box[:, rows, cols] = np.array([lo, mids, hi, vals, keys])
+        total = [0.0] * n
+        for j, err in zip(rows.tolist(), errs.tolist()):  # in panel order, as one integral adds them
+            total[j] += err
 
-    def evaluate(panels):
-        rows, lo, hi = zip(*panels)
-        return _gk_rows(f, np.array(lo), np.array(hi), np.array(rows), anchors, folded)
-
-    first = [(j, left, right) for j, (_, panels) in enumerate(plans) for left, right in panels]
-    for (j, left, right), val, err in zip(first, *evaluate(first)):
-        evals[j] += 15
-        err_total[j] += err
-        heapq.heappush(heaps[j], (-err, next(tick), left, right, val))
-
-    active = range(len(plans))
-    while True:
-        splits = []
-        for j in active:
-            heap = heaps[j]
-            while heap and err_total[j] > tol and evals[j] + 30 <= max_evals:
-                neg_err, _, left, right, val = heapq.heappop(heap)
-                mid = 0.5 * (left + right)
-                if left < mid < right:
-                    splits.append((j, neg_err, left, mid, right))
+        # the integrals still going, their error totals, the evaluations of
+        # their first panels and the last round their budget allows
+        active, total = np.arange(n), np.array(total)
+        evals = [15 * len(panels) for _, panels in plans]
+        last = [(max_evals - k) // 30 for k in evals]
+        tightest = min(last)
+        evals, last = np.array(evals), np.array(last)
+        stuck = _stuck(box[4, :, :used]) if retired else None
+        at = active
+        r = 0
+        while True:
+            r += 1
+            go = total > tol
+            if r > tightest:
+                go &= last >= r
+            if stuck is not None:
+                go &= ~stuck
+                stuck = None
+            going = np.count_nonzero(go)
+            if going < go.size:
+                done = ~go
+                _finish(results, box[:, done, :used], active[done], evals[done] + 30 * (r - 1), retired, tol)
+                if not going:
                     break
-                # no representable interior point, cannot resolve further
-                retired[j].append((val, -neg_err))
-        if not splits:
-            break
-        children = [c for j, _, lo, mid, hi in splits for c in ((j, lo, mid), (j, mid, hi))]
-        vals, errs = evaluate(children)
-        for i, (j, neg_err, left, mid, right) in enumerate(splits):
-            v1, v2, e1, e2 = vals[2 * i], vals[2 * i + 1], errs[2 * i], errs[2 * i + 1]
-            evals[j] += 30
-            err_total[j] += e1 + e2 + neg_err  # neg_err removes the parent's share
-            heapq.heappush(heaps[j], (-e1, next(tick), left, mid, v1))
-            heapq.heappush(heaps[j], (-e2, next(tick), mid, right, v2))
-        active = [j for j, *_ in splits]
-
-    results = []
-    for j, heap in enumerate(heaps):
-        value = math.fsum([item[4] for item in heap] + [v for v, _ in retired[j]])
-        err = math.fsum([-item[0] for item in heap] + [e for _, e in retired[j]])
-        results.append(OracleResult(value, err, evals[j], err <= tol))
+                box, active, total, evals, last = box[:, go], active[go], total[go], evals[go], last[go]
+                at = np.arange(going)
+            slot = box[4, :, :used].argmax(axis=1)
+            pick = box[:, at, slot]
+            box[4, at, slot] = -np.inf
+            if used + 2 > box.shape[2]:
+                box = np.concatenate([box, np.full_like(box, -np.inf)], axis=2)
+            lo, hi = pick[:2].T, pick[1:3].T  # the children: (lo, mid) and (mid, hi)
+            rows = active.repeat(2)
+            vals, errs, mids = _gk_rows(f, lo, hi, rows, anchors, folded)
+            keys = errs if r <= deep else _split_keys(lo, mids, hi, vals, errs, rows.reshape(-1, 2), retired)
+            box[:, :, used : used + 2] = np.array([lo, mids, hi, vals, keys])
+            if keys is not errs:
+                stuck = _stuck(box[4, :, : used + 2])
+            total += (errs[:, 0] + errs[:, 1]) - pick[4]
+            used += 2
     return results
+
+
+def _stuck(keys) -> np.ndarray:
+    """Which rows of ``keys`` have no panel left that can be split."""
+    return keys.max(axis=1) == -np.inf
+
+
+def _finish(results, box, which, evals, retired, tol) -> None:
+    """Enter the results of the integrals ``which``, whose panels are ``box``.
+
+    Each sum is exact (`math.fsum`), so the order of the panels changes
+    nothing.
+    """
+    live = box[4] != -np.inf
+    vals, errs = box[3][live].tolist(), box[4][live].tolist()
+    start = 0
+    for j, count, k in zip(which.tolist(), np.count_nonzero(live, axis=1).tolist(), evals.tolist()):
+        stop = start + count
+        v, e = vals[start:stop], errs[start:stop]
+        for value, err in retired.get(j, ()):
+            v.append(value)
+            e.append(err)
+        err = math.fsum(e)
+        results[j] = OracleResult(math.fsum(v), err, k, err <= tol)
+        start = stop
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_000, points=()):
@@ -256,6 +337,38 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_
     return _integrate_rows(rows_f, [plan], tol, max_evals)[0]
 
 
+def _integrals(items, tol: float) -> list[OracleResult]:
+    """`integrate` of each (f, a, b) in ``items`` at ``tol``, all in one `_integrate_rows` call.
+
+    Each run of a round's rows belongs to one integral and goes to its own
+    ``f`` as one flat array, so every integral bisects, and ends, exactly
+    as `integrate` would run it alone.
+    """
+
+    def rows_f(xs, rows):
+        out = np.empty_like(xs)
+        for lo, hi in _runs(rows):
+            out[lo:hi] = np.asarray(items[rows[lo]][0](xs[lo:hi].ravel()), dtype=float).reshape(hi - lo, -1)
+        return out
+
+    return _integrate_rows(rows_f, [_plan(a, b) for _, a, b in items], tol, 1_000_000)
+
+
+def _integral_batch(tol: float):
+    """A task batch for cases whose ``run`` returns ``(items, value)``.
+
+    ``items`` lists the case's integrals as (f, a, b), and ``value`` turns
+    their values, in order, into the case's value.  The integrals of all the
+    cases advance together in `_integrals` at ``tol``.
+    """
+
+    def batch(runs):
+        results = iter(_integrals([item for items, _ in runs for item in items], tol))
+        return [value([next(results).value for _ in items]) for items, value in runs]
+
+    return batch
+
+
 # ---------- numeric marginalization of the mixture hierarchies ----------
 
 
@@ -275,6 +388,11 @@ def gamma_mixture_density(x: float, alpha: float, gamma: float, nu: float, tol: 
     lambda^(-1/2); marginalizing over Gamma(nu/2, rate (nu-2)/2) must
     reproduce the closed-form family density.
     """
+    return integrate(*_gamma_mixture(x, alpha, gamma, nu), tol=tol)
+
+
+def _gamma_mixture(x: float, alpha: float, gamma: float, nu: float):
+    """The integrand and range of `gamma_mixture_density`, as (f, a, b)."""
     StudentTBase(nu)  # validates nu
     m = _stretched(x, gamma)
     c = math.log(2.0) - math.log(gamma + 1.0 / gamma)
@@ -293,7 +411,7 @@ def gamma_mixture_density(x: float, alpha: float, gamma: float, nu: float, tol: 
             logs = const + (shape - 0.5) * np.log(lam) - rate * lam - 0.5 * lam * m * m
         return np.exp(logs)
 
-    return integrate(integrand, 0.0, math.inf, tol=tol)
+    return integrand, 0.0, math.inf
 
 
 def uniform_mixture_density(x: float, gamma: float, lam: float, tol: float = 1e-10) -> OracleResult:
@@ -303,6 +421,11 @@ def uniform_mixture_density(x: float, gamma: float, lam: float, tol: float = 1e-
     sqrt(u/lam); mixing over chi-square(3) must give the two-piece normal
     with scale lam^(-1/2).
     """
+    return integrate(*_uniform_mixture(x, gamma, lam), tol=tol)
+
+
+def _uniform_mixture(x: float, gamma: float, lam: float):
+    """The integrand and range of `uniform_mixture_density`, as (f, a, b)."""
     if not lam > 0:
         raise DomainError(f"need lam > 0, got {lam}")
     two_piece_second_moment(gamma)
@@ -316,7 +439,7 @@ def uniform_mixture_density(x: float, gamma: float, lam: float, tol: float = 1e-
         height = 1.0 / (radius * (gamma + 1.0 / gamma))
         return height * np.exp(log_chi3 + 0.5 * np.log(u) - 0.5 * u)
 
-    return integrate(integrand, u_min, math.inf, tol=tol)
+    return integrand, u_min, math.inf
 
 
 def _log_ep_kernel(m: float, lam_scale: np.ndarray, p: float) -> np.ndarray:
@@ -335,6 +458,11 @@ def gg_mixture_density(
 ) -> OracleResult:
     """BSGT density rebuilt by integrating the exponential-power kernel over
     its generalized-gamma mixing law."""
+    return integrate(*_gg_mixture(x, alpha, gamma, p, q), tol=tol)
+
+
+def _gg_mixture(x: float, alpha: float, gamma: float, p: float, q: float):
+    """The integrand and range of `gg_mixture_density`, as (f, a, b)."""
     delta = gt_standard_scale(p, q)
     m = _stretched(x, gamma)
     c = math.log(2.0) - math.log(gamma + 1.0 / gamma)
@@ -348,7 +476,7 @@ def gg_mixture_density(
             log_gg = log_gg_const + (0.5 * p * q - 1.0) * np.log(s) - s ** (0.5 * p)
         return np.exp(const + _log_ep_kernel(m, lam_scale, p) + log_gg)
 
-    return integrate(integrand, 0.0, math.inf, tol=tol)
+    return integrand, 0.0, math.inf
 
 
 def uniform_gg_mixture_density(
@@ -359,35 +487,97 @@ def uniform_gg_mixture_density(
 
     The inner integral runs over the uniform-layer radius variable u from the
     smallest u whose piece still covers x; the outer integral runs over the
-    generalized-gamma scale s.
+    generalized-gamma scale s.  This is the one-point case of
+    `_uniform_gg_densities`.
     """
-    delta = gt_standard_scale(p, q)
-    m = abs(_stretched(x, gamma))
-    tilt = math.exp(_log_tilt(x, alpha, gamma))
-    log_gg_const = math.log(p) - math.log(2.0) - gammaln(q)
-    inv_width = 1.0 / (gamma + 1.0 / gamma)
-    log_u_const = -gammaln(1.0 + 1.0 / p)
-    radius_scale = q ** (1.0 / p) * delta
-    evaluations = 0
+    return _uniform_gg_densities([(x, alpha, gamma, p, q)], tol)[0]
 
-    def outer(ss):
-        nonlocal evaluations
-        ss = np.asarray(ss, dtype=float)
-        root_s = np.sqrt(ss)
 
-        # the inner integrals of all nodes advance together, one row per node
+def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
+    """`uniform_gg_mixture_density` at each point (x, alpha, gamma, p, q).
+
+    The outer integrals share rounds, and each round's inner integrals, one
+    per outer node, go to one `_integrate_rows` call.  Every integral
+    bisects as it would alone, so each result is the one-point result, and
+    its evaluations count the point's outer and inner integrals.
+    """
+    consts = [_UniformGG.at(*point) for point in points]
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    p_of, inv_width, radius_scale = (
+        np.array([getattr(c, name) for c in consts]) for name in ("p", "inv_width", "radius_scale")
+    )
+    inner_evals = [0] * len(consts)
+
+    def outer(ss, points_of):
+        owner = points_of.repeat(15)  # the point of each node, one inner integral per node
+        root_s = np.sqrt(ss).ravel()
+        plans = [
+            _plan((consts[i].m * r / consts[i].radius_scale) ** consts[i].p, math.inf)
+            for i, r in zip(owner.tolist(), root_s.tolist())
+        ]
+
         def integrand(u, rows):
-            radius = radius_scale * u ** (1.0 / p) / root_s[rows][:, None]
-            return inv_width / radius * np.exp(log_u_const + (1.0 / p) * np.log(u) - u)
+            out = np.empty_like(u)
+            # a pass per run of rows with one p, which stays a scalar exponent
+            at = owner[rows]
+            for lo, hi in _runs(p_of[at]):
+                p, log_u_const = consts[at[lo]].p, consts[at[lo]].log_u_const
+                radius = radius_scale[at[lo:hi], None] * u[lo:hi] ** (1.0 / p) / root_s[rows[lo:hi], None]
+                out[lo:hi] = inv_width[at[lo:hi], None] / radius * np.exp(
+                    log_u_const + (1.0 / p) * np.log(u[lo:hi]) - u[lo:hi]
+                )
+            return out
 
-        plans = [_plan((m * r / radius_scale) ** p, math.inf) for r in root_s.tolist()]
         inner = _integrate_rows(integrand, plans, 0.01 * tol, 50_000)
-        evaluations += sum(res.evaluations for res in inner)
-        log_gg = log_gg_const + (0.5 * p * q - 1.0) * np.log(ss) - ss ** (0.5 * p)
-        return np.exp(log_gg) * np.array([res.value for res in inner]) * tilt
+        for i, res in zip(owner.tolist(), inner):
+            inner_evals[i] += res.evaluations
+        values = np.array([res.value for res in inner]).reshape(ss.shape)
+        out = np.empty_like(ss)
+        for lo, hi in _runs(points_of):
+            c, s = consts[points_of[lo]], ss[lo:hi]
+            log_gg = c.log_gg_const + (0.5 * c.p * c.q - 1.0) * np.log(s) - s ** (0.5 * c.p)
+            out[lo:hi] = np.exp(log_gg) * values[lo:hi] * c.tilt
+        return out
 
-    res = integrate(outer, 0.0, math.inf, tol=tol)
-    return OracleResult(res.value, res.abs_error_estimate, res.evaluations + evaluations, res.converged)
+    results = _integrate_rows(outer, [_plan(0.0, math.inf)] * len(consts), tol, 1_000_000)
+    return [
+        OracleResult(res.value, res.abs_error_estimate, res.evaluations + extra, res.converged)
+        for res, extra in zip(results, inner_evals)
+    ]
+
+
+class _UniformGG(NamedTuple):
+    """The constants of the double mixture at one point (x, alpha, gamma, p, q)."""
+
+    p: float
+    q: float
+    m: float  # |x| stretched by gamma
+    tilt: float
+    log_gg_const: float
+    inv_width: float  # of the uniform layer
+    log_u_const: float
+    radius_scale: float
+
+    @classmethod
+    def at(cls, x: float, alpha: float, gamma: float, p: float, q: float) -> "_UniformGG":
+        delta = gt_standard_scale(p, q)  # validates p and q
+        return cls(
+            p,
+            q,
+            abs(_stretched(x, gamma)),
+            math.exp(_log_tilt(x, alpha, gamma)),
+            math.log(p) - math.log(2.0) - gammaln(q),
+            1.0 / (gamma + 1.0 / gamma),
+            -gammaln(1.0 + 1.0 / p),
+            q ** (1.0 / p) * delta,
+        )
+
+
+def _runs(labels: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, stop) of each run of equal neighbours in ``labels``."""
+    cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(labels)]))
 
 
 # ---------- Monte Carlo and goodness-of-fit ----------
@@ -408,10 +598,42 @@ def _ks_from_cdf(f_sorted: np.ndarray) -> float:
     return float(max(np.max(upper - f_sorted), np.max(f_sorted - (upper - 1.0 / n))))
 
 
+def _ks_sorted(xs: np.ndarray, cdf) -> float:
+    """KS distance of the sorted sample ``xs`` against the increasing ``cdf``,
+    equal to ``_ks_from_cdf(cdf(xs))`` bit for bit.
+
+    ``cdf`` must act pointwise on an array.  It is evaluated at every 16th
+    point and the last, and then only inside the gaps that can hold the
+    maximum.  Between evaluated points j < k every F_i lies in
+    [F_j, F_k], so the points of the gap score at most
+    max(upper[k-1] - F_j, F_k - lower[j+1]); a gap whose bound stays 1e-12
+    below the maximum so far is skipped, and the slack covers a CDF that
+    rounding leaves a few ulps short of monotone.  NaN sorts last, so a
+    NaN in the sample always reaches ``cdf``.
+    """
+    n = xs.size
+    if xs.ndim != 1 or n == 0:
+        raise DomainError("the KS distance needs a non-empty one-dimensional sample")
+    upper = np.arange(1, n + 1) / n
+    lower = upper - 1.0 / n
+    seen = np.arange(0, n + 15, 16)
+    seen[-1] = n - 1
+    f = cdf(xs[seen])
+    distance = max(np.max(upper[seen] - f), np.max(f - lower[seen]))
+    j, k = seen[:-1], seen[1:]
+    bound = np.maximum(upper[k - 1] - f[:-1], f[1:] - lower[j + 1])
+    gaps = (k - j > 1) & (bound >= distance - 1e-12)
+    starts, sizes = j[gaps] + 1, k[gaps] - j[gaps] - 1
+    if sizes.size:
+        fill = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        f = cdf(xs[fill])
+        distance = max(distance, np.max(upper[fill] - f), np.max(f - lower[fill]))
+    return float(distance)
+
+
 def ks_distance(sample_values, spec: DistributionSpec) -> float:
-    """KS distance of a sample against the family's numeric CDF."""
-    xs = np.sort(np.asarray(sample_values, dtype=float))
-    return _ks_from_cdf(cdf_values(spec, xs))
+    """KS distance of a sample against the family's closed-form CDF."""
+    return _ks_sorted(np.sort(np.asarray(sample_values, dtype=float)), partial(cdf_values, spec))
 
 
 def _quadratic_tilt_cdf(xs: np.ndarray, gamma: float, base) -> np.ndarray:
@@ -481,21 +703,8 @@ def _corrupt(spec: DistributionSpec, delta_scale: float | None) -> DistributionS
 
 
 def _masses(specs) -> list[OracleResult]:
-    """Total mass of each spec over the line, all integrals in one `_integrate_rows` call.
-
-    Each row of a round goes to its own spec's `pdf`, so every integral
-    bisects, and ends, exactly as `integrate` would run it alone.
-    """
-
-    def rows_f(xs, rows):
-        out = np.empty_like(xs)
-        # rows come in runs of one integral; each run is one pdf call
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]]).tolist() + [len(rows)]
-        for lo, hi in zip(starts[:-1], starts[1:]):
-            out[lo:hi] = pdf(specs[rows[lo]], xs[lo:hi].ravel()).reshape(hi - lo, -1)
-        return out
-
-    return _integrate_rows(rows_f, [_plan(-math.inf, math.inf)] * len(specs), 1e-10, 1_000_000)
+    """Total mass of each spec over the line, all integrals in one `_integrals` call."""
+    return _integrals([(partial(pdf, spec), -math.inf, math.inf) for spec in specs], 1e-10)
 
 
 def _norm_discrepancies(specs) -> list[float]:
@@ -545,13 +754,27 @@ class _Case:
     larger_is_better: bool = False
 
 
-def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable | None, list[_Case]]]:
-    """The identity suite as tasks ``(batch, cases)``; their cases in order are the suite.
+def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], list[tuple]]:
+    """The identity suite: its cases in order, and the tasks they run as.
 
-    Nothing is built here: each case builds its specs when it runs.  A task
-    with a ``batch`` hands what its cases' ``run`` return to ``batch`` at
-    once, which returns their values.
+    A task is ``(positions, batch, cost)``: the positions of its cases in
+    the suite, None or a function that gets what the cases' ``run`` return
+    all at once and returns their values, and the milliseconds one case
+    takes, which order the dispatch.  The costs were measured in-process on
+    a 2-core x86-64 host at the default sample size; only their order
+    matters.  Nothing is built here: each case builds its specs when it
+    runs.
     """
+    cases: list[_Case] = []
+    tasks: list[tuple] = []
+
+    def add(case: _Case) -> int:
+        cases.append(case)
+        return len(cases) - 1
+
+    def task(*new: _Case, cost: float, batch: Callable | None = None) -> None:
+        cases.extend(new)
+        tasks.append((list(range(len(cases) - len(new), len(cases))), batch, cost))
 
     def gt(a, g, p, q):
         return _corrupt(bsgt(a, g, p, q), delta_scale)
@@ -570,10 +793,7 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable 
             for p, q in _GRID_PQS:
                 ident = f"normalization/bsgt alpha={a} gamma={g} p={p} q={q}"
                 norm.append(_Case(ident, partial(gt, a, g, p, q), 1e-8))
-    tasks = [(_norm_discrepancies, norm)]
-
-    def task(*cases):
-        tasks.append((None, list(cases)))
+    task(*norm, cost=0.6, batch=_norm_discrepancies)
 
     # reduction chain
     grid = np.linspace(-10.0, 10.0, 401)
@@ -633,6 +853,7 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable 
             lambda: _sup_diff(lambda xs: pdf(bsn(0.0, 2.0), xs), two_piece_direct, grid),
             1e-12,
         ),
+        cost=0.15,
     )
 
     # reflection: pdf(x; gamma) = pdf(-x; 1/gamma)
@@ -648,14 +869,14 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable 
         _Case("reflection/bsn", partial(reflection, partial(bsn, 1.0)), 1e-12),
         _Case("reflection/bsstd nu=4", partial(reflection, lambda g: bsstd(1.0, g, 4.0)), 1e-12),
         _Case("reflection/bsgt p=1.7 q=2", partial(reflection, lambda g: bsgt(1.0, g, 1.7, 2.0)), 1e-12),
+        cost=0.4,
     )
 
     # mass ratio at alpha = 0
     def mass_ratio(make, g):
-        spec = make(g)
-        upper = integrate(lambda xs: pdf(spec, xs), 0.0, math.inf, tol=1e-11).value
-        lower = integrate(lambda xs: pdf(spec, xs), -math.inf, 0.0, tol=1e-11).value
-        return abs(upper / lower - g * g)
+        density = partial(pdf, make(g))
+        halves = [(density, 0.0, math.inf), (density, -math.inf, 0.0)]
+        return halves, lambda mass: abs(mass[0] / mass[1] - g * g)
 
     task(
         *(
@@ -666,7 +887,9 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable 
                 ("bsgt p=2 q=5", lambda g: bsgt(0.0, g, 2.0, 5.0)),
             )
             for g in (0.5, 2.0)
-        )
+        ),
+        cost=0.7,
+        batch=_integral_batch(1e-11),
     )
 
     # closed-form moments vs direct quadrature, with existence bookkeeping
@@ -674,19 +897,23 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable 
         spec = make()
         return abs(full_moment(spec, r) - _oracle_moment(spec, r))
 
-    for label, make, orders in (
-        ("bsn alpha=0 gamma=1.5", partial(bsn, 0.0, 1.5), (1, 2, 3, 4)),
-        ("bsn alpha=1 gamma=0.5", partial(bsn, 1.0, 0.5), (1, 2, 3, 4)),
-        ("bsn alpha=3 gamma=1", partial(bsn, 3.0, 1.0), (1, 2, 3, 4)),
-        ("bsstd alpha=0 gamma=1.5 nu=8", partial(bsstd, 0.0, 1.5, 8.0), (1, 2, 3, 4)),
-        ("bsstd alpha=1 gamma=0.8 nu=8", partial(bsstd, 1.0, 0.8, 8.0), (1, 2, 3, 4)),
-        ("bsstd alpha=0 gamma=1.5 nu=4", partial(bsstd, 0.0, 1.5, 4.0), (1, 2, 3)),
-        ("bsgt alpha=0 gamma=1.5 p=2 q=5", partial(bsgt, 0.0, 1.5, 2.0, 5.0), (1, 2, 3, 4)),
-        ("bsgt alpha=1 gamma=0.8 p=2 q=5", partial(bsgt, 1.0, 0.8, 2.0, 5.0), (1, 2, 3, 4)),
-        ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", partial(bsgt, 0.0, 1.2, 1.7, 2.0), (1, 2, 3)),
-        ("bsgt alpha=1 gamma=1.2 p=1.7 q=2", partial(bsgt, 1.0, 1.2, 1.7, 2.0), (1,)),
+    # the p = 1.7, q = 2 tails decay slowly, and their quadrature is long
+    for label, make, orders, cost in (
+        ("bsn alpha=0 gamma=1.5", partial(bsn, 0.0, 1.5), (1, 2, 3, 4), 1.5),
+        ("bsn alpha=1 gamma=0.5", partial(bsn, 1.0, 0.5), (1, 2, 3, 4), 1.5),
+        ("bsn alpha=3 gamma=1", partial(bsn, 3.0, 1.0), (1, 2, 3, 4), 1.5),
+        ("bsstd alpha=0 gamma=1.5 nu=8", partial(bsstd, 0.0, 1.5, 8.0), (1, 2, 3, 4), 1.5),
+        ("bsstd alpha=1 gamma=0.8 nu=8", partial(bsstd, 1.0, 0.8, 8.0), (1, 2, 3, 4), 1.5),
+        ("bsstd alpha=0 gamma=1.5 nu=4", partial(bsstd, 0.0, 1.5, 4.0), (1, 2, 3), 1.5),
+        ("bsgt alpha=0 gamma=1.5 p=2 q=5", partial(bsgt, 0.0, 1.5, 2.0, 5.0), (1, 2, 3, 4), 1.5),
+        ("bsgt alpha=1 gamma=0.8 p=2 q=5", partial(bsgt, 1.0, 0.8, 2.0, 5.0), (1, 2, 3, 4), 1.5),
+        ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", partial(bsgt, 0.0, 1.2, 1.7, 2.0), (1, 2, 3), 10.0),
+        ("bsgt alpha=1 gamma=1.2 p=1.7 q=2", partial(bsgt, 1.0, 1.2, 1.7, 2.0), (1,), 17.0),
     ):
-        task(*(_Case(f"moments/{label} r={r}", partial(moment_gap, make, r), 1e-6) for r in orders))
+        task(
+            *(_Case(f"moments/{label} r={r}", partial(moment_gap, make, r), 1e-6) for r in orders),
+            cost=cost,
+        )
 
     def existence_misses(make, expected):
         spec = make()
@@ -704,26 +931,38 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable 
                 ("bsgt p=1.7 q=2 alpha=0", partial(bsgt, 0.0, 1.0, 1.7, 2.0), (True, True, True, False)),
                 ("bsgt p=2 q=5", partial(bsgt, 1.0, 1.0, 2.0, 5.0), (True, True, True, True)),
             )
-        )
+        ),
+        cost=0.05,
     )
 
-    # mixture marginalizations vs closed forms
+    # mixture marginalizations vs closed forms, each task's integrals in one batch
+    def gap(item, ref):
+        return [item], lambda value: abs(value[0] - ref)
+
     def gamma_gap(x, g):
-        return abs(gamma_mixture_density(x, 1.0, g, 4.0).value - float(pdf(bsstd(1.0, g, 4.0), x)))
+        return gap(_gamma_mixture(x, 1.0, g, 4.0), float(pdf(bsstd(1.0, g, 4.0), x)))
 
     def uniform_gap(x, g, lam):
-        ref = float(pdf(bsn(0.0, g, scale=lam**-0.5), x))
-        return abs(uniform_mixture_density(x, g, lam).value - ref)
+        return gap(_uniform_mixture(x, g, lam), float(pdf(bsn(0.0, g, scale=lam**-0.5), x)))
 
-    def gg_gap(density, x, g, p, q):
-        return abs(density(x, 1.0, g, p, q).value - float(pdf(gt(1.0, g, p, q), x)))
+    def gg_gap(x, g, p, q):
+        return gap(_gg_mixture(x, 1.0, g, p, q), float(pdf(gt(1.0, g, p, q), x)))
+
+    def uniform_gg_point(x, g, p, q):
+        return (x, 1.0, g, p, q), float(pdf(gt(1.0, g, p, q), x))
+
+    def uniform_gg_gaps(runs):
+        points, refs = zip(*runs)
+        return [abs(res.value - ref) for res, ref in zip(_uniform_gg_densities(points), refs)]
 
     task(
         *(
             _Case(f"mixture/gamma x={x} gamma={g}", partial(gamma_gap, x, g), 1e-6)
             for g in _MIX_GAMMAS
             for x in _MIX_XS
-        )
+        ),
+        cost=0.3,
+        batch=_integral_batch(1e-10),
     )
     task(
         *(
@@ -731,18 +970,24 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable 
             for g in _MIX_GAMMAS
             for lam in (1.0, 2.5)
             for x in _MIX_XS
-        )
+        ),
+        cost=0.15,
+        batch=_integral_batch(1e-10),
     )
-    # the gg and uniform-gg identities alternate in the suite: one task per (p, gamma)
-    layers = (("gg", gg_mixture_density, 1e-5), ("uniform-gg", uniform_gg_mixture_density, 1e-4))
+    # the gg and uniform-gg identities alternate in the suite: a gg task per
+    # (p, gamma), and every uniform-gg identity in one batch
+    uniform_gg = []
     for p, q in ((1.7, 2.0), (2.0, 2.0), (2.3, 2.0)):
         for g in _MIX_GAMMAS:
-            cases = [
-                _Case(f"mixture/{name} x={x} gamma={g} p={p} q={q}", partial(gg_gap, f, x, g, p, q), tol)
-                for x in _MIX_XS
-                for name, f, tol in layers
-            ]
-            task(*cases)
+            gg = []
+            for x in _MIX_XS:
+                name = f"x={x} gamma={g} p={p} q={q}"
+                gg.append(add(_Case(f"mixture/gg {name}", partial(gg_gap, x, g, p, q), 1e-5)))
+                uniform_gg.append(
+                    add(_Case(f"mixture/uniform-gg {name}", partial(uniform_gg_point, x, g, p, q), 1e-4))
+                )
+            tasks.append((gg, _integral_batch(1e-9), 0.5))
+    tasks.append((uniform_gg, uniform_gg_gaps, 4.0))
 
     # mode-count law for the normal base at gamma = 1, plus mode geometry
     def count_miss(a):
@@ -769,68 +1014,80 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> list[tuple[Callable 
         _Case("modes/location alpha=0.6", location_gap, 1e-6),
         _Case("modes/right-taller alpha=3 gamma=1.5", right_taller, 0.0),
         _Case("modes/two-piece-peak alpha=0 gamma=2", two_piece_peak, 1e-6),
+        cost=0.05,
     )
 
-    # sampler goodness-of-fit gates, the heaviest cases: one task each
+    # sampler goodness-of-fit gates, one task each
     gate = 1.63 / math.sqrt(n)
 
     def quadratic_tilt_ks():
         xs = np.sort(sample_quadratic_tilt(2.0, NormalBase(), rng(3), n))
-        return _ks_from_cdf(_quadratic_tilt_cdf(xs, 2.0, NormalBase()))
+        return _ks_sorted(xs, lambda x: _quadratic_tilt_cdf(x, 2.0, NormalBase()))
 
     def gen_gamma_ks():
         # s^(p/2) of a generalized-gamma draw is Gamma(q, 1)
         s = sample_gen_gamma(1.7, 2.0, rng(8), n)
-        return _ks_from_cdf(gammainc(2.0, np.sort(s ** (1.7 / 2.0))))
+        return _ks_sorted(np.sort(s ** (1.7 / 2.0)), partial(gammainc, 2.0))
 
     def paths_agree():
         a_side = sample_bsgt(1.0, 1.5, 2.3, 2.0, rng(11), n).x
         b_side = sample_bsgt(1.0, 1.5, 2.3, 2.0, rng(12), n, path="uniform-gg").x
         return _ks_2samp_pvalue(a_side, b_side)
 
-    for label, run in (
+    # each gate's cost is its milliseconds at 1e5 draws
+    for label, cost, run in (
         (
             "two-piece gamma=2",
+            6.0,
             lambda: ks_distance(sample_two_piece(2.0, NormalBase(), rng(1), n), bsn(0.0, 2.0)),
         ),
         (
             "two-piece-student gamma=0.8 nu=5",
+            12.0,
             lambda: ks_distance(
                 sample_two_piece(0.8, StudentTBase(5.0), rng(2), n), bsstd(0.0, 0.8, 5.0)
             ),
         ),
-        ("quadratic-tilt gamma=2", quadratic_tilt_ks),
-        ("bsn alpha=1 gamma=1.5", lambda: ks_distance(sample_bsn(1.0, 1.5, rng(4), n), bsn(1.0, 1.5))),
+        ("quadratic-tilt gamma=2", 7.0, quadratic_tilt_ks),
+        ("bsn alpha=1 gamma=1.5", 12.0, lambda: ks_distance(sample_bsn(1.0, 1.5, rng(4), n), bsn(1.0, 1.5))),
         (
             "bsn-uniform alpha=1 gamma=1.5",
+            14.0,
             lambda: ks_distance(sample_bsn(1.0, 1.5, rng(5), n, path="uniform"), bsn(1.0, 1.5)),
         ),
         (
             "uniform-normal gamma=2 lambda=2.5",
+            10.0,
             lambda: ks_distance(
                 sample_skewed_uniform_normal(2.0, 2.5, rng(6), n).x, bsn(0.0, 2.0, scale=2.5**-0.5)
             ),
         ),
         (
             "bsstd alpha=1 gamma=1.5 nu=4",
+            18.0,
             lambda: ks_distance(sample_bsstd(1.0, 1.5, 4.0, rng(7), n).x, bsstd(1.0, 1.5, 4.0)),
         ),
-        ("gen-gamma p=1.7 q=2", gen_gamma_ks),
+        ("gen-gamma p=1.7 q=2", 7.0, gen_gamma_ks),
         (
             "bsgt p=1.7 q=2 alpha=1 gamma=1.5",
+            29.0,
             lambda: ks_distance(sample_bsgt(1.0, 1.5, 1.7, 2.0, rng(9), n).x, bsgt(1.0, 1.5, 1.7, 2.0)),
         ),
         (
             "bsgt-uniform p=2.3 q=2 alpha=1 gamma=0.8",
+            33.0,
             lambda: ks_distance(
                 sample_bsgt(1.0, 0.8, 2.3, 2.0, rng(10), n, path="uniform-gg").x,
                 bsgt(1.0, 0.8, 2.3, 2.0),
             ),
         ),
     ):
-        task(_Case(f"sampler/{label}", run, gate))
-    task(_Case("sampler/paths-agree p=2.3 q=2", paths_agree, 0.01, larger_is_better=True))
-    return tasks
+        task(_Case(f"sampler/{label}", run, gate), cost=cost * n / 1e5)
+    task(
+        _Case("sampler/paths-agree p=2.3 q=2", paths_agree, 0.01, larger_is_better=True),
+        cost=77.0 * n / 1e5,
+    )
+    return cases, tasks
 
 
 def _run_task(task) -> list[dict]:
@@ -903,31 +1160,36 @@ def run_checks(
     ``delta_scale`` rescales the generalized-t standardization constant
     before checking, as a deliberate-fault hook proving the suite can fail.
 
-    The selected cases run as independent tasks, largest first, on two
-    forked worker processes when the selection spans two tasks or more, two
-    CPUs are usable and the caller has one thread; otherwise in-process.
-    The records are the same either way, and an exception raised by a task
-    reaches the caller as it would in-process.
+    The selected cases run as tasks on two forked worker processes when
+    the selection spans two tasks or more, two CPUs are usable and the
+    caller has one thread; otherwise in-process.  The tasks go out costliest
+    first, by the estimate the suite gives each, so the cheap ones fill in
+    around the dear ones.  Each sampler gate is a task of its own, and
+    every selected uniform-gg marginalization runs in one batch whose outer
+    integrals share rounds.  The records are the same either way, and an
+    exception raised by a task reaches the caller as it would in-process.
     """
     n = int(sample_size)
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {sample_size}")
-    tasks = []
-    for batch, cases in _suite(seed, n, delta_scale):
-        chosen = [case for case in cases if only is None or only in case.identity]
-        if chosen:
-            tasks.append((batch, chosen))
-    # largest first, so the small tasks fill in around the big ones
-    order = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][1]))
+    cases, tasks = _suite(seed, n, delta_scale)
+    chosen = []
+    for positions, batch, cost in tasks:
+        picked = positions if only is None else [i for i in positions if only in cases[i].identity]
+        if picked:
+            chosen.append((picked, batch, cost * len(picked)))
+    chosen.sort(key=lambda task: -task[2])
+    work = [(batch, [cases[i] for i in picked]) for picked, batch, _ in chosen]
 
-    context = _fork_context(len(tasks))
+    context = _fork_context(len(work))
     if context is None:
-        done = list(map(_run_task, [tasks[i] for i in order]))
+        done = list(map(_run_task, work))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # a task that raises cancels the tasks not yet started
-        with ProcessPoolExecutor(2, mp_context=context, initializer=_adopt, initargs=(tasks,)) as pool:
-            done = list(pool.map(_run_adopted, order))
-    by_task = dict(zip(order, done))
-    return [record for i in range(len(tasks)) for record in by_task[i]]
+        with ProcessPoolExecutor(2, mp_context=context, initializer=_adopt, initargs=(work,)) as pool:
+            done = list(pool.map(_run_adopted, range(len(work))))
+    # reassemble per case: the uniform-gg batch's cases are spread over the suite
+    by_position = {i: record for (picked, _, _), records in zip(chosen, done) for i, record in zip(picked, records)}
+    return [by_position[i] for i in sorted(by_position)]

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm, t as student_t
 
-from bimodalskew.bases import GenTBase, StudentTBase, gt_standard_scale
+from bimodalskew.bases import (
+    _NU_NORMAL,
+    GenTBase,
+    NormalBase,
+    StudentTBase,
+    _beta_split,
+    gt_standard_scale,
+)
 from bimodalskew.errors import DomainError, ExistenceError, NumericError
 from bimodalskew.families import (
     DistributionSpec,
@@ -112,6 +119,31 @@ class TestLargeTailParameters:
     )
     def test_zeroth_absolute_moment_is_exactly_one(self, base):
         assert base.abs_moment(0) == 1.0
+
+    @pytest.mark.parametrize("nu", [1e200, 1e250, 1e300])
+    def test_huge_nu_cdf_values_are_the_normal_limit(self, nu):
+        # scipy's betainc returns NaN once its second parameter passes ~1e200
+        xs = [-4.0, -1.0, 0.0, 0.5, 3.0]
+        got = cdf_values(bsstd(1.0, 1.0, nu), xs)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, cdf_values(bsn(1.0, 1.0), xs), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("r", [0, 2])
+    def test_student_partial_moments_agree_across_the_normal_switch(self, r, upper):
+        t = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 38.0])
+
+        def beta_form(nu):
+            u = t * t / (nu - 2.0)
+            return 0.5 * StudentTBase(nu).abs_moment(r) * _beta_split(0.5 * (r + 1), 0.5 * (nu - r), u, upper)
+
+        normal = NormalBase().partial_moment(r, t, upper)
+        below = np.nextafter(_NU_NORMAL, 0.0)
+        assert StudentTBase(below).partial_moment(r, t, upper).tobytes() == beta_form(below).tobytes()
+        assert StudentTBase(_NU_NORMAL).partial_moment(r, t, upper).tobytes() == normal.tobytes()
+        # either side of the switch the beta form is the normal's within 4e-16
+        for nu in (below, _NU_NORMAL):
+            np.testing.assert_allclose(beta_form(nu), normal, rtol=0.0, atol=4e-16)
 
 
 class TestReductions:

@@ -11,7 +11,8 @@ loads it before forking its workers, and a full ``check`` runs on the oracle,
 numpy and ``scipy.special`` alone; ``scipy.integrate`` and ``scipy.optimize``
 load on the first scalar ``cdf`` or ``quantile``, and nothing in the package
 loads ``scipy.stats``. ``multiprocessing`` loads only when ``run_checks``
-forks its two workers. Each case runs in a fresh interpreter, because this
+forks its two workers. The fitter, ``inference``, loads only for ``fit`` or
+on first use of one of its names. Each case runs in a fresh interpreter, because this
 test process has long since imported all of them. No case times anything:
 the modules present are the measurement.
 """
@@ -28,8 +29,9 @@ import bimodalskew
 from bimodalskew import oracle
 
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "bimodalskew.oracle")
+INFERENCE = "bimodalskew.inference"
 # importing any scipy module first loads the package "scipy" itself
-NO_SCIPY = ("scipy",) + HEAVY
+NO_SCIPY = ("scipy",) + HEAVY + (INFERENCE,)
 SRC = str(Path(bimodalskew.__file__).resolve().parents[1])
 
 
@@ -102,10 +104,22 @@ def test_check_loads_the_oracle_when_it_runs():
 
 def test_full_check_loads_only_the_oracle(tmp_path):
     # the closed-form cdf_values and the scipy.special references need no
-    # scipy.stats, scipy.integrate or scipy.optimize
-    assert heavy_loaded(run_cli("check", "--out", str(tmp_path / "check.json")))["end"] == [
-        "bimodalskew.oracle"
-    ]
+    # scipy.stats, scipy.integrate or scipy.optimize, and check no fitter
+    check = run_cli("check", "--out", str(tmp_path / "check.json"))
+    assert heavy_loaded(check, HEAVY + (INFERENCE,))["end"] == ["bimodalskew.oracle"]
+
+
+def test_fit_loads_the_fitter(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "\n".join(f"{0.37 * k - 3.1:.3f}" for k in range(17)) + "\n")
+    fit = run_cli("fit", "--model", "bsn", "--in", str(data), "--iters", "300", "--burnin", "100")
+    seen = heavy_loaded("import bimodalskew.cli\nmark('import')\n" + fit, (INFERENCE,))
+    assert seen == {"import": [], "end": [INFERENCE]}
+
+
+def test_fitter_names_load_the_fitter_on_first_use():
+    code = "import bimodalskew\nmark('import')\nfrom bimodalskew import run_mcmc\nassert callable(run_mcmc)"
+    assert heavy_loaded(code, (INFERENCE,)) == {"import": [], "end": [INFERENCE]}
 
 
 def test_worker_pool_loads_only_when_checks_fork():
@@ -127,6 +141,15 @@ def test_oracle_names_are_looked_up_on_each_access(monkeypatch):
     wrapper = object()
     monkeypatch.setattr(oracle, "run_checks", wrapper)
     assert bimodalskew.run_checks is wrapper
+
+
+def test_fitter_names_are_looked_up_on_each_access(monkeypatch):
+    from bimodalskew import inference
+
+    assert bimodalskew.run_mcmc is inference.run_mcmc
+    wrapper = object()
+    monkeypatch.setattr(inference, "run_mcmc", wrapper)
+    assert bimodalskew.run_mcmc is wrapper
 
 
 def test_unknown_name_raises_attribute_error():

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,17 +11,20 @@ from scipy import special, stats
 from bimodalskew import oracle
 from bimodalskew.bases import NormalBase
 from bimodalskew.errors import DomainError, ExistenceError
-from bimodalskew.families import bsgt, bsn, bsstd, pdf, two_piece_second_moment
+from bimodalskew.families import bsgt, bsn, bsstd, cdf_values, pdf, two_piece_second_moment
 from bimodalskew.oracle import (
     _beta_prime_pdf,
     _corrupt,
     _integrate_rows,
     _ks_2samp_pvalue,
+    _ks_from_cdf,
+    _ks_sorted,
     _masses,
     _normal_pdf,
     _plan,
     _quadratic_tilt_cdf,
     _student_pdf,
+    _uniform_gg_densities,
     gamma_mixture_density,
     gg_mixture_density,
     integrate,
@@ -30,7 +34,7 @@ from bimodalskew.oracle import (
     uniform_gg_mixture_density,
     uniform_mixture_density,
 )
-from bimodalskew.sampling import RngStream
+from bimodalskew.sampling import RngStream, sample
 
 
 class TestIntegrate:
@@ -118,6 +122,50 @@ class TestIntegrate:
         assert _masses(specs) == alone
         assert abs(alone[-1].value - 1.0) > 1e-3  # the corrupted spec does not integrate to 1
 
+    def test_ties_go_to_the_oldest_panel(self):
+        # a constant integrand gives the panels of one width equal errors;
+        # the older is split first, so each width is worked left to right
+        lefts = []
+
+        def f(x):
+            lefts.append(round(float(x[0]), 2))  # the first node sits just right of the left end
+            return np.ones_like(x)
+
+        integrate(f, 0.0, 1.0, tol=1e-300, max_evals=210)
+        assert lefts == [0.0, 0.0, 0.5, 0.0, 0.25, 0.5, 0.75]
+
+    @pytest.mark.parametrize(
+        "f,a,b,kw,want",
+        [
+            (lambda x: np.full_like(x, np.nan), 0.0, 1.0, {}, ("nan", "nan", 30)),
+            (lambda x: np.full_like(x, np.nan), 0.0, np.inf, {}, ("0x0.0p+0", "0x0.0p+0", 30)),
+            (
+                lambda x: np.abs(x) ** -0.5, -1.0, 1.0, dict(tol=1e-14, max_evals=300),
+                ("0x1.fdeece052b9bep+1", "0x1.52384dd9c03fbp-2", 300),
+            ),
+            # 2^-49 wide: bisection reaches panels one ulp wide, which are
+            # retired unsplit until none is left
+            (
+                np.exp, 1.0, 1.0 + 2.0**-49, dict(tol=1e-300),
+                ("0x1.5bf0a8b14576ep-48", "0x1.ffffffffffffep-101", 210),
+            ),
+            (
+                lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), -np.inf, np.inf, {},
+                ("0x1.0000000000000p+0", "0x1.998ee0aaed9ffp-35", 300),
+            ),
+            (np.exp, -np.inf, 0.0, {}, ("0x1.fffffffffffffp-1", "0x1.f35ab7d385553p-36", 150)),
+            (
+                lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf, dict(tol=1e-10),
+                ("0x1.6db6db6db6effp-1", "0x1.202eccb32388bp-34", 660),
+            ),
+        ],
+        ids=["nan", "nan-folded", "budget", "retired-panels", "gauss-line", "exp-tail", "power-tail"],
+    )
+    def test_pinned_outputs(self, f, a, b, kw, want):
+        # pinned bit for bit: any change to the bisection order or the sums shows
+        res = integrate(f, a, b, **kw)
+        assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == want
+
     @pytest.mark.parametrize(
         "a,b",
         [(1.0, 1.0), (2.0, 1.0), (float("nan"), 1.0)],
@@ -163,6 +211,31 @@ class TestMixtureRoutes:
         assert res.evaluations == 17520
         assert res.value == pytest.approx(float(pdf(bsgt(1.0, 1.5, 2.3, 2.0), 0.5)), abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "point,want",
+        [
+            ((0.5, 1.0, 1.5, 2.3, 2.0), ("0x1.7979646720c7ap-3", "0x1.500e862deb03ep-24", 17520)),
+            ((-2.0, 1.0, 0.8, 1.7, 2.0), ("0x1.ec2bba6d8e555p-4", "0x1.37ac5fe26a1cbp-24", 29520)),
+            ((0.0, 1.0, 1.5, 2.0, 2.0), ("0x1.74165b092655ep-3", "0x1.00e7d4f9fc4f1p-25", 31680)),
+        ],
+        ids=["p2.3", "p1.7", "p2"],
+    )
+    def test_double_layer_pinned_outputs(self, point, want):
+        # pinned bit for bit: any change to the bisection order or the sums shows
+        res = uniform_gg_mixture_density(*point)
+        assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == want
+
+    def test_double_layer_batch_gives_the_one_point_results(self):
+        # mixed p, repeated points, and the order of the suite turned around
+        points = [
+            (2.0, 1.0, 1.5, 2.3, 2.0),
+            (-0.5, 1.0, 0.8, 1.7, 2.0),
+            (0.0, 1.0, 1.5, 2.0, 2.0),
+            (-0.5, 1.0, 0.8, 1.7, 2.0),
+            (0.5, 1.0, 0.8, 2.0, 2.0),
+        ]
+        assert _uniform_gg_densities(points) == [uniform_gg_mixture_density(*pt) for pt in points]
+
 
 class TestSampleDiagnostics:
     def test_ks_distance_accepts_matching_sample(self):
@@ -206,6 +279,55 @@ class TestSampleDiagnostics:
     def test_mc_moment_refuses_divergent_order(self):
         with pytest.raises(ExistenceError):
             mc_moment(bsstd(1.0, 1.0, 4.0), 2, 1000, RngStream(40, 3))
+
+
+class TestBracketedKs:
+    """`_ks_sorted` evaluates the CDF only where the maximum can be, and
+    must give what evaluating it at every point gives, bit for bit."""
+
+    @staticmethod
+    def same(xs, spec):
+        xs = np.sort(np.asarray(xs, dtype=float))
+        assert _ks_sorted(xs, partial(cdf_values, spec)) == _ks_from_cdf(cdf_values(spec, xs))
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 33])
+    def test_small_samples(self, n):
+        self.same(sample(bsstd(1.0, 1.5, 4.0), n, RngStream(41, n)), bsstd(1.0, 1.5, 4.0))
+
+    @pytest.mark.parametrize(
+        "spec", [bsn(0.0, 1.0), bsgt(1.0, 1.5, 1.7, 2.0), bsstd(3.0, 0.5, 2.5)], ids=["bsn", "bsgt", "bsstd"]
+    )
+    def test_sample_from_the_wrong_spec(self, spec):
+        # a large D, with many gaps within reach of it
+        self.same(sample(bsn(1.0, 1.5), 5000, RngStream(41, 100)), spec)
+
+    def test_repeated_values(self):
+        draws = sample(bsn(1.0, 1.5), 5000, RngStream(41, 101))
+        self.same(np.round(draws, 1), bsn(1.0, 1.5))
+        self.same(np.repeat(draws[:300], 17), bsn(1.0, 1.5))
+
+    def test_infinite_draws(self):
+        draws = sample(bsgt(1.0, 1.5, 1.7, 2.0), 1000, RngStream(41, 102))
+        draws[[3, 400, 999]] = [-np.inf, np.inf, np.inf]
+        self.same(draws, bsgt(1.0, 1.5, 1.7, 2.0))
+
+    def test_nan_is_evaluated_and_rejected(self):
+        # NaN sorts last, and the last point is always evaluated
+        draws = sample(bsn(1.0, 1.5), 1000, RngStream(41, 103))
+        draws[17] = np.nan
+        with pytest.raises(DomainError):
+            ks_distance(draws, bsn(1.0, 1.5))
+
+    def test_empty_sample_is_rejected(self):
+        with pytest.raises(DomainError):
+            ks_distance([], bsn(1.0, 1.5))
+
+    @pytest.mark.parametrize("n,only", [(2000, "sampler/"), (100_000, "sampler/bsstd")], ids=["n2000", "n1e5"])
+    def test_sampler_gates_match_full_evaluation(self, monkeypatch, n, only):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        bracketed = run_checks(only=only, sample_size=n)
+        monkeypatch.setattr(oracle, "_ks_sorted", lambda xs, cdf: _ks_from_cdf(cdf(xs)))
+        assert run_checks(only=only, sample_size=n) == bracketed
 
 
 class TestCheckHarness:
@@ -255,8 +377,9 @@ class TestCheckWorkers:
         assert len(forked) == 107
 
     def test_records_come_back_in_suite_order(self, monkeypatch, forks):
-        # the normalization batch and the mixture tasks are dispatched first,
-        # the one-case sampler tasks last; the records keep the suite's order
+        # the tasks go out costliest first, each sampler gate a task of its
+        # own and the uniform-gg identities one batch across the suite; the
+        # records are put back per case, in the suite's order
         rows = self.run(monkeypatch, 2, only="gamma=1.5")
         assert forks == ["fork"]
         groups = [r["identity"].split("/")[0] for r in rows]
@@ -282,6 +405,13 @@ class TestCheckWorkers:
     def test_one_task_runs_in_process(self, monkeypatch, forks):
         assert len(self.run(monkeypatch, 2, only="modes/count")) == 10
         assert forks == []
+
+    def test_uniform_gg_subsets_give_the_full_batch_records(self, monkeypatch):
+        full = {r["identity"]: r for r in self.run(monkeypatch, 1, only="mixture/uniform-gg ")}
+        assert len(full) == 30
+        for only in ("uniform-gg x=-2.0", "uniform-gg x=0.5 gamma=1.5 p=2.3", "p=2.0 q=2", "x=0.0 gamma=0.8"):
+            rows = [r for r in self.run(monkeypatch, 1, only=only) if "uniform-gg" in r["identity"]]
+            assert rows and rows == [full[r["identity"]] for r in rows]
 
     def test_daemonic_caller_runs_in_process(self, monkeypatch, forks):
         # a multiprocessing.Pool worker is daemonic and may not start children
