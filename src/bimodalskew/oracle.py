@@ -262,7 +262,8 @@ def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
             going = np.count_nonzero(go)
             if going < go.size:
                 done = ~go
-                _finish(results, box[:, done, :used], active[done], evals[done] + 30 * (r - 1), retired, tol)
+                spent = evals[done] + 30 * (r - 1)
+                _finish(results, box[:, done, :used], active[done], spent, retired, tol)
                 if not going:
                     break
                 box, active, total, evals, last = box[:, go], active[go], total[go], evals[go], last[go]
@@ -275,7 +276,9 @@ def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
             lo, hi = pick[:2].T, pick[1:3].T  # the children: (lo, mid) and (mid, hi)
             rows = active.repeat(2)
             vals, errs, mids = _gk_rows(f, lo, hi, rows, anchors, folded)
-            keys = errs if r <= deep else _split_keys(lo, mids, hi, vals, errs, rows.reshape(-1, 2), retired)
+            keys = errs
+            if r > deep:
+                keys = _split_keys(lo, mids, hi, vals, errs, rows.reshape(-1, 2), retired)
             box[:, :, used : used + 2] = np.array([lo, mids, hi, vals, keys])
             if keys is not errs:
                 stuck = _stuck(box[4, :, : used + 2])
@@ -348,7 +351,8 @@ def _integrals(items, tol: float) -> list[OracleResult]:
     def rows_f(xs, rows):
         out = np.empty_like(xs)
         for lo, hi in _runs(rows):
-            out[lo:hi] = np.asarray(items[rows[lo]][0](xs[lo:hi].ravel()), dtype=float).reshape(hi - lo, -1)
+            f = items[rows[lo]][0]
+            out[lo:hi] = np.asarray(f(xs[lo:hi].ravel()), dtype=float).reshape(hi - lo, -1)
         return out
 
     return _integrate_rows(rows_f, [_plan(a, b) for _, a, b in items], tol, 1_000_000)
@@ -523,7 +527,8 @@ def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
             at = owner[rows]
             for lo, hi in _runs(p_of[at]):
                 p, log_u_const = consts[at[lo]].p, consts[at[lo]].log_u_const
-                radius = radius_scale[at[lo:hi], None] * u[lo:hi] ** (1.0 / p) / root_s[rows[lo:hi], None]
+                root = root_s[rows[lo:hi], None]
+                radius = radius_scale[at[lo:hi], None] * u[lo:hi] ** (1.0 / p) / root
                 out[lo:hi] = inv_width[at[lo:hi], None] / radius * np.exp(
                     log_u_const + (1.0 / p) * np.log(u[lo:hi]) - u[lo:hi]
                 )
@@ -1191,5 +1196,7 @@ def run_checks(
         with ProcessPoolExecutor(2, mp_context=context, initializer=_adopt, initargs=(work,)) as pool:
             done = list(pool.map(_run_adopted, range(len(work))))
     # reassemble per case: the uniform-gg batch's cases are spread over the suite
-    by_position = {i: record for (picked, _, _), records in zip(chosen, done) for i, record in zip(picked, records)}
+    by_position = {}
+    for (picked, _, _), records in zip(chosen, done):
+        by_position.update(zip(picked, records))
     return [by_position[i] for i in sorted(by_position)]

@@ -135,7 +135,8 @@ class TestLargeTailParameters:
 
         def beta_form(nu):
             u = t * t / (nu - 2.0)
-            return 0.5 * StudentTBase(nu).abs_moment(r) * _beta_split(0.5 * (r + 1), 0.5 * (nu - r), u, upper)
+            half_moment = 0.5 * StudentTBase(nu).abs_moment(r)
+            return half_moment * _beta_split(0.5 * (r + 1), 0.5 * (nu - r), u, upper)
 
         normal = NormalBase().partial_moment(r, t, upper)
         below = np.nextafter(_NU_NORMAL, 0.0)

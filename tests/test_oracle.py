@@ -295,7 +295,9 @@ class TestBracketedKs:
         self.same(sample(bsstd(1.0, 1.5, 4.0), n, RngStream(41, n)), bsstd(1.0, 1.5, 4.0))
 
     @pytest.mark.parametrize(
-        "spec", [bsn(0.0, 1.0), bsgt(1.0, 1.5, 1.7, 2.0), bsstd(3.0, 0.5, 2.5)], ids=["bsn", "bsgt", "bsstd"]
+        "spec",
+        [bsn(0.0, 1.0), bsgt(1.0, 1.5, 1.7, 2.0), bsstd(3.0, 0.5, 2.5)],
+        ids=["bsn", "bsgt", "bsstd"],
     )
     def test_sample_from_the_wrong_spec(self, spec):
         # a large D, with many gaps within reach of it
@@ -322,7 +324,9 @@ class TestBracketedKs:
         with pytest.raises(DomainError):
             ks_distance([], bsn(1.0, 1.5))
 
-    @pytest.mark.parametrize("n,only", [(2000, "sampler/"), (100_000, "sampler/bsstd")], ids=["n2000", "n1e5"])
+    @pytest.mark.parametrize(
+        "n,only", [(2000, "sampler/"), (100_000, "sampler/bsstd")], ids=["n2000", "n1e5"]
+    )
     def test_sampler_gates_match_full_evaluation(self, monkeypatch, n, only):
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
         bracketed = run_checks(only=only, sample_size=n)
@@ -409,7 +413,8 @@ class TestCheckWorkers:
     def test_uniform_gg_subsets_give_the_full_batch_records(self, monkeypatch):
         full = {r["identity"]: r for r in self.run(monkeypatch, 1, only="mixture/uniform-gg ")}
         assert len(full) == 30
-        for only in ("uniform-gg x=-2.0", "uniform-gg x=0.5 gamma=1.5 p=2.3", "p=2.0 q=2", "x=0.0 gamma=0.8"):
+        subsets = ("uniform-gg x=-2.0", "uniform-gg x=0.5 gamma=1.5 p=2.3", "p=2.0 q=2", "x=0.0 gamma=0.8")
+        for only in subsets:
             rows = [r for r in self.run(monkeypatch, 1, only=only) if "uniform-gg" in r["identity"]]
             assert rows and rows == [full[r["identity"]] for r in rows]
 
