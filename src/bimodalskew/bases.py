@@ -30,6 +30,11 @@ _HUGE = 1e150
 # differs from them by at most about 1e-16 at nu = 2e15, and scipy's betainc
 # returns NaN once its second parameter passes about 1e200.
 _NU_NORMAL = 2e15
+# From here up a generalized-t's partial moments are their q -> inf limit, the
+# exponential-power base's: the limit's own error falls as 1/q and is under
+# scipy's rounding from here up, and betainc, which the exact form needs,
+# returns NaN once its second parameter passes about 1e200.
+_Q_EXP_POWER = 1e17
 
 
 def _validate_order(r: int) -> int:
@@ -315,13 +320,21 @@ class GenTBase:
         """Integral of w^r f(w) over (0, t), or (t, inf) when ``upper``; r is 0 or 2.
 
         It is (m_r / 2) I_x((r + 1)/p, q - r/p) at x = w / (1 + w), with
-        w = (t / delta)^p / q.
+        w = (t / delta)^p / q, and from q = `_Q_EXP_POWER` up its limit
+        (m_r / 2) P((r + 1)/p, (t / delta)^p), P the regularized lower
+        incomplete gamma function.
         """
         t = _partial_args(r, t)
         p, q = self.p, self.q
+        half_moment = 0.5 * self.abs_moment(r)
         with np.errstate(over="ignore"):
-            w = (t / self.delta) ** p / q
-        return 0.5 * self.abs_moment(r) * _beta_split((r + 1.0) / p, q - r / p, w, upper)
+            s = (t / self.delta) ** p
+            w = s / q
+        if q >= _Q_EXP_POWER:
+            from scipy.special import gammainc, gammaincc
+
+            return half_moment * (gammaincc if upper else gammainc)((r + 1.0) / p, s)
+        return half_moment * _beta_split((r + 1.0) / p, q - r / p, w, upper)
 
     def sample_abs(self, gen: np.random.Generator, size: int) -> np.ndarray:
         # |Z/delta|^p / q is beta-prime(1/p, q), i.e. a ratio of gammas.

@@ -8,6 +8,7 @@ and is deterministic given the full flag set (timing goes to stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import secrets
@@ -329,6 +330,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    code = _run(argv)
+    if argv is None:
+        # run as the program, which exits next: the interpreter's last full
+        # collection then skips the objects numpy and scipy left behind
+        gc.freeze()
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

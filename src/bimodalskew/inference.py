@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._workers import map_forked
 from .bases import GenTBase, StudentTBase
 from .errors import CapabilityError, DomainError
 from .families import DistributionSpec, log_pdf
@@ -541,11 +542,18 @@ def run_mcmc(
     init: dict[str, float] | None = None,
     enable_extensions: bool = False,
 ) -> list[Chain]:
-    """Run one or more independent chains; chain c uses RngStream(seed, c)."""
+    """Run one or more independent chains; chain c uses RngStream(seed, c).
+
+    Every chain's sampler is built, and its inputs checked, before any runs.
+    Two or more chains run through `_workers.map_forked`: on two forked
+    worker processes when two CPUs are usable and the caller has one thread,
+    otherwise one after another.  The chains come back in chain order and
+    are the same either way, and the collector's frozen state is as the
+    caller left it.
+    """
     config = config or McmcConfig()
-    chains = []
-    for c in range(config.chains):
-        sampler = MetropolisWithinGibbs(
+    samplers = [
+        MetropolisWithinGibbs(
             data,
             model=model,
             priors=priors,
@@ -554,8 +562,9 @@ def run_mcmc(
             init=init,
             enable_extensions=enable_extensions,
         )
-        chains.append(sampler.run())
-    return chains
+        for c in range(config.chains)
+    ]
+    return map_forked(MetropolisWithinGibbs.run, samplers)
 
 
 # ---------- summaries ----------

@@ -16,8 +16,6 @@ run in-process.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import partial
@@ -26,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betaln, gammainc, gammaln, kolmogorov
 
+from ._workers import map_forked
 from .bases import GenTBase, NormalBase, StudentTBase, gt_standard_scale
 from .errors import DomainError, ExistenceError
 from .families import (
@@ -1114,42 +1113,6 @@ def _run_task(task) -> list[dict]:
     return records
 
 
-# a forked worker's tasks, handed over at fork: the closures are never pickled
-_worker_tasks: list = []
-
-
-def _adopt(tasks) -> None:
-    global _worker_tasks
-    _worker_tasks = tasks
-
-
-def _run_adopted(i: int) -> list[dict]:
-    return _run_task(_worker_tasks[i])
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
-def _fork_context(n_tasks: int):
-    """The "fork" multiprocessing context, or None where the tasks run in-process.
-
-    Forking needs two tasks to share, two usable CPUs and a caller with one
-    thread: a fork copies only the calling thread, and a lock another thread
-    held would stay locked in the child.  A daemonic process (a
-    `multiprocessing.Pool` worker) may not start children at all.
-    """
-    if n_tasks < 2 or _usable_cpus() < 2 or threading.active_count() > 1:
-        return None
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-        return None
-    return multiprocessing.get_context("fork")
-
-
 def run_checks(
     only: str | None = None,
     seed: int = 20260814,
@@ -1165,14 +1128,14 @@ def run_checks(
     ``delta_scale`` rescales the generalized-t standardization constant
     before checking, as a deliberate-fault hook proving the suite can fail.
 
-    The selected cases run as tasks on two forked worker processes when
-    the selection spans two tasks or more, two CPUs are usable and the
-    caller has one thread; otherwise in-process.  The tasks go out costliest
-    first, by the estimate the suite gives each, so the cheap ones fill in
-    around the dear ones.  Each sampler gate is a task of its own, and
-    every selected uniform-gg marginalization runs in one batch whose outer
-    integrals share rounds.  The records are the same either way, and an
-    exception raised by a task reaches the caller as it would in-process.
+    The selected cases run as tasks through `_workers.map_forked`, on two
+    forked workers when the selection spans two tasks or more, two CPUs are
+    usable and the caller has one thread; otherwise in-process.  The tasks
+    go out costliest first, by the estimate the suite gives each, so the
+    cheap ones fill in around the dear ones.  Each sampler gate is a task of
+    its own, and every selected uniform-gg marginalization runs in one batch
+    whose outer integrals share rounds.  The records are the same either
+    way, and an exception raised by a task reaches the caller as in-process.
     """
     n = int(sample_size)
     if n < 1:
@@ -1186,15 +1149,7 @@ def run_checks(
     chosen.sort(key=lambda task: -task[2])
     work = [(batch, [cases[i] for i in picked]) for picked, batch, _ in chosen]
 
-    context = _fork_context(len(work))
-    if context is None:
-        done = list(map(_run_task, work))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a task that raises cancels the tasks not yet started
-        with ProcessPoolExecutor(2, mp_context=context, initializer=_adopt, initargs=(work,)) as pool:
-            done = list(pool.map(_run_adopted, range(len(work))))
+    done = map_forked(_run_task, work)
     # reassemble per case: the uniform-gg batch's cases are spread over the suite
     by_position = {}
     for (picked, _, _), records in zip(chosen, done):

@@ -1,17 +1,21 @@
 """Command-line surface: argument handling, file formats, exit codes.
 
-Everything drives ``main(argv)`` in-process; one subprocess test pins the
-module entry point. Exit codes: 0 success, 1 failed checks, 2 usage or
+Everything drives ``main(argv)`` in-process, except the tests that pin the
+module entry point and compare its output with the in-process one. Exit codes: 0 success, 1 failed checks, 2 usage or
 capability errors.
 """
 
+import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bimodalskew
 from bimodalskew.cli import main
 from bimodalskew.families import bsn, pdf
 
@@ -296,3 +300,72 @@ class TestEntryPoints:
     def test_no_arguments_shows_usage(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+
+class TestExitFreeze:
+    """Run as the program, ``main`` freezes the collector's heap before the exit.
+
+    That must change nothing the command writes: each subprocess run of the
+    module, which freezes, matches an in-process ``main(argv)``, which does not.
+    """
+
+    ENV = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            [str(Path(bimodalskew.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        ),
+    )
+
+    def program(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bimodalskew.cli", *argv],
+            capture_output=True, text=True, env=self.ENV, timeout=300,
+        )
+
+    @pytest.mark.parametrize("command", ["sample", "pdf", "fit"])
+    def test_files_equal_the_in_process_ones(self, capsys, small_csv, tmp_path, command):
+        argv = {
+            "sample": ["sample", "--model", "bsstd", "--alpha", "1", "--gamma", "1.5", "--nu", "4",
+                       "--n", "2000", "--seed", "7", "--out"],
+            "pdf": ["pdf", "--model", "bsgt", "--alpha", "1", "--gamma", "0.8", "--p", "1.7",
+                    "--q", "2", "--format", "csv", "--out"],
+            "fit": ["fit", "--model", "bsstd", "--in", str(small_csv), *TestFit.ARGS,
+                    "--chains", "2", "--save-chains"],
+        }[command]
+        written = {}
+        for side in ("program", "in-process"):
+            path = tmp_path / f"{side}.txt"
+            if side == "program":
+                proc = self.program(*argv, str(path))
+                assert proc.returncode == 0, proc.stderr
+            else:
+                assert main([*argv, str(path)]) == 0
+            meta = Path(f"{path}.meta.json")
+            written[side] = (path.read_bytes(), meta.read_bytes() if meta.exists() else None)
+        capsys.readouterr()
+        assert written["program"][0]
+        assert written["program"] == written["in-process"]
+
+    def test_check_prints_the_in_process_report(self, capsys):
+        proc = self.program("check", "--only", "modes/")
+        code, out, _ = run(capsys, "check", "--only", "modes/")
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    def test_only_the_program_freezes(self, capsys):
+        argv = ["pdf", "--model", "bsn", "--points", "3"]
+        frozen = gc.get_freeze_count()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+        probe = (
+            "import gc, sys\n"
+            "from bimodalskew.cli import main\n"
+            f"sys.argv = ['bimodalskew', *{argv!r}]\n"
+            "assert main() == 0\n"
+            "print(gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=self.ENV, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["True"]

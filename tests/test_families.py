@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import kstest, norm, t as student_t
 
+from bimodalskew import bases
 from bimodalskew.bases import (
     _NU_NORMAL,
+    _Q_EXP_POWER,
     GenTBase,
     NormalBase,
     StudentTBase,
@@ -145,6 +148,54 @@ class TestLargeTailParameters:
         # either side of the switch the beta form is the normal's within 4e-16
         for nu in (below, _NU_NORMAL):
             np.testing.assert_allclose(beta_form(nu), normal, rtol=0.0, atol=4e-16)
+
+    @pytest.mark.parametrize("q", [1e200, 1e250, 1e300])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_huge_q_cdf_values_are_finite(self, p, q):
+        # scipy's betainc returns NaN once its second parameter passes ~1e200
+        xs = [-4.0, -1.0, 0.0, 0.5, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cdf_values(bsgt(1.0, 1.0, p, q), xs)
+        assert np.isfinite(got).all()
+        # the standardizing delta itself is off by up to 2.5e-14 relative
+        # here, which moves the values by up to 6.2e-15
+        near = cdf_values(bsgt(1.0, 1.0, p, 1e100), xs)
+        np.testing.assert_allclose(got, near, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_exponential_power_limit_is_the_beta_form_at_q_1e100(self, monkeypatch, p):
+        xs = [-4.0, -1.0, 0.0, 0.5, 3.0]
+        limit = cdf_values(bsgt(1.0, 1.0, p, 1e100), xs)
+        monkeypatch.setattr(bases, "_Q_EXP_POWER", math.inf)
+        beta_form = cdf_values(bsgt(1.0, 1.0, p, 1e100), xs)
+        np.testing.assert_allclose(limit, beta_form, rtol=0.0, atol=1e-15)
+        if p == 1.5:
+            np.testing.assert_allclose(limit[[3, 1]], [0.61492637, 0.27461518], rtol=1e-8)
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @pytest.mark.parametrize("r", [0, 2])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_gen_t_partial_moments_agree_across_the_limit_switch(self, p, r, upper):
+        t = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 38.0])
+
+        def beta_form(q):
+            base = GenTBase(p, q)
+            w = (t / base.delta) ** p / q
+            return 0.5 * base.abs_moment(r) * _beta_split((r + 1.0) / p, q - r / p, w, upper)
+
+        def limit(q):
+            base = GenTBase(p, q)
+            incomplete = special.gammaincc if upper else special.gammainc
+            return 0.5 * base.abs_moment(r) * incomplete((r + 1.0) / p, (t / base.delta) ** p)
+
+        below = np.nextafter(_Q_EXP_POWER, 0.0)
+        assert GenTBase(p, below).partial_moment(r, t, upper).tobytes() == beta_form(below).tobytes()
+        assert GenTBase(p, _Q_EXP_POWER).partial_moment(r, t, upper).tobytes() == limit(_Q_EXP_POWER).tobytes()
+        # either side of the switch the two forms agree to a few ulps; the
+        # widest gap, 1.4e-15 at p = 2, is scipy's gammaincc(0.5, s) rounding
+        for q in (below, _Q_EXP_POWER):
+            np.testing.assert_allclose(beta_form(q), limit(q), rtol=0.0, atol=1.5e-15)
 
 
 class TestReductions:

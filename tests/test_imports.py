@@ -11,7 +11,7 @@ loads it before forking its workers, and a full ``check`` runs on the oracle,
 numpy and ``scipy.special`` alone; ``scipy.integrate`` and ``scipy.optimize``
 load on the first scalar ``cdf`` or ``quantile``, and nothing in the package
 loads ``scipy.stats``. ``multiprocessing`` loads only when ``run_checks``
-forks its two workers. The fitter, ``inference``, loads only for ``fit`` or
+or ``run_mcmc`` forks its two workers. The fitter, ``inference``, loads only for ``fit`` or
 on first use of one of its names. Each case runs in a fresh interpreter,
 because this test process has long since imported all of them. No case
 times anything: the modules present are the measurement.
@@ -122,13 +122,17 @@ def test_fitter_names_load_the_fitter_on_first_use():
     assert heavy_loaded(code, (INFERENCE,)) == {"import": [], "end": [INFERENCE]}
 
 
-def test_worker_pool_loads_only_when_checks_fork():
-    # the check workers' pool is imported inside run_checks, and a one-task
-    # selection such as the mode-count law runs in-process
+def test_worker_pool_loads_only_when_checks_fork(tmp_path):
+    # the worker pool is imported when it forks, and a one-task selection such
+    # as the mode-count law, or a single chain, runs in-process
+    data = tmp_path / "data.csv"
+    data.write_text("value\n" + "\n".join(f"{0.37 * k - 3.1:.3f}" for k in range(17)) + "\n")
     pool = ("multiprocessing", "concurrent.futures.process")
     check = run_cli("check", "--only", "modes/count")
-    seen = heavy_loaded("import bimodalskew.cli\nmark('import')\n" + check, pool)
-    assert seen == {"import": [], "end": []}
+    fit = run_cli("fit", "--model", "bsn", "--in", str(data), "--iters", "300", "--burnin", "100",
+                  "--chains", "1")
+    code = "import bimodalskew.cli\nmark('import')\n" + check + "\nmark('check')\n" + fit
+    assert heavy_loaded(code, pool) == {"import": [], "check": [], "end": []}
 
 
 def test_oracle_integrator_does_not_load_scipy_stats():

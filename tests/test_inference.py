@@ -1,12 +1,14 @@
 """Augmented Gibbs machinery: conditionals, adaptation, chain output."""
 
+import gc
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from bimodalskew import inference
+from bimodalskew import _workers, inference
 from bimodalskew.errors import CapabilityError, DomainError
 from bimodalskew.families import bsgt, bsn, bsstd
 from bimodalskew.inference import (
@@ -321,3 +323,59 @@ class TestRunMcmc:
             run_mcmc(np.array([1.0]), model="bsn", config=self.CFG)  # too few points
         with pytest.raises(DomainError):
             run_mcmc(np.array([np.nan, 1.0, 2.0, -1.0]), model="bsn", config=self.CFG)
+
+
+class TestForkedChains:
+    """Two or more chains run on two forked workers, the same as one after another."""
+
+    CFG = McmcConfig(iterations=800, burn_in=200, thin=2, chains=2)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The start methods run_mcmc asks multiprocessing for."""
+        asked = []
+        real = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", lambda m: asked.append(m) or real(m))
+        return asked
+
+    @staticmethod
+    def run(monkeypatch, cpus, model, seed):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+        data = sample(bsstd(1.0, 1.5, 5.0), 150, RngStream(15, 0))
+        return run_mcmc(data, model=model, config=TestForkedChains.CFG, seed=seed)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("model", ["bsn", "bsstd"])
+    def test_forked_chains_equal_serial(self, monkeypatch, forks, model, seed):
+        forked = self.run(monkeypatch, 2, model, seed)
+        assert forks == ["fork"]
+        assert gc.get_freeze_count() == 0
+        serial = self.run(monkeypatch, 1, model, seed)
+        assert forks == ["fork"]
+        assert [c.stream for c in forked] == [0, 1]
+        for f, s in zip(forked, serial, strict=True):
+            assert list(f.params) == list(s.params)
+            for name in f.params:
+                assert f.params[name].tobytes() == s.params[name].tobytes()
+            if model == "bsstd":
+                assert f.lambda_mean.tobytes() == s.lambda_mean.tobytes()
+            assert (f.accept_rates, f.adapt_trace, f.final_scales) == (
+                s.accept_rates, s.adapt_trace, s.final_scales
+            )
+        merged = posterior_summary(forked)
+        assert merged == posterior_summary(serial)
+        assert ("lambda_posterior_mean" in merged) == (model == "bsstd")
+
+    def test_one_chain_runs_in_process(self, monkeypatch, forks):
+        cfg = McmcConfig(iterations=300, burn_in=100, thin=2)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        assert len(run_mcmc(fixture_data(), model="bsn", config=cfg, seed=1)) == 1
+        assert forks == []
+
+    def test_inputs_are_checked_before_any_fork(self, monkeypatch, forks):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+        with pytest.raises(CapabilityError):
+            run_mcmc(fixture_data(100), model="bsgt", config=self.CFG, seed=0)
+        with pytest.raises(DomainError):
+            run_mcmc(np.array([np.nan, 1.0, 2.0, -1.0]), model="bsn", config=self.CFG)
+        assert forks == []

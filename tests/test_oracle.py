@@ -1,5 +1,6 @@
 """Independent quadrature and the identity-check harness."""
 
+import gc
 import math
 import multiprocessing
 from functools import partial
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from bimodalskew import oracle
+from bimodalskew import _workers, oracle
 from bimodalskew.bases import NormalBase
 from bimodalskew.errors import DomainError, ExistenceError
 from bimodalskew.families import bsgt, bsn, bsstd, cdf_values, pdf, two_piece_second_moment
@@ -328,7 +329,7 @@ class TestBracketedKs:
         "n,only", [(2000, "sampler/"), (100_000, "sampler/bsstd")], ids=["n2000", "n1e5"]
     )
     def test_sampler_gates_match_full_evaluation(self, monkeypatch, n, only):
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
         bracketed = run_checks(only=only, sample_size=n)
         monkeypatch.setattr(oracle, "_ks_sorted", lambda xs, cdf: _ks_from_cdf(cdf(xs)))
         assert run_checks(only=only, sample_size=n) == bracketed
@@ -369,7 +370,7 @@ class TestCheckWorkers:
     @staticmethod
     def run(monkeypatch, cpus, **kw):
         """run_checks at a small sample size, as if ``cpus`` CPUs were usable."""
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
         return run_checks(sample_size=2000, **kw)
 
     def test_forked_records_equal_in_process(self, monkeypatch, forks):
@@ -405,6 +406,15 @@ class TestCheckWorkers:
             self.run(monkeypatch, cpus, only="p=2.3", delta_scale=0.0)
         assert excinfo.type is DomainError
         assert forks == (["fork"] if cpus == 2 else [])
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in-process"])
+    def test_collector_is_left_unfrozen(self, monkeypatch, forks, cpus):
+        assert self.run(monkeypatch, cpus, only="gamma=2")
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(DomainError):
+            self.run(monkeypatch, cpus, only="p=2.3", delta_scale=0.0)
+        assert gc.get_freeze_count() == 0
+        assert forks == (["fork", "fork"] if cpus == 2 else [])
 
     def test_one_task_runs_in_process(self, monkeypatch, forks):
         assert len(self.run(monkeypatch, 2, only="modes/count")) == 10
