@@ -1,8 +1,8 @@
 """Command-line surface: argument handling, file formats, exit codes.
 
 Everything drives ``main(argv)`` in-process, except the tests that pin the
-module entry point and compare its output with the in-process one. Exit codes: 0 success, 1 failed checks, 2 usage or
-capability errors.
+module entry point and compare its output with the in-process one. Exit
+codes: 0 success, 1 failed checks, 2 usage or capability errors.
 """
 
 import gc

@@ -190,8 +190,8 @@ class TestLargeTailParameters:
             return 0.5 * base.abs_moment(r) * incomplete((r + 1.0) / p, (t / base.delta) ** p)
 
         below = np.nextafter(_Q_EXP_POWER, 0.0)
-        assert GenTBase(p, below).partial_moment(r, t, upper).tobytes() == beta_form(below).tobytes()
-        assert GenTBase(p, _Q_EXP_POWER).partial_moment(r, t, upper).tobytes() == limit(_Q_EXP_POWER).tobytes()
+        for q, form in ((below, beta_form), (_Q_EXP_POWER, limit)):
+            assert GenTBase(p, q).partial_moment(r, t, upper).tobytes() == form(q).tobytes()
         # either side of the switch the two forms agree to a few ulps; the
         # widest gap, 1.4e-15 at p = 2, is scipy's gammaincc(0.5, s) rounding
         for q in (below, _Q_EXP_POWER):

@@ -11,10 +11,10 @@ loads it before forking its workers, and a full ``check`` runs on the oracle,
 numpy and ``scipy.special`` alone; ``scipy.integrate`` and ``scipy.optimize``
 load on the first scalar ``cdf`` or ``quantile``, and nothing in the package
 loads ``scipy.stats``. ``multiprocessing`` loads only when ``run_checks``
-or ``run_mcmc`` forks its two workers. The fitter, ``inference``, loads only for ``fit`` or
-on first use of one of its names. Each case runs in a fresh interpreter,
-because this test process has long since imported all of them. No case
-times anything: the modules present are the measurement.
+or ``run_mcmc`` forks its two workers. The fitter, ``inference``, loads only
+for ``fit`` or on first use of one of its names. Each case runs in a fresh
+interpreter, because this test process has long since imported all of them.
+No case times anything: the modules present are the measurement.
 """
 
 import json
