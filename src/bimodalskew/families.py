@@ -30,7 +30,6 @@ of the argument.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,42 +136,24 @@ def bsgt(
 # ---------- density ----------
 
 
-def _far_log_pdf(spec: DistributionSpec, x: np.ndarray) -> np.ndarray:
-    """log_pdf where the standardized argument overflows.
+def _log_density(base, alpha, gamma, b, loc, scale, x):
+    """The family's log density on ``base``: the one place its formula is written.
 
-    Far out, the standardized log density is -inf (normal base) or linear in
-    log|z|, so it follows the line through |z| = e^(top-1) and e^top, where
-    top = 700 - |log gamma| keeps z and its stretched argument finite, out to
-    log|z| = log|x - loc| - log(scale); halving keeps x - loc finite.
+    ``alpha``, ``gamma``, ``b`` (the spec's second moment b(gamma)), ``loc``
+    and ``scale`` are floats, or column arrays that broadcast against ``x``
+    with one row per member, so members that share a base are evaluated in
+    one call.  Each element is computed as it is for its member alone.
     """
-    top = 700.0 - abs(math.log(spec.gamma))
-    ref = np.multiply.outer(np.exp([top - 1.0, top]), np.where(x >= spec.loc, 1.0, -1.0))
-    with np.errstate(over="ignore"):
-        inner, edge = log_pdf(DistributionSpec(spec.alpha, spec.gamma, spec.base), ref)
-    # only the overflowed entries are kept, so log(0) and -inf - -inf drop out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_z = np.log(np.abs(0.5 * x - 0.5 * spec.loc)) + math.log(2.0) - math.log(spec.scale)
-        line = edge + (edge - inner) * (log_z - top)
-    return np.where(edge == -np.inf, -np.inf, line) - math.log(spec.scale)
-
-
-def log_pdf(spec: DistributionSpec, x):
-    """Log density at x; vectorized, never NaN for non-NaN x."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    z = (x - spec.loc) / spec.scale
-    g = spec.gamma
-    alpha = spec.alpha
+    z = (x - loc) / scale
     # sign(0) = +1: z = 0 goes through the stretched positive branch.
-    arg = np.where(z >= 0, z / g, z * g)
-    out = spec.base.log_pdf(arg) + _LOG_2 - np.log(g + 1.0 / g)
+    arg = np.where(z >= 0, z / gamma, z * gamma)
+    out = base.log_pdf(arg) + _LOG_2 - np.log(gamma + 1.0 / gamma)
     t = alpha * z * z
     # The slow path handles an overflowed alpha z^2, whose log(1 + alpha z^2)
-    # then comes from logs, and an overflowed arg.  While alpha z^2 is finite,
-    # arg = z * max(g, 1/g) at most can overflow only for a tiny alpha.
-    slow = not np.isfinite(t).all() or (
-        alpha < 4.0 * max(g, 1.0 / g) ** 2 / sys.float_info.max and not np.isfinite(arg).all()
-    )
+    # then comes from logs, and an overflowed arg.  Both terms are >= 0 or
+    # NaN, so their sum is finite exactly when both are, unless it overflows;
+    # the slow path gives the fast path's values where neither did.
+    slow = not np.isfinite(t + np.abs(arg)).all()
     if slow:
         far = np.isinf(arg)  # x is infinite, or the standardized argument overflowed
         z, t = np.where(far, 0.0, z), np.where(far, 0.0, t)
@@ -181,10 +162,43 @@ def log_pdf(spec: DistributionSpec, x):
         tilt = np.where(np.isfinite(t), np.log1p(np.where(np.isfinite(t), t, 0.0)), fallback)
     else:
         tilt = np.log1p(t)
-    out = out + tilt - np.log1p(alpha * spec.b) - np.log(spec.scale)
+    out = out + tilt - np.log1p(alpha * b) - np.log(scale)
     if slow and far.any():
-        out = np.where(far, _far_log_pdf(spec, x), out)
-    return float(out) if scalar else out
+        out = np.where(far, _far_log_density(base, alpha, gamma, b, loc, scale, x), out)
+    return out
+
+
+def _far_log_density(base, alpha, gamma, b, loc, scale, x):
+    """`_log_density` where the standardized argument overflows.
+
+    Far out, the standardized log density is -inf (normal base) or linear in
+    log|z|, so it follows the line through |z| = e^(top-1) and e^top, where
+    top = 700 - |log gamma| keeps z and its stretched argument finite, out to
+    log|z| = log|x - loc| - log(scale); halving keeps x - loc finite.
+    """
+    top = 700.0 - np.abs(np.log(gamma))
+    side = np.where(x >= loc, 1.0, -1.0)
+    with np.errstate(over="ignore"):
+        inner, edge = (
+            _log_density(base, alpha, gamma, b, 0.0, 1.0, np.exp(level) * side)
+            for level in (top - 1.0, top)
+        )
+    # only the overflowed entries are kept, so log(0) and -inf - -inf drop out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_z = np.log(np.abs(0.5 * x - 0.5 * loc)) + _LOG_2 - np.log(scale)
+        line = edge + (edge - inner) * (log_z - top)
+    return np.where(edge == -np.inf, -np.inf, line) - np.log(scale)
+
+
+def log_pdf(spec: DistributionSpec, x):
+    """Log density at x; vectorized, never NaN for non-NaN x.
+
+    A call of the private `_log_density` with the spec's parameters; a
+    Python float in gives a float out.
+    """
+    x = np.asarray(x, dtype=float)
+    out = _log_density(spec.base, spec.alpha, spec.gamma, spec.b, spec.loc, spec.scale, x)
+    return float(out) if x.ndim == 0 else out
 
 
 def pdf(spec: DistributionSpec, x):

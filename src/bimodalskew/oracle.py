@@ -29,6 +29,7 @@ from .bases import GenTBase, NormalBase, StudentTBase, gt_standard_scale
 from .errors import DomainError, ExistenceError
 from .families import (
     DistributionSpec,
+    _log_density,
     bsgt,
     bsn,
     bsstd,
@@ -135,6 +136,15 @@ def _plan(a: float, b: float, points=()) -> tuple[float | None, list[tuple[float
     return anchor, panels
 
 
+def _tail_plan(lowers) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """The plan of the integrals over (a, inf), a in ``lowers``: `_plan`'s
+    for a finite a >= 0, with the anchors in an array.  Any other a raises."""
+    lowers = np.asarray(lowers, dtype=float)
+    if not ((lowers >= 0.0) & (lowers < math.inf)).all():
+        raise DomainError(f"need finite lower limits a >= 0, got {lowers.min()} to {lowers.max()}")
+    return lowers, [(0.0, 0.5), (0.5, 1.0)]
+
+
 def _gk_rows(f, lo, hi, rows, anchors, folded):
     """Kronrod values, error estimates and midpoints of the panels (lo, hi).
 
@@ -195,10 +205,11 @@ def _split_keys(lo, mid, hi, vals, errs, rows, retired) -> np.ndarray:
     return np.where(whole, errs, -np.inf)
 
 
-def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
-    """Advance the adaptive integrals ``plans`` (from `_plan`) in shared rounds.
+def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
+    """Advance the adaptive integrals of ``plans`` (from `_plan`) in shared rounds.
 
-    Each round, every integral whose summed error estimate is above ``tol``
+    ``tol`` is one tolerance, or a sequence of one per integral.  Each
+    round, every integral whose summed error estimate is above its tolerance
     and whose budget has room for two more panels bisects its worst panel,
     the oldest on ties; a panel with no representable midpoint is retired
     unsplit.  All children of the round go to ``f`` in one call as
@@ -207,18 +218,23 @@ def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
     belongs to.  ``f`` returns the (m, 15) integrand values.  Each integral
     follows the bisection sequence it would follow alone.
 
-    The panels live in one array with a row per integral still going and a
+    It returns the `OracleResult` fields as arrays (see `_results`).  The
+    panels live in one array with a row per integral still going and a
     column per panel, in the order the panels were made: the first panels,
     then the two children of each round.
     """
-    n = len(plans)
-    anchors = np.array([0.0 if anchor is None else anchor for anchor, _ in plans])
-    folded = np.array([anchor is not None for anchor, _ in plans])
+    # a plan's anchor may be an array: one integral per anchor, each with the plan's panels
+    sizes = [np.size(anchor) for anchor, _ in plans]
+    anchors = np.concatenate([np.full(k, 0.0 if a is None else a) for (a, _), k in zip(plans, sizes)])
+    folded = np.repeat([anchor is not None for anchor, _ in plans], sizes)
     folded = folded if folded.any() and not folded.all() else bool(folded[0])
-    first = [(j, k, lo, hi) for j, (_, panels) in enumerate(plans) for k, (lo, hi) in enumerate(panels)]
-    rows, cols, lo, hi = zip(*first)
-    used = max(cols) + 1
-    rows, cols, (lo, hi) = np.array(rows), np.array(cols), np.array([lo, hi])
+    widths = [len(panels) for _, panels in plans]
+    n = anchors.size
+    rows = np.arange(n).repeat(np.repeat(widths, sizes))
+    cols = np.concatenate([np.tile(np.arange(w), k) for w, k in zip(widths, sizes)])
+    lo, hi = np.concatenate([np.tile(np.array(p).T, k) for (_, p), k in zip(plans, sizes)], axis=1)
+    used = max(widths)
+    tols = tol = np.broadcast_to(np.asarray(tol, dtype=float), n)
     # per panel: lo, midpoint, hi, Kronrod value, and the error estimate
     # while the panel can still be split, else -inf
     box = np.full((5, n, used + 32), -np.inf)
@@ -231,22 +247,19 @@ def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
     narrowest = float((hi - lo).min())
     deep = math.floor(math.log2(narrowest / (4.0 * ulp))) if narrowest > 0.0 else -1
     retired: dict[int, list] = {}  # integral: the (value, error) of its retired panels
-    results: list = [None] * n
+    sums, spent_all = np.empty((2, n)), np.empty(n, dtype=int)  # value and error sums, evaluations
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals, errs, mids = _gk_rows(f, lo, hi, rows, anchors, folded)
         keys = errs if deep >= 0 else _split_keys(lo, mids, hi, vals, errs, rows, retired)
         box[:, rows, cols] = np.array([lo, mids, hi, vals, keys])
-        total = [0.0] * n
-        for j, err in zip(rows.tolist(), errs.tolist()):  # in panel order, as one integral adds them
-            total[j] += err
-
-        # the integrals still going, their error totals, the evaluations of
-        # their first panels and the last round their budget allows
-        active, total = np.arange(n), np.array(total)
-        evals = [15 * len(panels) for _, panels in plans]
-        last = [(max_evals - k) // 30 for k in evals]
-        tightest = min(last)
-        evals, last = np.array(evals), np.array(last)
+        # the integrals still going, their error totals (added in panel
+        # order, as one integral adds them), the evaluations of their first
+        # panels and the last round their budget allows
+        active = np.arange(n)
+        total = np.bincount(rows, weights=errs, minlength=n)
+        evals = 15 * np.bincount(rows, minlength=n)
+        last = (max_evals - evals) // 30
+        tightest = last.min()
         stuck = _stuck(box[4, :, :used]) if retired else None
         at = active
         r = 0
@@ -261,11 +274,12 @@ def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
             going = np.count_nonzero(go)
             if going < go.size:
                 done = ~go
-                spent = evals[done] + 30 * (r - 1)
-                _finish(results, box[:, done, :used], active[done], spent, retired, tol)
+                spent_all[active[done]] = evals[done] + 30 * (r - 1)
+                _finish(sums, box[:, done, :used], active[done], retired)
                 if not going:
                     break
                 box, active, total, evals, last = box[:, go], active[go], total[go], evals[go], last[go]
+                tol = tol[go]
                 at = np.arange(going)
             slot = box[4, :, :used].argmax(axis=1)
             pick = box[:, at, slot]
@@ -283,7 +297,7 @@ def _integrate_rows(f, plans, tol: float, max_evals: int) -> list[OracleResult]:
                 stuck = _stuck(box[4, :, : used + 2])
             total += (errs[:, 0] + errs[:, 1]) - pick[4]
             used += 2
-    return results
+    return sums[0], sums[1], spent_all, sums[1] <= tols
 
 
 def _stuck(keys) -> np.ndarray:
@@ -291,24 +305,27 @@ def _stuck(keys) -> np.ndarray:
     return keys.max(axis=1) == -np.inf
 
 
-def _finish(results, box, which, evals, retired, tol) -> None:
-    """Enter the results of the integrals ``which``, whose panels are ``box``.
+def _finish(sums, box, which, retired) -> None:
+    """Enter the value and error sums of the integrals ``which``, whose
+    panels are ``box``, into ``sums``.
 
     Each sum is exact (`math.fsum`), so the order of the panels changes
     nothing.
     """
     live = box[4] != -np.inf
-    vals, errs = box[3][live].tolist(), box[4][live].tolist()
-    start = 0
-    for j, count, k in zip(which.tolist(), np.count_nonzero(live, axis=1).tolist(), evals.tolist()):
-        stop = start + count
-        v, e = vals[start:stop], errs[start:stop]
-        for value, err in retired.get(j, ()):
-            v.append(value)
-            e.append(err)
-        err = math.fsum(e)
-        results[j] = OracleResult(math.fsum(v), err, k, err <= tol)
-        start = stop
+    stops = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+    spans = list(zip([0, *stops[:-1]], stops))
+    for k in (0, 1):
+        flat = box[3 + k][live].tolist()
+        sums[k, which] = [math.fsum(flat[a:b]) for a, b in spans]
+        for (a, b), j in zip(spans, which.tolist() if retired else ()):
+            if j in retired:
+                sums[k, j] = math.fsum(flat[a:b] + [panel[k] for panel in retired[j]])
+
+
+def _results(columns) -> list[OracleResult]:
+    """The `OracleResult`s of `_integrate_rows`'s result arrays."""
+    return [OracleResult(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_000, points=()):
@@ -336,15 +353,15 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_
     def rows_f(xs, rows):
         return np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
 
-    return _integrate_rows(rows_f, [plan], tol, max_evals)[0]
+    return _results(_integrate_rows(rows_f, [plan], tol, max_evals))[0]
 
 
-def _integrals(items, tol: float) -> list[OracleResult]:
-    """`integrate` of each (f, a, b) in ``items`` at ``tol``, all in one `_integrate_rows` call.
+def _integrals(items) -> list[OracleResult]:
+    """`integrate` of each (f, a, b, tol) in ``items``, all in one `_integrate_rows` call.
 
     Each run of a round's rows belongs to one integral and goes to its own
     ``f`` as one flat array, so every integral bisects, and ends, exactly
-    as `integrate` would run it alone.
+    as `integrate` would run it alone at its own ``tol``.
     """
 
     def rows_f(xs, rows):
@@ -354,22 +371,17 @@ def _integrals(items, tol: float) -> list[OracleResult]:
             out[lo:hi] = np.asarray(f(xs[lo:hi].ravel()), dtype=float).reshape(hi - lo, -1)
         return out
 
-    return _integrate_rows(rows_f, [_plan(a, b) for _, a, b in items], tol, 1_000_000)
+    plans = [_plan(a, b) for _, a, b, _ in items]
+    return _results(_integrate_rows(rows_f, plans, [tol for *_, tol in items], 1_000_000))
 
 
-def _integral_batch(tol: float):
-    """A task batch for cases whose ``run`` returns ``(items, value)``.
-
-    ``items`` lists the case's integrals as (f, a, b), and ``value`` turns
-    their values, in order, into the case's value.  The integrals of all the
-    cases advance together in `_integrals` at ``tol``.
+def _integral_batch(runs) -> list:
+    """The task batch of cases whose ``run`` returns ``(items, value)``: ``items``
+    lists the case's integrals as (f, a, b, tol), and ``value`` turns their
+    values, in order, into the case's value.  All advance together in `_integrals`.
     """
-
-    def batch(runs):
-        results = iter(_integrals([item for items, _ in runs for item in items], tol))
-        return [value([next(results).value for _ in items]) for items, value in runs]
-
-    return batch
+    results = iter(_integrals([item for items, _ in runs for item in items]))
+    return [value([next(results).value for _ in items]) for items, value in runs]
 
 
 # ---------- numeric marginalization of the mixture hierarchies ----------
@@ -507,18 +519,17 @@ def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
     consts = [_UniformGG.at(*point) for point in points]
     if tol <= 0:
         raise DomainError("tol must be positive")
-    p_of, inv_width, radius_scale = (
-        np.array([getattr(c, name) for c in consts]) for name in ("p", "inv_width", "radius_scale")
+    p_of, m_of, inv_width, radius_scale = (
+        np.array([getattr(c, name) for c in consts]) for name in ("p", "m", "inv_width", "radius_scale")
     )
-    inner_evals = [0] * len(consts)
+    inner_evals = np.zeros(len(consts), dtype=int)
 
     def outer(ss, points_of):
         owner = points_of.repeat(15)  # the point of each node, one inner integral per node
         root_s = np.sqrt(ss).ravel()
-        plans = [
-            _plan((consts[i].m * r / consts[i].radius_scale) ** consts[i].p, math.inf)
-            for i, r in zip(owner.tolist(), root_s.tolist())
-        ]
+        # the power of floats, which can differ from numpy's array power in the last bit
+        stretch = (m_of[owner] * root_s / radius_scale[owner]).tolist()
+        plan = _tail_plan([v**p for v, p in zip(stretch, p_of[owner].tolist())])
 
         def integrand(u, rows):
             out = np.empty_like(u)
@@ -533,10 +544,9 @@ def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
                 )
             return out
 
-        inner = _integrate_rows(integrand, plans, 0.01 * tol, 50_000)
-        for i, res in zip(owner.tolist(), inner):
-            inner_evals[i] += res.evaluations
-        values = np.array([res.value for res in inner]).reshape(ss.shape)
+        values, _, evals, _ = _integrate_rows(integrand, [plan], 0.01 * tol, 50_000)
+        np.add.at(inner_evals, owner, evals)
+        values = values.reshape(ss.shape)
         out = np.empty_like(ss)
         for lo, hi in _runs(points_of):
             c, s = consts[points_of[lo]], ss[lo:hi]
@@ -544,11 +554,9 @@ def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
             out[lo:hi] = np.exp(log_gg) * values[lo:hi] * c.tilt
         return out
 
-    results = _integrate_rows(outer, [_plan(0.0, math.inf)] * len(consts), tol, 1_000_000)
-    return [
-        OracleResult(res.value, res.abs_error_estimate, res.evaluations + extra, res.converged)
-        for res, extra in zip(results, inner_evals)
-    ]
+    _, panels = _plan(0.0, math.inf)
+    value, error, evals, ok = _integrate_rows(outer, [(np.zeros(len(consts)), panels)], tol, 1_000_000)
+    return _results((value, error, evals + inner_evals, ok))
 
 
 class _UniformGG(NamedTuple):
@@ -707,8 +715,26 @@ def _corrupt(spec: DistributionSpec, delta_scale: float | None) -> DistributionS
 
 
 def _masses(specs) -> list[OracleResult]:
-    """Total mass of each spec over the line, all integrals in one `_integrals` call."""
-    return _integrals([(partial(pdf, spec), -math.inf, math.inf) for spec in specs], 1e-10)
+    """`integrate` of each spec's `pdf` over the line at tol 1e-10, in one `_integrate_rows` call.
+
+    Each round evaluates the density once per distinct base: the rows of the
+    specs that share it go to `families._log_density` together, with one
+    row of parameters per panel.
+    """
+    bases = list(dict.fromkeys(spec.base for spec in specs))
+    group = np.array([bases.index(spec.base) for spec in specs])
+    params = [np.array([getattr(s, name) for s in specs]) for name in ("alpha", "gamma", "b", "loc", "scale")]
+
+    def rows_f(xs, rows):
+        out = np.empty_like(xs)
+        for k, base in enumerate(bases):
+            sel = np.flatnonzero(group[rows] == k)
+            if sel.size:
+                out[sel] = np.exp(_log_density(base, *(c[rows[sel, None]] for c in params), xs[sel]))
+        return out
+
+    _, panels = _plan(-math.inf, math.inf)  # folded at 0
+    return _results(_integrate_rows(rows_f, [(np.zeros(len(specs)), panels)], 1e-10, 1_000_000))
 
 
 def _norm_discrepancies(specs) -> list[float]:
@@ -721,13 +747,20 @@ def _norm_discrepancies(specs) -> list[float]:
 
 
 def _oracle_moment(spec: DistributionSpec, r: int) -> float:
+    """E(X^r) by quadrature: the one-moment case of a moment task's `_integral_batch`."""
+    items, value = _moment_integrals(spec, r)
+    return value([res.value for res in _integrals(items)])
+
+
+def _moment_integrals(spec: DistributionSpec, r: int):
+    """The (items, value) of E(X^r) for `_integral_batch`: a center over
+    (-cut, cut) at tol 4e-10 and each tail, in u = 1/x, at 3e-10."""
     # Power tails near the existence boundary decay as slowly as x^(-1.4),
     # and the generic fold onto (-1, 1) squeezes their outer mass into a
     # sliver at t = 1 that double precision cannot split.  Substituting
     # u = 1/x instead puts the awkward end at u = 0, where floats are dense
     # and bisection reaches it.
     cut = 16.0 * max(1.0, abs(spec.loc) + spec.scale)
-    center = integrate(lambda xs: xs**r * pdf(spec, xs), -cut, cut, tol=4e-10)
 
     def tail(sign: float):
         def g(us):
@@ -735,9 +768,10 @@ def _oracle_moment(spec: DistributionSpec, r: int) -> float:
             # log form: u**-(r+2) and pdf(1/u) overflow/underflow separately
             return np.exp(-(r + 2.0) * np.log(us) + log_pdf(spec, sign / us))
 
-        return integrate(g, 0.0, 1.0 / cut, tol=3e-10)
+        return g, 0.0, 1.0 / cut, 3e-10
 
-    return center.value + tail(1.0).value + (-1.0) ** r * tail(-1.0).value
+    center = (lambda xs: xs**r * pdf(spec, xs), -cut, cut, 4e-10)
+    return [center, tail(1.0), tail(-1.0)], lambda v: v[0] + v[1] + (-1.0) ** r * v[2]
 
 
 def _sup_diff(f, g, grid) -> float:
@@ -797,7 +831,7 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
             for p, q in _GRID_PQS:
                 ident = f"normalization/bsgt alpha={a} gamma={g} p={p} q={q}"
                 norm.append(_Case(ident, partial(gt, a, g, p, q), 1e-8))
-    task(*norm, cost=0.6, batch=_norm_discrepancies)
+    task(*norm, cost=0.17, batch=_norm_discrepancies)
 
     # reduction chain
     grid = np.linspace(-10.0, 10.0, 401)
@@ -879,7 +913,7 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
     # mass ratio at alpha = 0
     def mass_ratio(make, g):
         density = partial(pdf, make(g))
-        halves = [(density, 0.0, math.inf), (density, -math.inf, 0.0)]
+        halves = [(density, 0.0, math.inf, 1e-11), (density, -math.inf, 0.0, 1e-11)]
         return halves, lambda mass: abs(mass[0] / mass[1] - g * g)
 
     task(
@@ -893,30 +927,32 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
             for g in (0.5, 2.0)
         ),
         cost=0.7,
-        batch=_integral_batch(1e-11),
+        batch=_integral_batch,
     )
 
     # closed-form moments vs direct quadrature, with existence bookkeeping
     def moment_gap(make, r):
         spec = make()
-        return abs(full_moment(spec, r) - _oracle_moment(spec, r))
+        items, value = _moment_integrals(spec, r)
+        return items, lambda v: abs(full_moment(spec, r) - value(v))
 
     # the p = 1.7, q = 2 tails decay slowly, and their quadrature is long
     for label, make, orders, cost in (
-        ("bsn alpha=0 gamma=1.5", partial(bsn, 0.0, 1.5), (1, 2, 3, 4), 1.5),
-        ("bsn alpha=1 gamma=0.5", partial(bsn, 1.0, 0.5), (1, 2, 3, 4), 1.5),
-        ("bsn alpha=3 gamma=1", partial(bsn, 3.0, 1.0), (1, 2, 3, 4), 1.5),
-        ("bsstd alpha=0 gamma=1.5 nu=8", partial(bsstd, 0.0, 1.5, 8.0), (1, 2, 3, 4), 1.5),
-        ("bsstd alpha=1 gamma=0.8 nu=8", partial(bsstd, 1.0, 0.8, 8.0), (1, 2, 3, 4), 1.5),
-        ("bsstd alpha=0 gamma=1.5 nu=4", partial(bsstd, 0.0, 1.5, 4.0), (1, 2, 3), 1.5),
-        ("bsgt alpha=0 gamma=1.5 p=2 q=5", partial(bsgt, 0.0, 1.5, 2.0, 5.0), (1, 2, 3, 4), 1.5),
-        ("bsgt alpha=1 gamma=0.8 p=2 q=5", partial(bsgt, 1.0, 0.8, 2.0, 5.0), (1, 2, 3, 4), 1.5),
-        ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", partial(bsgt, 0.0, 1.2, 1.7, 2.0), (1, 2, 3), 10.0),
-        ("bsgt alpha=1 gamma=1.2 p=1.7 q=2", partial(bsgt, 1.0, 1.2, 1.7, 2.0), (1,), 17.0),
+        ("bsn alpha=0 gamma=1.5", partial(bsn, 0.0, 1.5), (1, 2, 3, 4), 1.0),
+        ("bsn alpha=1 gamma=0.5", partial(bsn, 1.0, 0.5), (1, 2, 3, 4), 1.0),
+        ("bsn alpha=3 gamma=1", partial(bsn, 3.0, 1.0), (1, 2, 3, 4), 1.0),
+        ("bsstd alpha=0 gamma=1.5 nu=8", partial(bsstd, 0.0, 1.5, 8.0), (1, 2, 3, 4), 1.0),
+        ("bsstd alpha=1 gamma=0.8 nu=8", partial(bsstd, 1.0, 0.8, 8.0), (1, 2, 3, 4), 1.0),
+        ("bsstd alpha=0 gamma=1.5 nu=4", partial(bsstd, 0.0, 1.5, 4.0), (1, 2, 3), 1.0),
+        ("bsgt alpha=0 gamma=1.5 p=2 q=5", partial(bsgt, 0.0, 1.5, 2.0, 5.0), (1, 2, 3, 4), 1.0),
+        ("bsgt alpha=1 gamma=0.8 p=2 q=5", partial(bsgt, 1.0, 0.8, 2.0, 5.0), (1, 2, 3, 4), 1.0),
+        ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", partial(bsgt, 0.0, 1.2, 1.7, 2.0), (1, 2, 3), 5.5),
+        ("bsgt alpha=1 gamma=1.2 p=1.7 q=2", partial(bsgt, 1.0, 1.2, 1.7, 2.0), (1,), 14.0),
     ):
         task(
             *(_Case(f"moments/{label} r={r}", partial(moment_gap, make, r), 1e-6) for r in orders),
             cost=cost,
+            batch=_integral_batch,
         )
 
     def existence_misses(make, expected):
@@ -940,17 +976,17 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
     )
 
     # mixture marginalizations vs closed forms, each task's integrals in one batch
-    def gap(item, ref):
-        return [item], lambda value: abs(value[0] - ref)
+    def gap(item, tol, ref):
+        return [(*item, tol)], lambda value: abs(value[0] - ref)
 
     def gamma_gap(x, g):
-        return gap(_gamma_mixture(x, 1.0, g, 4.0), float(pdf(bsstd(1.0, g, 4.0), x)))
+        return gap(_gamma_mixture(x, 1.0, g, 4.0), 1e-10, float(pdf(bsstd(1.0, g, 4.0), x)))
 
     def uniform_gap(x, g, lam):
-        return gap(_uniform_mixture(x, g, lam), float(pdf(bsn(0.0, g, scale=lam**-0.5), x)))
+        return gap(_uniform_mixture(x, g, lam), 1e-10, float(pdf(bsn(0.0, g, scale=lam**-0.5), x)))
 
     def gg_gap(x, g, p, q):
-        return gap(_gg_mixture(x, 1.0, g, p, q), float(pdf(gt(1.0, g, p, q), x)))
+        return gap(_gg_mixture(x, 1.0, g, p, q), 1e-9, float(pdf(gt(1.0, g, p, q), x)))
 
     def uniform_gg_point(x, g, p, q):
         return (x, 1.0, g, p, q), float(pdf(gt(1.0, g, p, q), x))
@@ -966,7 +1002,7 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
             for x in _MIX_XS
         ),
         cost=0.3,
-        batch=_integral_batch(1e-10),
+        batch=_integral_batch,
     )
     task(
         *(
@@ -976,7 +1012,7 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
             for x in _MIX_XS
         ),
         cost=0.15,
-        batch=_integral_batch(1e-10),
+        batch=_integral_batch,
     )
     # the gg and uniform-gg identities alternate in the suite: a gg task per
     # (p, gamma), and every uniform-gg identity in one batch
@@ -990,8 +1026,8 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
                 uniform_gg.append(
                     add(_Case(f"mixture/uniform-gg {name}", partial(uniform_gg_point, x, g, p, q), 1e-4))
                 )
-            tasks.append((gg, _integral_batch(1e-9), 0.5))
-    tasks.append((uniform_gg, uniform_gg_gaps, 4.0))
+            tasks.append((gg, _integral_batch, 0.5))
+    tasks.append((uniform_gg, uniform_gg_gaps, 2.8))
 
     # mode-count law for the normal base at gamma = 1, plus mode geometry
     def count_miss(a):
@@ -1133,9 +1169,12 @@ def run_checks(
     usable and the caller has one thread; otherwise in-process.  The tasks
     go out costliest first, by the estimate the suite gives each, so the
     cheap ones fill in around the dear ones.  Each sampler gate is a task of
-    its own, and every selected uniform-gg marginalization runs in one batch
-    whose outer integrals share rounds.  The records are the same either
-    way, and an exception raised by a task reaches the caller as in-process.
+    its own, and the integrals of a task share one round loop: the selected
+    normalizations, whose density is evaluated once per distinct base per
+    round; the center and tails of each moment of a spec; and every selected
+    uniform-gg marginalization, whose outer integrals share rounds.  The
+    records are the same either way, and an exception raised by a task
+    reaches the caller as in-process.
     """
     n = int(sample_size)
     if n < 1:

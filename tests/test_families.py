@@ -23,6 +23,7 @@ from bimodalskew.bases import (
 from bimodalskew.errors import DomainError, ExistenceError, NumericError
 from bimodalskew.families import (
     DistributionSpec,
+    _log_density,
     bsgt,
     bsn,
     bsstd,
@@ -555,6 +556,66 @@ class TestFarTail:
         )
         for near, far in pairs:
             assert far < near and far == pytest.approx(near, abs=0.1)
+
+
+# the far points overflow (x - loc) / scale or alpha z^2, which numpy reports,
+# and at alpha = 0 an infinite x makes alpha z^2 = 0 * inf, which log_pdf
+# reports as well before it takes the far path
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+class TestSharedBaseKernel:
+    """`_log_density` on rows of members that share a base, one row each,
+    equals `log_pdf` of each member alone, bit for bit."""
+
+    POINTS = [0.0, -0.0, 0.3, -2.5, 7.0, 1e300, -1e300, math.inf, -math.inf]
+    # (alpha, gamma, loc, scale): alpha 0 and > 0, gamma 0.5 to 2, moved and
+    # rescaled members, and two slow rows: at 1e300 a tiny alpha leaves
+    # alpha z^2 finite while z / gamma overflows, and a unit alpha overflows
+    # alpha z^2 itself
+    MEMBERS = [
+        (0.0, 1.0, 0.0, 1.0),
+        (0.0, 0.5, 0.0, 1.0),
+        (1.0, 2.0, 0.0, 1.0),
+        (3.0, 0.8, -1.5, 2.5),
+        (10.0, 1.3, 4.0, 1e-3),
+        (1e-320, 0.5, 0.0, 1e-8),
+        (1.0, 1.1, 0.0, 1e-8),
+    ]
+    BASES = [
+        NormalBase(),
+        StudentTBase(3.0),
+        StudentTBase(8.0),
+        GenTBase(1.7, 2.0),
+        GenTBase(2.3, 2.0, GenTBase(2.3, 2.0).delta * 1.05),  # as --corrupt-delta-scale 1.05 builds it
+    ]
+
+    @staticmethod
+    def rows(base, members, xs):
+        specs = [DistributionSpec(a, g, base, loc, scale) for a, g, loc, scale in members]
+        names = ("alpha", "gamma", "b", "loc", "scale")
+        columns = [np.array([[getattr(s, name)] for s in specs]) for name in names]
+        return specs, _log_density(base, *columns, xs)
+
+    @pytest.mark.parametrize("base", BASES, ids=["normal", "student3", "student8", "gent", "gent-delta1.05"])
+    def test_rows_equal_each_member_alone(self, base):
+        xs = np.tile(self.POINTS, (len(self.MEMBERS), 1))
+        specs, rows = self.rows(base, self.MEMBERS, xs)
+        for spec, row in zip(specs, rows):
+            assert row.tobytes() == log_pdf(spec, xs[0]).tobytes()
+
+    @pytest.mark.parametrize("base", BASES, ids=["normal", "student3", "student8", "gent", "gent-delta1.05"])
+    def test_one_slow_row_leaves_the_others_as_alone(self, base):
+        # the other rows take the fast path alone, and the whole call the slow one
+        xs = np.tile(np.linspace(-9.0, 9.0, 37), (len(self.MEMBERS), 1))
+        xs[-2, -1] = 1e300
+        specs, rows = self.rows(base, self.MEMBERS, xs)
+        for spec, row, x in zip(specs, rows, xs):
+            assert row.tobytes() == log_pdf(spec, x).tobytes()
+
+    def test_float_in_float_out(self):
+        for spec in (bsn(1.0, 1.5), bsstd(1.0, 1.5, 5.0), bsgt(1.0, 1.5, 1.7, 2.0)):
+            assert type(log_pdf(spec, 0.7)) is float
+            assert log_pdf(spec, 0.7) == log_pdf(spec, np.array([0.7]))[0]
 
 
 class TestMoments:

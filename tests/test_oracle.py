@@ -12,7 +12,16 @@ from scipy import special, stats
 from bimodalskew import _workers, oracle
 from bimodalskew.bases import NormalBase
 from bimodalskew.errors import DomainError, ExistenceError
-from bimodalskew.families import bsgt, bsn, bsstd, cdf_values, pdf, two_piece_second_moment
+from bimodalskew.families import (
+    bsgt,
+    bsn,
+    bsstd,
+    cdf_values,
+    full_moment,
+    log_pdf,
+    pdf,
+    two_piece_second_moment,
+)
 from bimodalskew.oracle import (
     _beta_prime_pdf,
     _corrupt,
@@ -21,10 +30,14 @@ from bimodalskew.oracle import (
     _ks_from_cdf,
     _ks_sorted,
     _masses,
+    _moment_integrals,
     _normal_pdf,
+    _oracle_moment,
     _plan,
     _quadratic_tilt_cdf,
+    _results,
     _student_pdf,
+    _tail_plan,
     _uniform_gg_densities,
     gamma_mixture_density,
     gg_mixture_density,
@@ -106,7 +119,7 @@ class TestIntegrate:
         def rows_f(xs, rows):
             return np.stack([cases[j][0](x) for j, x in zip(rows, xs)])
 
-        shared = _integrate_rows(rows_f, [_plan(a, b) for _, a, b in cases], 1e-10, 3000)
+        shared = _results(_integrate_rows(rows_f, [_plan(a, b) for _, a, b in cases], 1e-10, 3000))
         alone = [integrate(f, a, b, tol=1e-10, max_evals=3000) for f, a, b in cases]
         assert shared == alone
         assert [r.converged for r in shared] == [True] * 5 + [False]
@@ -122,6 +135,50 @@ class TestIntegrate:
         alone = [integrate(lambda xs: pdf(s, xs), -np.inf, np.inf, tol=1e-10) for s in specs]
         assert _masses(specs) == alone
         assert abs(alone[-1].value - 1.0) > 1e-3  # the corrupted spec does not integrate to 1
+
+    def test_mixed_tolerances_stop_where_each_stops_alone(self):
+        cases = [
+            (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf, 1e-6),
+            (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf, 1e-13),
+            (np.exp, -np.inf, 0.0, 1e-9),
+            (lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf, 1e-12),
+            (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, 1e-7),
+            (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, 1e-11),
+        ]
+
+        def rows_f(xs, rows):
+            return np.stack([cases[j][0](x) for j, x in zip(rows, xs)])
+
+        plans = [_plan(a, b) for _, a, b, _ in cases]
+        shared = _results(_integrate_rows(rows_f, plans, [tol for *_, tol in cases], 3000))
+        alone = [integrate(f, a, b, tol=tol, max_evals=3000) for f, a, b, tol in cases]
+        assert [(r.value.hex(), r.abs_error_estimate.hex(), r.evaluations, r.converged) for r in shared] == [
+            (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations, r.converged) for r in alone
+        ]
+        # the tolerances part the integrals: each stops at its own
+        assert alone[0].evaluations < alone[1].evaluations and alone[4].evaluations < alone[5].evaluations
+
+    def test_masses_of_specs_that_share_bases(self):
+        # a subset of the normalization grid: eight bases, each shared by several specs
+        specs = [
+            make(a, g)
+            for a in (0.0, 10.0)
+            for g in (0.5, 1.1)
+            for make in (
+                bsn,
+                lambda a, g: bsstd(a, g, 3.0),
+                lambda a, g: bsstd(a, g, 8.0),
+                lambda a, g: bsgt(a, g, 1.7, 2.0),
+                lambda a, g: _corrupt(bsgt(a, g, 2.3, 2.0), 1.05),
+            )
+        ]
+        alone = [integrate(partial(pdf, s), -np.inf, np.inf, tol=1e-10) for s in specs]
+
+        def fields(results):
+            return [(r.value.hex(), r.abs_error_estimate.hex(), r.evaluations, r.converged) for r in results]
+
+        assert fields(_masses(specs)) == fields(alone)
+        assert fields(_masses(specs[::-1])) == fields(alone[::-1])
 
     def test_ties_go_to_the_oldest_panel(self):
         # a constant integrand gives the panels of one width equal errors;
@@ -226,6 +283,23 @@ class TestMixtureRoutes:
         res = uniform_gg_mixture_density(*point)
         assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == want
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_double_layer_rejects_a_non_finite_inner_lower_limit(self, x):
+        # x enters the inner lower limit (|x| stretched times sqrt(s) over a scale)^p
+        with pytest.raises(DomainError):
+            uniform_gg_mixture_density(x, 1.0, 1.5, 2.0, 2.0)
+
+    @pytest.mark.parametrize("lowers", [[0.5, math.nan], [math.inf], [0.0, -1.0]])
+    def test_tail_plan_rejects_bad_lower_limits(self, lowers):
+        with pytest.raises(DomainError):
+            _tail_plan(lowers)
+
+    def test_tail_plan_is_the_one_point_plan(self):
+        lowers = [0.0, 1e-300, 0.7, 3e5]
+        anchors, panels = _tail_plan(lowers)
+        assert anchors.tolist() == lowers
+        assert all(_plan(a, math.inf) == (a, panels) for a in lowers)
+
     def test_double_layer_batch_gives_the_one_point_results(self):
         # mixed p, repeated points, and the order of the suite turned around
         points = [
@@ -236,6 +310,96 @@ class TestMixtureRoutes:
             (0.5, 1.0, 0.8, 2.0, 2.0),
         ]
         assert _uniform_gg_densities(points) == [uniform_gg_mixture_density(*pt) for pt in points]
+
+
+class TestMomentTasks:
+    """A moment task's integrals share one round loop and give the values of
+    three one-integral `integrate` calls per moment."""
+
+    @staticmethod
+    def alone(spec, r):
+        # E(X^r) from three separate integrals: the center and the two tails in u = 1/x
+        cut = 16.0 * max(1.0, abs(spec.loc) + spec.scale)
+        center = integrate(lambda xs: xs**r * pdf(spec, xs), -cut, cut, tol=4e-10)
+
+        def tail(sign):
+            def g(us):
+                us = np.maximum(us, 1e-150)
+                return np.exp(-(r + 2.0) * np.log(us) + log_pdf(spec, sign / us))
+
+            return integrate(g, 0.0, 1.0 / cut, tol=3e-10)
+
+        return center.value + tail(1.0).value + (-1.0) ** r * tail(-1.0).value
+
+    @pytest.mark.parametrize(
+        "label,spec,orders",
+        [
+            ("bsstd alpha=1 gamma=0.8 nu=8", bsstd(1.0, 0.8, 8.0), (1, 2, 3, 4)),
+            ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", bsgt(0.0, 1.2, 1.7, 2.0), (1, 2, 3)),
+        ],
+        ids=["bsstd", "bsgt-slow-tails"],
+    )
+    def test_task_values_equal_separate_integrals(self, monkeypatch, label, spec, orders):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        loops = []
+        real = oracle._integrate_rows
+        monkeypatch.setattr(oracle, "_integrate_rows", lambda *a: loops.append(1) or real(*a))
+        records = run_checks(only=f"moments/{label} ")
+        assert [r["identity"] for r in records] == [f"moments/{label} r={r}" for r in orders]
+        assert len(loops) == 1
+        for rec, r in zip(records, orders):
+            alone = self.alone(spec, r)
+            assert rec["value"] == abs(full_moment(spec, r) - alone)
+            assert _oracle_moment(spec, r).hex() == alone.hex()
+
+    def test_items_carry_their_tolerances(self):
+        items, value = _moment_integrals(bsn(1.0, 0.5), 2)
+        assert [(a, b, tol) for _, a, b, tol in items] == [(-16.0, 16.0, 4e-10), (0.0, 1 / 16, 3e-10)] + [
+            (0.0, 1 / 16, 3e-10)
+        ]
+        assert value([1.0, 2.0, 4.0]) == 7.0
+        assert _moment_integrals(bsn(1.0, 0.5), 3)[1]([1.0, 2.0, 4.0]) == -1.0
+
+
+class TestCallCounts:
+    """Counted, not timed: the check's batches make few density calls and round loops."""
+
+    def test_normalization_evaluates_each_base_once_per_round(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        calls, per_round = [0], []
+        kernel, rounds = oracle._log_density, oracle._gk_rows
+
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        def round_(*args):
+            before = calls[0]
+            out = rounds(*args)
+            per_round.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(oracle, "_log_density", counted)
+        monkeypatch.setattr(oracle, "_gk_rows", round_)
+        records = run_checks(only="normalization/")
+        assert len(records) == 200
+        assert per_round and max(per_round) <= 8
+        assert sum(per_round) == calls[0]
+
+    def test_one_round_loop_per_moment_task(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        loops = []
+        real = oracle._integrate_rows
+        monkeypatch.setattr(oracle, "_integrate_rows", lambda *a: loops.append(len(a[1])) or real(*a))
+        records = run_checks(only="moments/")
+        orders = {}  # moment task: its number of moments
+        for r in records:
+            if " r=" in r["identity"]:
+                task = r["identity"].rsplit(" r=", 1)[0]
+                orders[task] = orders.get(task, 0) + 1
+        assert len(orders) == 10
+        # one loop per task, holding the three integrals of each of its moments
+        assert sorted(loops) == sorted(3 * k for k in orders.values())
 
 
 class TestSampleDiagnostics:
