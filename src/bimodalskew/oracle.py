@@ -554,8 +554,8 @@ def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
             out[lo:hi] = np.exp(log_gg) * values[lo:hi] * c.tilt
         return out
 
-    _, panels = _plan(0.0, math.inf)
-    value, error, evals, ok = _integrate_rows(outer, [(np.zeros(len(consts)), panels)], tol, 1_000_000)
+    anchor, panels = _plan(0.0, math.inf)
+    value, error, evals, ok = _integrate_rows(outer, [(np.full(len(consts), anchor), panels)], tol, 1_000_000)
     return _results((value, error, evals + inner_evals, ok))
 
 
@@ -733,8 +733,8 @@ def _masses(specs) -> list[OracleResult]:
                 out[sel] = np.exp(_log_density(base, *(c[rows[sel, None]] for c in params), xs[sel]))
         return out
 
-    _, panels = _plan(-math.inf, math.inf)  # folded at 0
-    return _results(_integrate_rows(rows_f, [(np.zeros(len(specs)), panels)], 1e-10, 1_000_000))
+    anchor, panels = _plan(-math.inf, math.inf)
+    return _results(_integrate_rows(rows_f, [(np.full(len(specs), anchor), panels)], 1e-10, 1_000_000))
 
 
 def _norm_discrepancies(specs) -> list[float]:
