@@ -138,7 +138,7 @@ def _plan(a: float, b: float, points=()) -> tuple[float | None, list[tuple[float
 
 def _tail_plan(lowers) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """The plan of the integrals over (a, inf), a in ``lowers``: `_plan`'s
-    for a finite a >= 0, with the anchors in an array.  Any other a raises."""
+    for a finite a >= 0, with the anchors in an array; any other a raises DomainError."""
     lowers = np.asarray(lowers, dtype=float)
     if not ((lowers >= 0.0) & (lowers < math.inf)).all():
         raise DomainError(f"need finite lower limits a >= 0, got {lowers.min()} to {lowers.max()}")

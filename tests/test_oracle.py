@@ -159,7 +159,7 @@ class TestIntegrate:
         assert alone[0].evaluations < alone[1].evaluations and alone[4].evaluations < alone[5].evaluations
 
     def test_masses_of_specs_that_share_bases(self):
-        # a subset of the normalization grid: eight bases, each shared by several specs
+        # a subset of the normalization grid: five bases, each shared by four specs
         specs = [
             make(a, g)
             for a in (0.0, 10.0)
