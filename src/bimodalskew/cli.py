@@ -11,7 +11,6 @@ import argparse
 import gc
 import json
 import math
-import secrets
 import sys
 import time
 
@@ -22,6 +21,7 @@ from .families import DistributionSpec, bsgt, bsn, bsstd, pdf
 from .sampling import RngStream, sample
 
 SCHEMA = "bimodal-skew/1"
+_CHUNK = 65536  # draws formatted per write by `sample`
 
 
 def _add_model_flags(sp: argparse.ArgumentParser, loc_scale: bool) -> None:
@@ -128,10 +128,19 @@ def cmd_sample(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     if args.n < 1:
         raise DomainError(f"--n must be at least 1, got {args.n}")
-    seed = secrets.randbits(63) if args.seed is None else args.seed
+    if args.seed is None:
+        import secrets  # loads hmac and OpenSSL: only an unseeded sample needs it
+
+        seed = secrets.randbits(63)
+    else:
+        seed = args.seed
     draws = sample(spec, args.n, RngStream(seed, 0))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{v:.17g}\n" for v in draws)
+        # one %-format per chunk of Python floats: the bytes f"{v:.17g}" gives
+        # each numpy scalar, at about half the time
+        for start in range(0, draws.size, _CHUNK):
+            chunk = draws[start : start + _CHUNK].tolist()
+            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
     meta = {
         "schema": SCHEMA,
         "command": "sample",

@@ -148,6 +148,14 @@ def _log_density(base, alpha, gamma, b, loc, scale, x):
     # sign(0) = +1: z = 0 goes through the stretched positive branch.
     arg = np.where(z >= 0, z / gamma, z * gamma)
     out = base.log_pdf(arg) + _LOG_2 - np.log(gamma + 1.0 / gamma)
+    # An infinite z would make alpha z^2 = 0 * inf at alpha = 0: NaN, which the
+    # slow path replaces, but with numpy's invalid-value warning.  A point's z
+    # and alpha go in as Python floats, which give the NaN silently; in an
+    # array the infinite z, whose arg is infinite too, are zeroed first.
+    if isinstance(z, float) and not isinstance(alpha, np.ndarray):
+        z, alpha = float(z), float(alpha)
+    elif not np.isfinite(z).all():
+        z = np.where(np.isinf(z), 0.0, z)
     t = alpha * z * z
     # The slow path handles an overflowed alpha z^2, whose log(1 + alpha z^2)
     # then comes from logs, and an overflowed arg.  Both terms are >= 0 or

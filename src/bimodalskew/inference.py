@@ -545,11 +545,12 @@ def run_mcmc(
     """Run one or more independent chains; chain c uses RngStream(seed, c).
 
     Every chain's sampler is built, and its inputs checked, before any runs.
-    Two or more chains run through `_workers.map_forked`: on two forked
-    worker processes when two CPUs are usable and the caller has one thread,
-    otherwise one after another.  The chains come back in chain order and
-    are the same either way, and the collector's frozen state is as the
-    caller left it.
+    Two or more chains run through `_workers.map_forked`: on two worker
+    processes forked with `os.fork` when two CPUs are usable and the caller
+    has one thread, each taking the next chain when it is free and sending
+    it back pickled; otherwise one after another.  The chains come back in
+    chain order and are the same either way, and the collector's frozen
+    state is as the caller left it.
     """
     config = config or McmcConfig()
     samplers = [

@@ -1165,16 +1165,18 @@ def run_checks(
     before checking, as a deliberate-fault hook proving the suite can fail.
 
     The selected cases run as tasks through `_workers.map_forked`, on two
-    forked workers when the selection spans two tasks or more, two CPUs are
-    usable and the caller has one thread; otherwise in-process.  The tasks
-    go out costliest first, by the estimate the suite gives each, so the
+    workers forked with `os.fork` when the selection spans two tasks or
+    more, two CPUs are usable and the caller has one thread; otherwise
+    in-process.  The tasks go out costliest first, by the estimate the suite
+    gives each, and a worker takes the next one only when it is free, so the
     cheap ones fill in around the dear ones.  Each sampler gate is a task of
     its own, and the integrals of a task share one round loop: the selected
     normalizations, whose density is evaluated once per distinct base per
     round; the center and tails of each moment of a spec; and every selected
     uniform-gg marginalization, whose outer integrals share rounds.  The
     records are the same either way, and an exception raised by a task
-    reaches the caller as in-process.
+    reaches the caller as in-process; a worker that dies raises
+    `_workers.WorkerError`.
     """
     n = int(sample_size)
     if n < 1:

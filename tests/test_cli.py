@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import bimodalskew
+from bimodalskew import cli
 from bimodalskew.cli import main
-from bimodalskew.families import bsn, pdf
+from bimodalskew.families import bsgt, bsn, bsstd, pdf
+from bimodalskew.sampling import RngStream, sample
 
 
 def run(capsys, *argv):
@@ -154,6 +156,33 @@ class TestSample:
         assert code == 0
         meta = json.loads((tmp_path / "c.txt.meta.json").read_text())
         assert isinstance(meta["seed"], int) and meta["seed"] >= 0
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize(
+        "flags,spec",
+        [
+            (("--model", "bsn"), bsn(1.0, 1.5)),
+            (("--model", "bsstd", "--nu", "4"), bsstd(1.0, 1.5, 4.0)),
+            (("--model", "bsgt", "--p", "2.3", "--q", "2"), bsgt(1.0, 1.5, 2.3, 2.0)),
+        ],
+        ids=["bsn", "bsstd", "bsgt"],
+    )
+    def test_chunked_file_equals_one_format_per_draw(self, capsys, tmp_path, flags, spec, seed):
+        # sizes around the 65536-draw chunk
+        out = tmp_path / "draws.txt"
+        for n in (1, 65535, 65536, 65537):
+            argv = ("sample", *flags, "--alpha", "1", "--gamma", "1.5", "--n", str(n), "--seed", str(seed))
+            assert run(capsys, *argv, "--out", str(out))[0] == 0
+            draws = sample(spec, n, RngStream(seed, 0))
+            assert out.read_bytes() == "".join(f"{v:.17g}\n" for v in draws).encode()
+
+    def test_extreme_draws_are_written_exactly(self, capsys, tmp_path, monkeypatch):
+        values = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+        monkeypatch.setattr(cli, "sample", lambda spec, n, rng: values)
+        out = tmp_path / "draws.txt"
+        code, _, _ = run(capsys, "sample", "--model", "bsn", "--n", "5", "--seed", "1", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == b"-0\n4.9406564584124654e-324\n2.2250738585072014e-308\n1e+308\n-1e+308\n"
 
     def test_rejects_nonpositive_n(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sample", "--model", "bsn", "--gamma", "1",

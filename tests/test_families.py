@@ -558,11 +558,23 @@ class TestFarTail:
             assert far < near and far == pytest.approx(near, abs=0.1)
 
 
-# the far points overflow (x - loc) / scale or alpha z^2, which numpy reports,
-# and at alpha = 0 an infinite x makes alpha z^2 = 0 * inf, which log_pdf
-# reports as well before it takes the far path
+@pytest.mark.parametrize("alpha", [0.0, np.float64(0.0), 2.0], ids=["0", "numpy-0", "2"])
+@pytest.mark.parametrize(
+    "spec", [bsn(0.0, 1.0), bsstd(0.0, 1.5, 5.0), bsgt(0.0, 0.7, 1.7, 2.0)], ids=["bsn", "bsstd", "bsgt"]
+)
+def test_log_pdf_at_infinity_warns_nothing(spec, alpha):
+    # at alpha = 0 an infinite z must not reach alpha z^2 = 0 * inf
+    spec = DistributionSpec(alpha, spec.gamma, spec.base, spec.loc, spec.scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_pdf(spec, math.inf) == log_pdf(spec, -math.inf) == -math.inf
+        values = log_pdf(spec, np.array([math.inf, -math.inf, 0.5]))
+    assert values[:2].tolist() == [-math.inf, -math.inf]
+    assert values[2] == log_pdf(spec, 0.5)
+
+
+# the far points overflow (x - loc) / scale or alpha z^2, which numpy reports
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 class TestSharedBaseKernel:
     """`_log_density` on rows of members that share a base, one row each,
     equals `log_pdf` of each member alone, bit for bit."""

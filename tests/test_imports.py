@@ -10,10 +10,12 @@ first use of ``run_checks``, ``integrate`` or ``mc_moment``, so ``check``
 loads it before forking its workers, and a full ``check`` runs on the oracle,
 numpy and ``scipy.special`` alone; ``scipy.integrate`` and ``scipy.optimize``
 load on the first scalar ``cdf`` or ``quantile``, and nothing in the package
-loads ``scipy.stats``. ``multiprocessing`` loads only when ``run_checks``
-or ``run_mcmc`` forks its two workers. The fitter, ``inference``, loads only
-for ``fit`` or on first use of one of its names. Each case runs in a fresh
-interpreter, because this test process has long since imported all of them.
+loads ``scipy.stats``. Nothing loads ``multiprocessing`` or a
+``concurrent.futures`` executor: ``run_checks`` and ``run_mcmc`` fork their
+two workers with ``os.fork``. Importing the CLI loads no ``secrets``. The
+fitter, ``inference``, loads only for ``fit`` or on first use of one of its
+names. Each case runs in a fresh interpreter, because this test process has
+long since imported all of them.
 No case times anything: the modules present are the measurement.
 """
 
@@ -122,17 +124,24 @@ def test_fitter_names_load_the_fitter_on_first_use():
     assert heavy_loaded(code, (INFERENCE,)) == {"import": [], "end": [INFERENCE]}
 
 
-def test_worker_pool_loads_only_when_checks_fork(tmp_path):
-    # the worker pool is imported when it forks, and a one-task selection such
-    # as the mode-count law, or a single chain, runs in-process
+def test_forked_workers_never_load_a_process_pool(tmp_path):
+    # a full check and a two-chain fit fork their workers with os.fork;
+    # scipy.special loads numpy.testing, which imports concurrent.futures but
+    # neither of its executors
     data = tmp_path / "data.csv"
     data.write_text("value\n" + "\n".join(f"{0.37 * k - 3.1:.3f}" for k in range(17)) + "\n")
-    pool = ("multiprocessing", "concurrent.futures.process")
-    check = run_cli("check", "--only", "modes/count")
+    pool = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
+    check = run_cli("check", "--out", str(tmp_path / "check.json"))
     fit = run_cli("fit", "--model", "bsn", "--in", str(data), "--iters", "300", "--burnin", "100",
-                  "--chains", "1")
+                  "--chains", "2")
     code = "import bimodalskew.cli\nmark('import')\n" + check + "\nmark('check')\n" + fit
     assert heavy_loaded(code, pool) == {"import": [], "check": [], "end": []}
+
+
+def test_cli_import_leaves_secrets_unloaded():
+    # only a sample without --seed asks secrets for its seed (numpy.random
+    # loads it too, with the first draw)
+    assert heavy_loaded("import bimodalskew.cli", ("secrets", "hmac"))["end"] == []
 
 
 def test_oracle_integrator_does_not_load_scipy_stats():

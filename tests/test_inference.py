@@ -2,7 +2,7 @@
 
 import gc
 import math
-import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -332,11 +332,11 @@ class TestForkedChains:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """The start methods run_mcmc asks multiprocessing for."""
-        asked = []
-        real = multiprocessing.get_context
-        monkeypatch.setattr(multiprocessing, "get_context", lambda m: asked.append(m) or real(m))
-        return asked
+        """One entry per `os.fork` call run_mcmc makes: two per forked map."""
+        calls = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or real())
+        return calls
 
     @staticmethod
     def run(monkeypatch, cpus, model, seed):
@@ -348,10 +348,10 @@ class TestForkedChains:
     @pytest.mark.parametrize("model", ["bsn", "bsstd"])
     def test_forked_chains_equal_serial(self, monkeypatch, forks, model, seed):
         forked = self.run(monkeypatch, 2, model, seed)
-        assert forks == ["fork"]
+        assert forks == ["fork"] * 2
         assert gc.get_freeze_count() == 0
         serial = self.run(monkeypatch, 1, model, seed)
-        assert forks == ["fork"]
+        assert forks == ["fork"] * 2
         assert [c.stream for c in forked] == [0, 1]
         for f, s in zip(forked, serial, strict=True):
             assert list(f.params) == list(s.params)

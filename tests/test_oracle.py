@@ -3,6 +3,7 @@
 import gc
 import math
 import multiprocessing
+import os
 from functools import partial
 
 import numpy as np
@@ -525,11 +526,11 @@ class TestCheckWorkers:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """The start methods run_checks asks multiprocessing for."""
-        asked = []
-        real = multiprocessing.get_context
-        monkeypatch.setattr(multiprocessing, "get_context", lambda m: asked.append(m) or real(m))
-        return asked
+        """One entry per `os.fork` call run_checks makes: two per forked map."""
+        calls = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or real())
+        return calls
 
     @staticmethod
     def run(monkeypatch, cpus, **kw):
@@ -539,9 +540,9 @@ class TestCheckWorkers:
 
     def test_forked_records_equal_in_process(self, monkeypatch, forks):
         forked = self.run(monkeypatch, 2, only="gamma=1.5")
-        assert forks == ["fork"]
+        assert forks == ["fork"] * 2
         alone = self.run(monkeypatch, 1, only="gamma=1.5")
-        assert forks == ["fork"]
+        assert forks == ["fork"] * 2
         assert forked == alone
         assert len(forked) == 107
 
@@ -550,7 +551,7 @@ class TestCheckWorkers:
         # own and the uniform-gg identities one batch across the suite; the
         # records are put back per case, in the suite's order
         rows = self.run(monkeypatch, 2, only="gamma=1.5")
-        assert forks == ["fork"]
+        assert forks == ["fork"] * 2
         groups = [r["identity"].split("/")[0] for r in rows]
         assert [g for i, g in enumerate(groups) if i == 0 or g != groups[i - 1]] == [
             "normalization", "reduction", "moments", "mixture", "modes", "sampler"
@@ -569,7 +570,7 @@ class TestCheckWorkers:
         with pytest.raises(DomainError, match="scale delta must be positive") as excinfo:
             self.run(monkeypatch, cpus, only="p=2.3", delta_scale=0.0)
         assert excinfo.type is DomainError
-        assert forks == (["fork"] if cpus == 2 else [])
+        assert forks == (["fork"] * 2 if cpus == 2 else [])
 
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in-process"])
     def test_collector_is_left_unfrozen(self, monkeypatch, forks, cpus):
@@ -578,7 +579,7 @@ class TestCheckWorkers:
         with pytest.raises(DomainError):
             self.run(monkeypatch, cpus, only="p=2.3", delta_scale=0.0)
         assert gc.get_freeze_count() == 0
-        assert forks == (["fork", "fork"] if cpus == 2 else [])
+        assert forks == (["fork"] * 4 if cpus == 2 else [])
 
     def test_one_task_runs_in_process(self, monkeypatch, forks):
         assert len(self.run(monkeypatch, 2, only="modes/count")) == 10
@@ -599,4 +600,4 @@ class TestCheckWorkers:
             alone = self.run(monkeypatch, 2, only="gamma=2")
         assert forks == []
         assert self.run(monkeypatch, 2, only="gamma=2") == alone
-        assert forks == ["fork"]
+        assert forks == ["fork"] * 2
