@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._workers import map_forked
 from .bases import GenTBase, StudentTBase
 from .errors import CapabilityError, DomainError
 from .families import DistributionSpec, log_pdf
@@ -552,6 +551,8 @@ def run_mcmc(
     chain order and are the same either way, and the collector's frozen
     state is as the caller left it.
     """
+    from ._workers import map_forked
+
     config = config or McmcConfig()
     samplers = [
         MetropolisWithinGibbs(

@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betaln, gammainc, gammaln, kolmogorov
 
-from ._workers import map_forked
 from .bases import GenTBase, NormalBase, StudentTBase, gt_standard_scale
 from .errors import DomainError, ExistenceError
 from .families import (
@@ -747,7 +746,7 @@ def _norm_discrepancies(specs) -> list[float]:
 
 
 def _oracle_moment(spec: DistributionSpec, r: int) -> float:
-    """E(X^r) by quadrature: the one-moment case of a moment task's `_integral_batch`."""
+    """E(X^r) by quadrature: the one-moment case of the quadrature task's `_integral_batch`."""
     items, value = _moment_integrals(spec, r)
     return value([res.value for res in _integrals(items)])
 
@@ -798,21 +797,25 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
     A task is ``(positions, batch, cost)``: the positions of its cases in
     the suite, None or a function that gets what the cases' ``run`` return
     all at once and returns their values, and the milliseconds one case
-    takes, which order the dispatch.  The costs were measured in-process on
-    a 2-core x86-64 host at the default sample size; only their order
-    matters.  Nothing is built here: each case builds its specs when it
-    runs.
+    takes on average, which order the dispatch.  There are 15: the normalizations; every
+    other quadrature identity (mass ratio, moments, the gamma, uniform and gg
+    mixtures), whose integrals all share one round loop; the uniform-gg
+    mixtures; the closed-form cases; and each sampler gate alone.  The costs
+    were measured in-process on a 2-core x86-64 host at the default sample
+    size; only their order matters.  Nothing is built here: each case builds
+    its specs when it runs.
     """
     cases: list[_Case] = []
-    tasks: list[tuple] = []
+    norm: list[int] = []
+    quadrature: list[int] = []
+    uniform_gg: list[int] = []
+    closed_form: list[int] = []
+    gates: list[tuple] = []
 
-    def add(case: _Case) -> int:
-        cases.append(case)
-        return len(cases) - 1
-
-    def task(*new: _Case, cost: float, batch: Callable | None = None) -> None:
+    def add(group: list[int], *new: _Case) -> list[int]:
+        group.extend(range(len(cases), len(cases) + len(new)))
         cases.extend(new)
-        tasks.append((list(range(len(cases) - len(new), len(cases))), batch, cost))
+        return group
 
     def gt(a, g, p, q):
         return _corrupt(bsgt(a, g, p, q), delta_scale)
@@ -821,17 +824,15 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         return RngStream(seed, stream)
 
     # normalization over the full parameter grid, every spec in one shared integral
-    norm = []
     for a in _GRID_ALPHAS:
         for g in _GRID_GAMMAS:
-            norm.append(_Case(f"normalization/bsn alpha={a} gamma={g}", partial(bsn, a, g), 1e-8))
+            add(norm, _Case(f"normalization/bsn alpha={a} gamma={g}", partial(bsn, a, g), 1e-8))
             for nu in _GRID_NUS:
                 ident = f"normalization/bsstd alpha={a} gamma={g} nu={nu}"
-                norm.append(_Case(ident, partial(bsstd, a, g, nu), 1e-8))
+                add(norm, _Case(ident, partial(bsstd, a, g, nu), 1e-8))
             for p, q in _GRID_PQS:
                 ident = f"normalization/bsgt alpha={a} gamma={g} p={p} q={q}"
-                norm.append(_Case(ident, partial(gt, a, g, p, q), 1e-8))
-    task(*norm, cost=0.17, batch=_norm_discrepancies)
+                add(norm, _Case(ident, partial(gt, a, g, p, q), 1e-8))
 
     # reduction chain
     grid = np.linspace(-10.0, 10.0, 401)
@@ -868,7 +869,8 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         xs = np.asarray(xs, dtype=float)
         return 2.0 / 2.5 * _normal_pdf(np.where(xs >= 0, xs / 2.0, xs * 2.0))
 
-    task(
+    add(
+        closed_form,
         *(
             _Case(f"reduction/gent-student alpha={a} gamma={g}", partial(gent_student, a, g), 1e-10)
             for a, g in ((0.0, 1.0), (1.0, 0.8), (3.0, 1.5))
@@ -891,7 +893,6 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
             lambda: _sup_diff(lambda xs: pdf(bsn(0.0, 2.0), xs), two_piece_direct, grid),
             1e-12,
         ),
-        cost=0.15,
     )
 
     # reflection: pdf(x; gamma) = pdf(-x; 1/gamma)
@@ -903,11 +904,11 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
             for g in (0.5, 1.0, 2.0)
         )
 
-    task(
+    add(
+        closed_form,
         _Case("reflection/bsn", partial(reflection, partial(bsn, 1.0)), 1e-12),
         _Case("reflection/bsstd nu=4", partial(reflection, lambda g: bsstd(1.0, g, 4.0)), 1e-12),
         _Case("reflection/bsgt p=1.7 q=2", partial(reflection, lambda g: bsgt(1.0, g, 1.7, 2.0)), 1e-12),
-        cost=0.4,
     )
 
     # mass ratio at alpha = 0
@@ -916,7 +917,8 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         halves = [(density, 0.0, math.inf, 1e-11), (density, -math.inf, 0.0, 1e-11)]
         return halves, lambda mass: abs(mass[0] / mass[1] - g * g)
 
-    task(
+    add(
+        quadrature,
         *(
             _Case(f"mass-ratio/{label} gamma={g}", partial(mass_ratio, make, g), 1e-8)
             for label, make in (
@@ -926,8 +928,6 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
             )
             for g in (0.5, 2.0)
         ),
-        cost=0.7,
-        batch=_integral_batch,
     )
 
     # closed-form moments vs direct quadrature, with existence bookkeeping
@@ -936,30 +936,27 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         items, value = _moment_integrals(spec, r)
         return items, lambda v: abs(full_moment(spec, r) - value(v))
 
-    # the p = 1.7, q = 2 tails decay slowly, and their quadrature is long
-    for label, make, orders, cost in (
-        ("bsn alpha=0 gamma=1.5", partial(bsn, 0.0, 1.5), (1, 2, 3, 4), 1.0),
-        ("bsn alpha=1 gamma=0.5", partial(bsn, 1.0, 0.5), (1, 2, 3, 4), 1.0),
-        ("bsn alpha=3 gamma=1", partial(bsn, 3.0, 1.0), (1, 2, 3, 4), 1.0),
-        ("bsstd alpha=0 gamma=1.5 nu=8", partial(bsstd, 0.0, 1.5, 8.0), (1, 2, 3, 4), 1.0),
-        ("bsstd alpha=1 gamma=0.8 nu=8", partial(bsstd, 1.0, 0.8, 8.0), (1, 2, 3, 4), 1.0),
-        ("bsstd alpha=0 gamma=1.5 nu=4", partial(bsstd, 0.0, 1.5, 4.0), (1, 2, 3), 1.0),
-        ("bsgt alpha=0 gamma=1.5 p=2 q=5", partial(bsgt, 0.0, 1.5, 2.0, 5.0), (1, 2, 3, 4), 1.0),
-        ("bsgt alpha=1 gamma=0.8 p=2 q=5", partial(bsgt, 1.0, 0.8, 2.0, 5.0), (1, 2, 3, 4), 1.0),
-        ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", partial(bsgt, 0.0, 1.2, 1.7, 2.0), (1, 2, 3), 5.5),
-        ("bsgt alpha=1 gamma=1.2 p=1.7 q=2", partial(bsgt, 1.0, 1.2, 1.7, 2.0), (1,), 14.0),
+    for label, make, orders in (
+        ("bsn alpha=0 gamma=1.5", partial(bsn, 0.0, 1.5), (1, 2, 3, 4)),
+        ("bsn alpha=1 gamma=0.5", partial(bsn, 1.0, 0.5), (1, 2, 3, 4)),
+        ("bsn alpha=3 gamma=1", partial(bsn, 3.0, 1.0), (1, 2, 3, 4)),
+        ("bsstd alpha=0 gamma=1.5 nu=8", partial(bsstd, 0.0, 1.5, 8.0), (1, 2, 3, 4)),
+        ("bsstd alpha=1 gamma=0.8 nu=8", partial(bsstd, 1.0, 0.8, 8.0), (1, 2, 3, 4)),
+        ("bsstd alpha=0 gamma=1.5 nu=4", partial(bsstd, 0.0, 1.5, 4.0), (1, 2, 3)),
+        ("bsgt alpha=0 gamma=1.5 p=2 q=5", partial(bsgt, 0.0, 1.5, 2.0, 5.0), (1, 2, 3, 4)),
+        ("bsgt alpha=1 gamma=0.8 p=2 q=5", partial(bsgt, 1.0, 0.8, 2.0, 5.0), (1, 2, 3, 4)),
+        ("bsgt alpha=0 gamma=1.2 p=1.7 q=2", partial(bsgt, 0.0, 1.2, 1.7, 2.0), (1, 2, 3)),
+        ("bsgt alpha=1 gamma=1.2 p=1.7 q=2", partial(bsgt, 1.0, 1.2, 1.7, 2.0), (1,)),
     ):
-        task(
-            *(_Case(f"moments/{label} r={r}", partial(moment_gap, make, r), 1e-6) for r in orders),
-            cost=cost,
-            batch=_integral_batch,
-        )
+        for r in orders:
+            add(quadrature, _Case(f"moments/{label} r={r}", partial(moment_gap, make, r), 1e-6))
 
     def existence_misses(make, expected):
         spec = make()
         return float(sum(moment_exists(spec, r) != exp for r, exp in enumerate(expected, 1)))
 
-    task(
+    add(
+        closed_form,
         *(
             _Case(f"moments/existence {label}", partial(existence_misses, make, exists), 0.0)
             for label, make, exists in (
@@ -972,10 +969,9 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
                 ("bsgt p=2 q=5", partial(bsgt, 1.0, 1.0, 2.0, 5.0), (True, True, True, True)),
             )
         ),
-        cost=0.05,
     )
 
-    # mixture marginalizations vs closed forms, each task's integrals in one batch
+    # mixture marginalizations vs closed forms
     def gap(item, tol, ref):
         return [(*item, tol)], lambda value: abs(value[0] - ref)
 
@@ -995,39 +991,30 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         points, refs = zip(*runs)
         return [abs(res.value - ref) for res, ref in zip(_uniform_gg_densities(points), refs)]
 
-    task(
+    add(
+        quadrature,
         *(
             _Case(f"mixture/gamma x={x} gamma={g}", partial(gamma_gap, x, g), 1e-6)
             for g in _MIX_GAMMAS
             for x in _MIX_XS
         ),
-        cost=0.3,
-        batch=_integral_batch,
-    )
-    task(
         *(
             _Case(f"mixture/uniform x={x} gamma={g} lambda={lam}", partial(uniform_gap, x, g, lam), 1e-6)
             for g in _MIX_GAMMAS
             for lam in (1.0, 2.5)
             for x in _MIX_XS
         ),
-        cost=0.15,
-        batch=_integral_batch,
     )
-    # the gg and uniform-gg identities alternate in the suite: a gg task per
-    # (p, gamma), and every uniform-gg identity in one batch
-    uniform_gg = []
+    # the gg and uniform-gg identities alternate in the suite
     for p, q in ((1.7, 2.0), (2.0, 2.0), (2.3, 2.0)):
         for g in _MIX_GAMMAS:
-            gg = []
             for x in _MIX_XS:
                 name = f"x={x} gamma={g} p={p} q={q}"
-                gg.append(add(_Case(f"mixture/gg {name}", partial(gg_gap, x, g, p, q), 1e-5)))
-                uniform_gg.append(
-                    add(_Case(f"mixture/uniform-gg {name}", partial(uniform_gg_point, x, g, p, q), 1e-4))
+                add(quadrature, _Case(f"mixture/gg {name}", partial(gg_gap, x, g, p, q), 1e-5))
+                add(
+                    uniform_gg,
+                    _Case(f"mixture/uniform-gg {name}", partial(uniform_gg_point, x, g, p, q), 1e-4),
                 )
-            tasks.append((gg, _integral_batch, 0.5))
-    tasks.append((uniform_gg, uniform_gg_gaps, 2.8))
 
     # mode-count law for the normal base at gamma = 1, plus mode geometry
     def count_miss(a):
@@ -1046,7 +1033,8 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         modes = find_modes(bsn(0.0, 2.0))
         return abs(modes[0][0]) + float(len(modes) != 1)
 
-    task(
+    add(
+        closed_form,
         *(
             _Case(f"modes/count alpha={a}", partial(count_miss, a), 0.0)
             for a in (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -1054,7 +1042,6 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         _Case("modes/location alpha=0.6", location_gap, 1e-6),
         _Case("modes/right-taller alpha=3 gamma=1.5", right_taller, 0.0),
         _Case("modes/two-piece-peak alpha=0 gamma=2", two_piece_peak, 1e-6),
-        cost=0.05,
     )
 
     # sampler goodness-of-fit gates, one task each
@@ -1122,12 +1109,16 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
             ),
         ),
     ):
-        task(_Case(f"sampler/{label}", run, gate), cost=cost * n / 1e5)
-    task(
-        _Case("sampler/paths-agree p=2.3 q=2", paths_agree, 0.01, larger_is_better=True),
-        cost=77.0 * n / 1e5,
-    )
-    return cases, tasks
+        gates.append((add([], _Case(f"sampler/{label}", run, gate)), None, cost * n / 1e5))
+    paths = _Case("sampler/paths-agree p=2.3 q=2", paths_agree, 0.01, larger_is_better=True)
+    gates.append((add([], paths), None, 77.0 * n / 1e5))
+    return cases, [
+        (norm, _norm_discrepancies, 0.17),
+        (quadrature, _integral_batch, 0.55),
+        (uniform_gg, uniform_gg_gaps, 2.8),
+        (closed_form, None, 0.1),
+        *gates,
+    ]
 
 
 def _run_task(task) -> list[dict]:
@@ -1170,14 +1161,18 @@ def run_checks(
     in-process.  The tasks go out costliest first, by the estimate the suite
     gives each, and a worker takes the next one only when it is free, so the
     cheap ones fill in around the dear ones.  Each sampler gate is a task of
-    its own, and the integrals of a task share one round loop: the selected
-    normalizations, whose density is evaluated once per distinct base per
-    round; the center and tails of each moment of a spec; and every selected
+    its own, the closed-form cases are one, and the integrals of a task share
+    one round loop: the selected normalizations, whose density is evaluated
+    once per distinct base per round; every other selected quadrature
+    identity (mass ratio, moments, and the gamma, uniform and gg mixtures),
+    each integral bisecting and ending as it would alone; and every selected
     uniform-gg marginalization, whose outer integrals share rounds.  The
     records are the same either way, and an exception raised by a task
     reaches the caller as in-process; a worker that dies raises
     `_workers.WorkerError`.
     """
+    from ._workers import map_forked
+
     n = int(sample_size)
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {sample_size}")
@@ -1191,7 +1186,7 @@ def run_checks(
     work = [(batch, [cases[i] for i in picked]) for picked, batch, _ in chosen]
 
     done = map_forked(_run_task, work)
-    # reassemble per case: the uniform-gg batch's cases are spread over the suite
+    # reassemble per case: a batched task's cases can be spread over the suite
     by_position = {}
     for (picked, _, _), records in zip(chosen, done):
         by_position.update(zip(picked, records))

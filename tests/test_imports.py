@@ -12,7 +12,8 @@ numpy and ``scipy.special`` alone; ``scipy.integrate`` and ``scipy.optimize``
 load on the first scalar ``cdf`` or ``quantile``, and nothing in the package
 loads ``scipy.stats``. Nothing loads ``multiprocessing`` or a
 ``concurrent.futures`` executor: ``run_checks`` and ``run_mcmc`` fork their
-two workers with ``os.fork``. Importing the CLI loads no ``secrets``. The
+two workers with ``os.fork``, and load the module that does so only when
+called. Importing the CLI loads no ``secrets``. The
 fitter, ``inference``, loads only for ``fit`` or on first use of one of its
 names. Each case runs in a fresh interpreter, because this test process has
 long since imported all of them.
@@ -136,6 +137,12 @@ def test_forked_workers_never_load_a_process_pool(tmp_path):
                   "--chains", "2")
     code = "import bimodalskew.cli\nmark('import')\n" + check + "\nmark('check')\n" + fit
     assert heavy_loaded(code, pool) == {"import": [], "check": [], "end": []}
+
+
+@pytest.mark.parametrize("statement", ["from bimodalskew import integrate", "import bimodalskew.inference"])
+def test_workers_load_only_where_they_fork(statement):
+    # run_checks and run_mcmc import them when called
+    assert heavy_loaded(statement, ("bimodalskew._workers",))["end"] == []
 
 
 def test_cli_import_leaves_secrets_unloaded():

@@ -387,20 +387,25 @@ class TestCallCounts:
         assert per_round and max(per_round) <= 8
         assert sum(per_round) == calls[0]
 
-    def test_one_round_loop_per_moment_task(self, monkeypatch):
+    def test_one_round_loop_for_every_moment(self, monkeypatch):
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
         loops = []
         real = oracle._integrate_rows
         monkeypatch.setattr(oracle, "_integrate_rows", lambda *a: loops.append(len(a[1])) or real(*a))
         records = run_checks(only="moments/")
-        orders = {}  # moment task: its number of moments
-        for r in records:
-            if " r=" in r["identity"]:
-                task = r["identity"].rsplit(" r=", 1)[0]
-                orders[task] = orders.get(task, 0) + 1
-        assert len(orders) == 10
-        # one loop per task, holding the three integrals of each of its moments
-        assert sorted(loops) == sorted(3 * k for k in orders.values())
+        moments = [r for r in records if " r=" in r["identity"]]
+        assert len(moments) == 35
+        # one loop, holding the three integrals of each moment
+        assert loops == [3 * 35]
+
+    def test_in_process_check_runs_one_integral_batch(self, monkeypatch):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+        calls = []
+        real = oracle._integrals
+        monkeypatch.setattr(oracle, "_integrals", lambda items: calls.append(len(items)) or real(items))
+        assert len(run_checks(sample_size=2000)) == 374
+        # the mass ratios (2 each), moments (3 each) and gamma, uniform and gg mixtures (1 each)
+        assert calls == [6 * 2 + 35 * 3 + 10 + 20 + 30]
 
 
 class TestSampleDiagnostics:
@@ -547,9 +552,10 @@ class TestCheckWorkers:
         assert len(forked) == 107
 
     def test_records_come_back_in_suite_order(self, monkeypatch, forks):
-        # the tasks go out costliest first, each sampler gate a task of its
-        # own and the uniform-gg identities one batch across the suite; the
-        # records are put back per case, in the suite's order
+        # the tasks go out costliest first: each sampler gate a task of its
+        # own, and the quadrature, uniform-gg and closed-form identities each
+        # one task across the suite; the records are put back per case, in
+        # the suite's order
         rows = self.run(monkeypatch, 2, only="gamma=1.5")
         assert forks == ["fork"] * 2
         groups = [r["identity"].split("/")[0] for r in rows]
@@ -592,6 +598,15 @@ class TestCheckWorkers:
         for only in subsets:
             rows = [r for r in self.run(monkeypatch, 1, only=only) if "uniform-gg" in r["identity"]]
             assert rows and rows == [full[r["identity"]] for r in rows]
+
+    def test_quadrature_subsets_give_the_full_batch_records(self, monkeypatch):
+        full = {r["identity"]: r for r in self.run(monkeypatch, 1)}
+        assert len(full) == 374
+        subsets = ("mass-ratio/", "moments/bsgt", "mixture/gamma", "mixture/uniform ", "mixture/gg")
+        for only in subsets:
+            rows = self.run(monkeypatch, 1, only=only)
+            assert rows and all(r["identity"].startswith(only.strip()) for r in rows)
+            assert rows == [full[r["identity"]] for r in rows]
 
     def test_daemonic_caller_runs_in_process(self, monkeypatch, forks):
         # a multiprocessing.Pool worker is daemonic and may not start children
