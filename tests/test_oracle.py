@@ -314,8 +314,8 @@ class TestMixtureRoutes:
 
 
 class TestMomentTasks:
-    """A moment task's integrals share one round loop and give the values of
-    three one-integral `integrate` calls per moment."""
+    """The moments' integrals share the quadrature task's round loop and give
+    the values of three one-integral `integrate` calls per moment."""
 
     @staticmethod
     def alone(spec, r):
