@@ -83,6 +83,8 @@ def cmd_pdf(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
+    if not (math.isfinite(args.from_) and math.isfinite(args.to)):
+        raise DomainError(f"--from and --to must be finite, got {args.from_} and {args.to}")
     xs = np.linspace(args.from_, args.to, args.points)
     if args.compare:
         try:

@@ -145,12 +145,14 @@ def _tail_plan(lowers) -> tuple[np.ndarray, list[tuple[float, float]]]:
 
 
 def _gk_rows(f, lo, hi, rows, anchors, folded):
-    """Kronrod values, error estimates and midpoints of the panels (lo, hi).
+    """Kronrod values, error estimates and selection keys of the panels (lo, hi).
 
-    ``lo`` and ``hi`` share one shape, which the three results take, and the
-    flat ``rows`` gives each panel's integral in row-major order.  ``folded``
-    is False when no integral is folded, True when every one is, and else
-    each integral's flag.  Runs under the errstate of `_integrate_rows`.
+    A panel's key is its error estimate, or -inf where it has no
+    representable midpoint and so cannot be split.  ``lo`` and ``hi`` share
+    one shape, which the three results take, and the flat ``rows`` gives
+    each panel's integral in row-major order.  ``folded`` is False when no
+    integral is folded, True when every one is, and else each integral's
+    flag.  Runs under the errstate of `_integrate_rows`.
     """
     width = hi - lo
     mid = 0.5 * (lo + hi)
@@ -189,19 +191,8 @@ def _gk_rows(f, lo, hi, rows, anchors, folded):
     # rough ones, and an absolute cutoff would misjudge small-valued tails
     spread = half * np.add.reduce(np.abs(ys - (kronrod / width)[..., None]) * _WK, axis=-1)
     sharp = spread * np.minimum(1.0, (200.0 * diff / spread) ** 1.5)
-    return kronrod, np.where(np.minimum(spread, diff) > 0.0, sharp, diff), mid
-
-
-def _split_keys(lo, mid, hi, vals, errs, rows, retired) -> np.ndarray:
-    """The selection keys of new panels: each one's error, or -inf where it
-    has no representable midpoint.  Such a panel is retired unsplit: its
-    (value, error) goes to ``retired[rows[i]]``."""
-    whole = (lo < mid) & (mid < hi)
-    if np.count_nonzero(whole) == whole.size:
-        return errs
-    for i in zip(*np.nonzero(~whole)):
-        retired.setdefault(int(rows[i]), []).append((float(vals[i]), float(errs[i])))
-    return np.where(whole, errs, -np.inf)
+    err = np.where(np.minimum(spread, diff) > 0.0, sharp, diff)
+    return kronrod, err, np.where((lo < mid) & (mid < hi), err, -np.inf)
 
 
 def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
@@ -210,17 +201,19 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     ``tol`` is one tolerance, or a sequence of one per integral.  Each
     round, every integral whose summed error estimate is above its tolerance
     and whose budget has room for two more panels bisects its worst panel,
-    the oldest on ties; a panel with no representable midpoint is retired
-    unsplit.  All children of the round go to ``f`` in one call as
-    ``f(xs, rows)``, where ``xs`` is an (m, 15) array of nodes, one panel per
-    row, and ``rows[i]`` the index into ``plans`` of the integral that row i
-    belongs to.  ``f`` returns the (m, 15) integrand values.  Each integral
-    follows the bisection sequence it would follow alone.
+    the oldest on ties.  A panel with no representable midpoint is kept
+    unsplit, and an integral stops once none of its panels can be split.
+    All children of the round go to ``f`` in one call as ``f(xs, rows)``,
+    where ``xs`` is an (m, 15) array of nodes, one panel per row, and
+    ``rows[i]`` the index into ``plans`` of the integral that row i belongs
+    to.  ``f`` returns the (m, 15) integrand values.  Each integral follows
+    the bisection sequence it would follow alone.
 
     It returns the `OracleResult` fields as arrays (see `_results`).  The
     panels live in one array with a row per integral still going and a
     column per panel, in the order the panels were made: the first panels,
-    then the two children of each round.
+    then the two children of each round.  A split panel's value and error
+    are set to 0 there, so an integral's sums are those of its whole row.
     """
     # a plan's anchor may be an array: one integral per anchor, each with the plan's panels
     sizes = [np.size(anchor) for anchor, _ in plans]
@@ -234,23 +227,15 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     lo, hi = np.concatenate([np.tile(np.array(p).T, k) for (_, p), k in zip(plans, sizes)], axis=1)
     used = max(widths)
     tols = tol = np.broadcast_to(np.asarray(tol, dtype=float), n)
-    # per panel: lo, midpoint, hi, Kronrod value, and the error estimate
-    # while the panel can still be split, else -inf
-    box = np.full((5, n, used + 32), -np.inf)
-    # every coordinate is at most `ulp` apart from its neighbours, and a
-    # midpoint rounds by at most ulp / 2, so a panel d bisections below the
-    # first ones is at least narrowest / 2^d - ulp wide.  Through `deep`
-    # bisections that is over 2 ulps, which leaves a representable midpoint:
-    # the panels of the first `deep` rounds need no check
-    ulp = np.spacing(max(1.0, -lo.min(), hi.max()))
-    narrowest = float((hi - lo).min())
-    deep = math.floor(math.log2(narrowest / (4.0 * ulp))) if narrowest > 0.0 else -1
-    retired: dict[int, list] = {}  # integral: the (value, error) of its retired panels
+    # per panel: lo, hi, Kronrod value, error estimate and selection key (see
+    # `_gk_rows`).  A split panel, and a column an integral's first panels
+    # leave empty, has value and error 0 and key -inf.
+    box = np.zeros((5, n, used + 32))
+    box[4] = -np.inf
     sums, spent_all = np.empty((2, n)), np.empty(n, dtype=int)  # value and error sums, evaluations
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals, errs, mids = _gk_rows(f, lo, hi, rows, anchors, folded)
-        keys = errs if deep >= 0 else _split_keys(lo, mids, hi, vals, errs, rows, retired)
-        box[:, rows, cols] = np.array([lo, mids, hi, vals, keys])
+        vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors, folded)
+        box[:, rows, cols] = np.array([lo, hi, vals, errs, keys])
         # the integrals still going, their error totals (added in panel
         # order, as one integral adds them), the evaluations of their first
         # panels and the last round their budget allows
@@ -259,67 +244,38 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
         evals = 15 * np.bincount(rows, minlength=n)
         last = (max_evals - evals) // 30
         tightest = last.min()
-        stuck = _stuck(box[4, :, :used]) if retired else None
         at = active
         r = 0
         while True:
             r += 1
-            go = total > tol
+            slot = box[4, :, :used].argmax(axis=1)
+            pick = box[:, at, slot]
+            go = (total > tol) & (pick[4] != -np.inf)
             if r > tightest:
                 go &= last >= r
-            if stuck is not None:
-                go &= ~stuck
-                stuck = None
             going = np.count_nonzero(go)
             if going < go.size:
                 done = ~go
                 spent_all[active[done]] = evals[done] + 30 * (r - 1)
-                _finish(sums, box[:, done, :used], active[done], retired)
+                # exact sums, so the order of the panels and the zeros change nothing
+                values_errors = box[2:4, done, :used].tolist()
+                sums[:, active[done]] = [[math.fsum(row) for row in part] for part in values_errors]
                 if not going:
                     break
                 box, active, total, evals, last = box[:, go], active[go], total[go], evals[go], last[go]
-                tol = tol[go]
+                tol, slot, pick = tol[go], slot[go], pick[:, go]
                 at = np.arange(going)
-            slot = box[4, :, :used].argmax(axis=1)
-            pick = box[:, at, slot]
-            box[4, at, slot] = -np.inf
+            box[2:, at, slot] = [[0.0], [0.0], [-np.inf]]
             if used + 2 > box.shape[2]:
-                box = np.concatenate([box, np.full_like(box, -np.inf)], axis=2)
-            lo, hi = pick[:2].T, pick[1:3].T  # the children: (lo, mid) and (mid, hi)
+                box = np.concatenate([box, np.zeros_like(box)], axis=2)
+            edges = np.array([pick[0], 0.5 * (pick[0] + pick[1]), pick[1]])
+            lo, hi = edges[:2].T, edges[1:].T  # the children: (lo, mid) and (mid, hi)
             rows = active.repeat(2)
-            vals, errs, mids = _gk_rows(f, lo, hi, rows, anchors, folded)
-            keys = errs
-            if r > deep:
-                keys = _split_keys(lo, mids, hi, vals, errs, rows.reshape(-1, 2), retired)
-            box[:, :, used : used + 2] = np.array([lo, mids, hi, vals, keys])
-            if keys is not errs:
-                stuck = _stuck(box[4, :, : used + 2])
-            total += (errs[:, 0] + errs[:, 1]) - pick[4]
+            vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors, folded)
+            box[:, :, used : used + 2] = np.array([lo, hi, vals, errs, keys])
+            total += (errs[:, 0] + errs[:, 1]) - pick[3]
             used += 2
     return sums[0], sums[1], spent_all, sums[1] <= tols
-
-
-def _stuck(keys) -> np.ndarray:
-    """Which rows of ``keys`` have no panel left that can be split."""
-    return keys.max(axis=1) == -np.inf
-
-
-def _finish(sums, box, which, retired) -> None:
-    """Enter the value and error sums of the integrals ``which``, whose
-    panels are ``box``, into ``sums``.
-
-    Each sum is exact (`math.fsum`), so the order of the panels changes
-    nothing.
-    """
-    live = box[4] != -np.inf
-    stops = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
-    spans = list(zip([0, *stops[:-1]], stops))
-    for k in (0, 1):
-        flat = box[3 + k][live].tolist()
-        sums[k, which] = [math.fsum(flat[a:b]) for a, b in spans]
-        for (a, b), j in zip(spans, which.tolist() if retired else ()):
-            if j in retired:
-                sums[k, j] = math.fsum(flat[a:b] + [panel[k] for panel in retired[j]])
 
 
 def _results(columns) -> list[OracleResult]:
@@ -331,8 +287,9 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_
     """Adaptive Gauss-Kronrod integral of ``f`` over (a, b), infinite ends allowed.
 
     ``f`` must accept a 1-D ndarray and return one of the same length.
-    ``points`` lists interior abscissae to split at from the start (the
-    densities here kink at 0, which callers pass explicitly).  Infinite tails
+    ``points`` lists interior abscissae to split at from the start; an
+    interior 0, where the densities here kink, is split at without being
+    listed.  Infinite tails
     are folded onto (-1, 1) by x = anchor + t/(1 - t^2), and on a folded
     range non-finite integrand values count as zero.  The worst-error
     interval is bisected until the summed error estimate drops below ``tol``
@@ -346,7 +303,7 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_
     bisection in one call.
     """
     plan = _plan(a, b, points)
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
 
     def rows_f(xs, rows):
@@ -516,7 +473,7 @@ def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
     its evaluations count the point's outer and inner integrals.
     """
     consts = [_UniformGG.at(*point) for point in points]
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tol must be positive")
     p_of, m_of, inv_width, radius_scale = (
         np.array([getattr(c, name) for c in consts]) for name in ("p", "m", "inv_width", "radius_scale")

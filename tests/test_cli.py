@@ -96,8 +96,10 @@ class TestPdf:
             ("pdf", "--model", "bsgt", "--gamma", "1", "--p", "2"),  # q missing
             ("pdf", "--model", "bsn", "--gamma", "1", "--points", "1"),
             ("pdf", "--model", "bsn", "--gamma", "2", "--phi", "4"),  # exclusive
+            ("pdf", "--model", "bsn", "--from", "nan"),
+            ("pdf", "--model", "bsn", "--to", "1e309"),  # parses as inf
         ],
-        ids=["no-nu", "no-q", "one-point", "gamma-and-phi"],
+        ids=["no-nu", "no-q", "one-point", "gamma-and-phi", "nan-from", "infinite-to"],
     )
     def test_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)

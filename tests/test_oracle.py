@@ -145,6 +145,8 @@ class TestIntegrate:
             (lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf, 1e-12),
             (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, 1e-7),
             (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, 1e-11),
+            # every panel is retired unsplit: this one stops while the others go on
+            (np.exp, 1.0, 1.0 + 2.0**-49, 1e-300),
         ]
 
         def rows_f(xs, rows):
@@ -158,6 +160,7 @@ class TestIntegrate:
         ]
         # the tolerances part the integrals: each stops at its own
         assert alone[0].evaluations < alone[1].evaluations and alone[4].evaluations < alone[5].evaluations
+        assert (alone[6].evaluations, alone[6].converged) == (210, False)
 
     def test_masses_of_specs_that_share_bases(self):
         # a subset of the normalization grid: five bases, each shared by four specs
@@ -235,8 +238,11 @@ class TestIntegrate:
             integrate(lambda x: x, a, b)
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            integrate(lambda x: x, 0.0, 1.0, tol=0.0)
+        for tol in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                integrate(lambda x: x, 0.0, 1.0, tol=tol)
+            with pytest.raises(DomainError):
+                uniform_gg_mixture_density(0.5, 1.0, 1.5, 2.0, 2.0, tol=tol)
 
 
 class TestMixtureRoutes:
