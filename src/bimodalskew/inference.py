@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import GenTBase, StudentTBase
 from .errors import CapabilityError, DomainError
-from .families import DistributionSpec, log_pdf
 from .sampling import RngStream, _gen
 
 __all__ = [
@@ -51,12 +50,9 @@ _HALF_LOG_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _ALPHA_SHIFT = 1e-12
 _SCALE_BOUNDS = (1e-4, 1e2)
 _INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
-# a bsgt sweep builds the base for the current (p, q) at most twice and for
-# two proposals once each
+# a bsgt sweep evaluates the base at the current (p, q) in every block and
+# at two proposals once each
 _gt_base = functools.lru_cache(maxsize=8)(GenTBase)
-# likelihoods a bsgt sampler remembers, most recently used first: each block
-# re-reads a current state stored at most three evaluations earlier
-_GT_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -203,18 +199,41 @@ def _log_prior_alpha(alpha: float, priors: PriorConfig) -> float:
 # per-data-set invariants (x^2, the sign mask) computed once.
 
 
-def _lc_phi(
-    phi: float, alpha: float, n: int, s_pos: float, s_neg: float, priors: PriorConfig
-) -> float:
+def _lc_phi(phi: float, alpha: float, n: int, base_term, priors: PriorConfig) -> float:
+    """phi's conditional: the tilt normalizer, the two-piece and prior terms,
+    and ``base_term(phi)``, the base's log density summed over the data as
+    the skewing stretches them (up to a constant), the only model-dependent term."""
     if phi <= 0:
         return -np.inf
     return (
         -n * np.log1p(alpha * _b_phi(phi))
         + (priors.a_phi + 0.5 * n - 1.0) * math.log(phi)
         - n * np.log1p(phi)
-        - 0.5 * (s_pos / phi + s_neg * phi)
+        + base_term(phi)
         - priors.b_phi * phi
     )
+
+
+def _normal_term(s_pos: float, s_neg: float):
+    """The normal base term, given the (lambda-weighted) half sums of x^2."""
+    return lambda phi: -0.5 * (s_pos / phi + s_neg * phi)
+
+
+def _stretch(x: np.ndarray, pos: np.ndarray, phi: float) -> np.ndarray:
+    """The data as the base sees them: x / gamma for x >= 0, x gamma below."""
+    gamma = math.sqrt(phi)
+    return np.where(pos, x / gamma, x * gamma)
+
+
+def _lc_gt(z: np.ndarray, p: float, q_tilt: float) -> float:
+    """The generalized-t base term at the stretched data z, with q = q_tilt + 2/p."""
+    if p <= 0 or q_tilt <= 0:
+        return -np.inf
+    try:
+        base = _gt_base(p, q_tilt + 2.0 / p)
+    except DomainError:  # the variance is beyond the float range
+        return -np.inf
+    return float(np.sum(base.log_pdf(z)))
 
 
 def _lc_alpha(alpha: float, phi: float, xx: np.ndarray, priors: PriorConfig) -> float:
@@ -253,7 +272,7 @@ def log_cond_phi(phi: float, alpha: float, data, lam, priors: PriorConfig) -> fl
     """Unnormalized log full conditional of phi = gamma^2."""
     x = _check_data(data)
     w = x * x if lam is None else np.asarray(lam, dtype=float) * x * x
-    return _lc_phi(phi, alpha, x.size, *_half_sums(w, x >= 0), priors)
+    return _lc_phi(phi, alpha, x.size, _normal_term(*_half_sums(w, x >= 0)), priors)
 
 
 def log_cond_alpha(alpha: float, phi: float, data, priors: PriorConfig) -> float:
@@ -317,17 +336,6 @@ def mh_block_update(
     return new_value, accepted, new_scale
 
 
-def _gt_loglik(x: np.ndarray, alpha: float, phi: float, p: float, q_tilt: float) -> float:
-    if p <= 0 or q_tilt <= 0:
-        return -np.inf
-    q = q_tilt + 2.0 / p
-    try:
-        spec = DistributionSpec(alpha, math.sqrt(phi), _gt_base(p, q))
-    except DomainError:
-        return -np.inf
-    return float(np.sum(log_pdf(spec, x)))
-
-
 def _default_init(x: np.ndarray, model: str) -> dict[str, float]:
     m2 = float(np.mean(x * x))
     if 0.0 < m2 < 3.0:
@@ -352,10 +360,12 @@ class MetropolisWithinGibbs:
 
     ``model`` is "bsn" (normal base, blocks phi and alpha) or "bsstd"
     (Student-t base, adding the nu block and the exact lambda Gibbs step).
-    The experimental "bsgt" model replaces the augmentation with plain
-    random-walk Metropolis on the generalized-t likelihood for phi, p and
-    q - 2/p (alpha keeps its tilt conditional); it is not part of the
-    augmented scheme and must be opted into explicitly.
+    The experimental "bsgt" model has no augmentation: phi's conditional
+    takes the generalized-t base term in place of the normal's, p and
+    q - 2/p move on that base term under Gamma(2, 1) and Gamma(2, 0.5)
+    priors, and alpha keeps its tilt conditional.  It is not part of the
+    augmented scheme and must be opted into explicitly.  An initial value
+    that is not finite or lies outside its block's support raises `DomainError`.
     """
 
     def __init__(
@@ -376,9 +386,6 @@ class MetropolisWithinGibbs:
                 "pass enable_extensions=True to opt in"
             )
         self.x = _check_data(data)
-        # (alpha, phi, p, q_tilt) -> generalized-t log likelihood of the data
-        memo = functools.lru_cache(maxsize=_GT_MEMO_SIZE)
-        self._gt_loglik = memo(functools.partial(_gt_loglik, self.x))
         # per-data-set invariants of the block kernels; sign(0) = +1
         self._xx = self.x * self.x
         self._pos = self.x >= 0
@@ -407,6 +414,10 @@ class MetropolisWithinGibbs:
             blocks += ["nu"]
         if model == "bsgt":
             blocks += ["p", "q_tilt"]
+        for b in blocks:  # the supports: alpha >= 0, nu > 2, every other block > 0
+            value, edge = float(defaults[b]), 2.0 if b == "nu" else 0.0
+            if not (math.isfinite(value) and (value > edge or b == "alpha" and value == edge)):
+                raise DomainError(f"initial {b} must be finite and in its support, got {value}")
         self.blocks = blocks
         self.scales = {b: _INIT_SCALE for b in blocks}
         self.accept_post = {b: 0 for b in blocks}
@@ -438,41 +449,31 @@ class MetropolisWithinGibbs:
             self._post_iterations += 1
         adapting = t <= self.config.burn_in
         rate = 1.0 / t**0.6 if adapting else None
-        st, n, priors = self.state, self.x.size, self.priors
+        st, x, n, priors = self.state, self.x, self.x.size, self.priors
 
-        # lam moves every sweep, so only the unweighted half sums are fixed
-        if self.model == "bsstd":
-            s_pos, s_neg = _half_sums(st.lam * self.x * self.x, self._pos)
-        else:
-            s_pos, s_neg = self._xx_sums
-        alpha = st.alpha
         if self.model == "bsgt":
-            # phi's conditional depends on the base: here the generalized-t likelihood
-            def lt_phi(phi: float) -> float:
-                loglik = self._gt_loglik(alpha, phi, self.p, self.q_tilt)
-                return loglik + _log_gamma(phi, priors.a_phi, priors.b_phi)
+            p, q_tilt = self.p, self.q_tilt
+            base_term = lambda phi: _lc_gt(_stretch(x, self._pos, phi), p, q_tilt)
         else:
-            def lt_phi(phi: float) -> float:
-                return _lc_phi(phi, alpha, n, s_pos, s_neg, priors)
-        st.phi = self._update_block("phi", lt_phi, st.phi, 0.0, rate)
+            # lam moves every sweep, so only the unweighted half sums are fixed
+            sums = _half_sums(st.lam * x * x, self._pos) if self.model == "bsstd" else self._xx_sums
+            base_term = _normal_term(*sums)
+        alpha = st.alpha
+        st.phi = self._update_block(
+            "phi", lambda phi: _lc_phi(phi, alpha, n, base_term, priors), st.phi, 0.0, rate
+        )
         phi = st.phi
         # the tilt is the only alpha term of any unit-variance base
         st.alpha = self._update_block(
             "alpha", lambda a: _lc_alpha(a, phi, self._xx, priors), st.alpha, -_ALPHA_SHIFT, rate
         )
         if self.model == "bsgt":
-            # likelihood blocks for the non-augmented extension; mild Gamma priors
-            def lt_p(p: float) -> float:
-                return self._gt_loglik(st.alpha, phi, p, self.q_tilt) + _log_gamma(p, 2.0, 1.0)
-
-            def lt_q(qt: float) -> float:
-                return self._gt_loglik(st.alpha, phi, self.p, qt) + _log_gamma(qt, 2.0, 0.5)
-
+            # the base's shape blocks, each on the base term and a mild Gamma prior
+            z = _stretch(x, self._pos, phi)
+            lt_p = lambda p: _lc_gt(z, p, self.q_tilt) + _log_gamma(p, 2.0, 1.0)
             self.p = self._update_block("p", lt_p, self.p, 0.0, rate)
+            lt_q = lambda qt: _lc_gt(z, self.p, qt) + _log_gamma(qt, 2.0, 0.5)
             self.q_tilt = self._update_block("q_tilt", lt_q, self.q_tilt, 0.0, rate)
-            if adapting:
-                self._record_adapt(t)
-            return
 
         do_nu = (self.model == "bsstd") if update_nu is None else update_nu
         do_lam = (self.model == "bsstd") if update_lambda is None else update_lambda
@@ -493,12 +494,8 @@ class MetropolisWithinGibbs:
         cfg = self.config
         keep = range(cfg.burn_in, cfg.iterations, cfg.thin)
         n_keep = len(keep)
-        kept = {b: np.empty(n_keep) for b in ("phi", "alpha")}
-        if self.model == "bsstd":
-            kept["nu"] = np.empty(n_keep)
-        if self.model == "bsgt":
-            kept["p"] = np.empty(n_keep)
-            kept["q"] = np.empty(n_keep)
+        # one row per block, with bsgt's q = q_tilt + 2/p kept in place of q_tilt
+        kept = {("q" if b == "q_tilt" else b): np.empty(n_keep) for b in self.blocks}
         lam_sum = np.zeros_like(self.x) if self.model == "bsstd" else None
 
         k = 0

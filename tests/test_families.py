@@ -159,10 +159,10 @@ class TestLargeTailParameters:
             warnings.simplefilter("error")
             got = cdf_values(bsgt(1.0, 1.0, p, q), xs)
         assert np.isfinite(got).all()
-        # the standardizing delta itself is off by up to 2.5e-14 relative
-        # here, which moves the values by up to 6.2e-15
+        # the standardizing delta keeps its q -> inf limit to rounding, so
+        # the values are those at q = 1e100
         near = cdf_values(bsgt(1.0, 1.0, p, 1e100), xs)
-        np.testing.assert_allclose(got, near, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(got, near, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_exponential_power_limit_is_the_beta_form_at_q_1e100(self, monkeypatch, p):
@@ -197,6 +197,59 @@ class TestLargeTailParameters:
         # widest gap, 1.4e-15 at p = 2, is scipy's gammaincc(0.5, s) rounding
         for q in (below, _Q_EXP_POWER):
             np.testing.assert_allclose(beta_form(q), limit(q), rtol=0.0, atol=1.5e-15)
+
+
+class TestSpecialFunctions:
+    """`bases.betaln` and the log-gamma ratios against mpmath, which computed
+    the literals at 700 digits from the same float arguments."""
+
+    # b -> (betaln(1/2, b), log Gamma(b) - log Gamma(b + 1/2)): the Student-t
+    # normalizer and first moment at nu = 2b
+    STUDENT = {
+        1e4: (-4.032792743063396, -4.605157685988097),
+        1e5: (-5.184096539560414, -5.756461482485114),
+        8e5: (-6.223818404150332, -6.796183347075032),
+        1e6: (-6.335390211057437, -6.907755153982137),
+    }
+    # q -> (betaln(1/p, q), log Gamma(q - 2/p) - log Gamma(q)) at p = 1.5: the
+    # generalized-t normalizer and variance
+    GEN_T = {
+        1e4: (-5.837065528453886, -12.280298264239041),
+        1e5: (-7.372132257055468, -15.350551730976353),
+        8e5: (-8.758427590396973, -18.12315406442082),
+        1e6: (-8.907189985717554, -18.42067918839586),
+    }
+
+    @pytest.mark.parametrize("b", sorted(STUDENT))
+    def test_student_arguments(self, b):
+        betaln, ratio = self.STUDENT[b]
+        assert bases.betaln(0.5, b) == pytest.approx(betaln, rel=5e-16, abs=0.0)
+        assert bases._log_gamma_ratio(b, 0.5) == pytest.approx(ratio, rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize("q", sorted(GEN_T))
+    def test_gen_t_arguments(self, q):
+        betaln, ratio = self.GEN_T[q]
+        a = 2.0 / 1.5
+        assert bases.betaln(1.0 / 1.5, q) == pytest.approx(betaln, rel=5e-16, abs=0.0)
+        assert bases._log_gamma_ratio(q - a, a) == pytest.approx(ratio, rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize("nu,want", [(1e200, -229.3395707661999), (1e300, -344.4688254159022)])
+    def test_huge_nu(self, nu, want):
+        assert bases.betaln(0.5, 0.5 * nu) == pytest.approx(want, rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a,b", [(0.5, 5e3), (0.5, 5999.0), (2.0, 3.0), (100.0, 9e3), (0.7, 1e-3), (1e3, 1e4)]
+    )
+    def test_scipy_below_the_switch(self, a, b):
+        # below b = 6e3, or where a^2 > b, the values are scipy's bit for bit,
+        # so `bimodalskew check` (nu up to 1e4, q up to 5) prints what it did
+        assert bases.betaln(a, b) == special.betaln(a, b)
+
+    @pytest.mark.parametrize("q", [1e17, 1e100, 1e200, 1e300])
+    def test_gen_t_scale_keeps_its_limit(self, q):
+        # delta -> sqrt(Gamma(1/p) / Gamma(3/p)) as q -> inf; a log q used to
+        # cancel against the log-gamma ratio, 2.5e-14 off at q = 1e200
+        assert GenTBase(1.5, q).delta == pytest.approx(1.1636657335448184, rel=1e-15, abs=0.0)
 
 
 class TestReductions:

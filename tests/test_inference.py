@@ -162,68 +162,81 @@ class TestCollapseToMarginalSampler:
             assert b.state.alpha == a.state.alpha
 
 
-class TestGeneralizedTLikelihoodMemo:
-    """The bsgt sampler re-reads the likelihood at the current state from a memo."""
+class TestGeneralizedTBlocks:
+    """Each bsgt block's target is the family's log likelihood plus the block's prior, up to a constant."""
 
-    @staticmethod
-    def sampler():
+    GRIDS = {
+        "phi": np.linspace(0.3, 6.0, 20),
+        "alpha": np.linspace(0.0, 12.0, 20),
+        "p": np.linspace(0.6, 5.0, 20),
+        "q_tilt": np.linspace(0.2, 10.0, 20),
+    }
+    PRIORS = {
+        "phi": stats.gamma(PRIORS.a_phi, scale=1.0 / PRIORS.b_phi).logpdf,
+        "alpha": stats.gamma(PRIORS.a_alpha, scale=1.0 / PRIORS.b_alpha).logpdf,
+        "p": stats.gamma(2.0, scale=1.0).logpdf,
+        "q_tilt": stats.gamma(2.0, scale=2.0).logpdf,
+    }
+
+    def test_block_targets_match_family_density(self, monkeypatch):
+        # each target is read on its grid when the sampler hands it to the
+        # update, with every other block at the value the sampler holds then
+        from bimodalskew.families import log_pdf
+
         data = sample(bsgt(3.0, 1.5, 1.7, 2.0), 500, RngStream(5, 0))
-        cfg = McmcConfig(iterations=400, burn_in=100)
-        return MetropolisWithinGibbs(
-            data, model="bsgt", config=cfg, rng=RngStream(11, 0), enable_extensions=True
-        )
+        s = MetropolisWithinGibbs(data, model="bsgt", rng=RngStream(11, 0), enable_extensions=True)
+        spreads = []
+        update = inference.mh_block_update
 
-    # (alpha, phi, p, q_tilt) after each of the first 20 sweeps, recorded
-    # before the memo existed
-    RECORDED = [
-        (0.937695621641103, 6.42496165994941, 1.01645636084024, 2.0),
-        (0.937695621641103, 6.42496165994941, 1.01645636084024, 2.0),
-        (0.937695621641103, 3.1507317367426797, 1.01645636084024, 2.2035795321750284),
-        (2.262493905423629, 2.6077514227148475, 1.0174192812076375, 2.2035795321750284),
-        (2.262493905423629, 2.6077514227148475, 1.0174192812076375, 2.402736780782864),
-        (1.4890943096047367, 2.6077514227148475, 1.0174192812076375, 2.402736780782864),
-        (2.2513052988018982, 2.6077514227148475, 1.0130780135235395, 2.402736780782864),
-        (2.2513052988018982, 2.6077514227148475, 1.0130780135235395, 2.402736780782864),
-        (1.994174379298262, 2.6077514227148475, 1.054903807976261, 2.402736780782864),
-        (1.994174379298262, 2.6077514227148475, 1.054903807976261, 2.5647424576809907),
-        (1.7596928370705869, 2.6077514227148475, 1.054903807976261, 2.5647424576809907),
-        (2.2475466712079206, 2.6077514227148475, 1.054903807976261, 2.3588035291482394),
-        (1.5806124162403832, 2.6077514227148475, 1.054903807976261, 2.3588035291482394),
-        (1.5806124162403832, 2.6077514227148475, 1.054903807976261, 2.3588035291482394),
-        (1.5806124162403832, 2.6077514227148475, 1.054903807976261, 2.494627283931419),
-        (1.5806124162403832, 2.6077514227148475, 1.054903807976261, 2.494627283931419),
-        (2.790841903280509, 2.2302865154090354, 1.054903807976261, 2.3971144758791243),
-        (2.790841903280509, 2.2302865154090354, 1.054903807976261, 2.268785097504517),
-        (2.790841903280509, 2.1366003440634067, 1.054903807976261, 2.268785097504517),
-        (2.790841903280509, 2.1366003440634067, 1.054903807976261, 2.3468565548747335),
-    ]
+        def checked(value, log_target, *args, **kwargs):
+            name = s.blocks[len(spreads) % len(s.blocks)]
+            held = {"alpha": s.state.alpha, "phi": s.state.phi, "p": s.p, "q_tilt": s.q_tilt}
+            assert held[name] == value
+            gaps = []
+            for v in self.GRIDS[name]:
+                at = {**held, name: v}
+                spec = bsgt(at["alpha"], math.sqrt(at["phi"]), at["p"], at["q_tilt"] + 2.0 / at["p"])
+                family = float(np.sum(log_pdf(spec, data))) + self.PRIORS[name](v)
+                gaps.append(log_target(v) - family)
+            spreads.append((name, max(gaps) - min(gaps)))
+            return update(value, log_target, *args, **kwargs)
 
-    def test_chain_matches_recorded_values(self):
-        s = self.sampler()
-        trace = []
-        for _ in range(20):
+        monkeypatch.setattr(inference, "mh_block_update", checked)
+        for _ in range(3):
             s.step()
-            trace.append((s.state.alpha, s.state.phi, s.p, s.q_tilt))
-        np.testing.assert_allclose(trace, self.RECORDED, rtol=1e-13, atol=0.0)
+        assert [name for name, _ in spreads] == s.blocks * 3 == ["phi", "alpha", "p", "q_tilt"] * 3
+        assert max(spread for _, spread in spreads) < 1e-9, spreads
 
-    def test_at_most_four_density_evaluations_per_sweep(self, monkeypatch):
-        # without the memo a sweep evaluates the density six times: a proposal
-        # and the current state in each of the phi, p and q blocks
-        calls = 0
-        evaluate = inference.log_pdf
 
-        def counted(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return evaluate(*args, **kwargs)
+class TestInitialValues:
+    """An initial value that is not finite or lies outside its block's support raises."""
 
-        monkeypatch.setattr(inference, "log_pdf", counted)
-        s = self.sampler()
-        sweeps = 200
-        for _ in range(sweeps):
-            s.step()
-        # the first sweep may miss on its two current states
-        assert calls <= 4 * sweeps + 2
+    @pytest.mark.parametrize(
+        "model,init",
+        [
+            ("bsn", {"phi": float("nan")}),
+            ("bsstd", {"phi": float("nan")}),
+            ("bsn", {"phi": -1.0}),
+            ("bsstd", {"phi": -1.0}),
+            ("bsn", {"alpha": -0.5}),
+            ("bsstd", {"alpha": -0.5}),
+            ("bsstd", {"nu": 1.5}),
+            ("bsgt", {"q_tilt": -1.0}),
+            ("bsn", {"alpha": float("inf")}),
+            ("bsstd", {"nu": 2.0}),
+            ("bsgt", {"p": 0.0}),
+            ("bsgt", {"p": float("nan")}),
+        ],
+    )
+    def test_rejected(self, model, init):
+        with pytest.raises(DomainError, match="initial"):
+            run_mcmc(fixture_data(), model=model, config=TestRunMcmc.CFG, init=init, enable_extensions=True)
+
+    def test_support_edges(self):
+        # alpha may start at 0, the edge of its support; a block the model lacks is not checked
+        s = MetropolisWithinGibbs(fixture_data(), model="bsn", init={"alpha": 0.0, "nu": float("nan")})
+        s.step()
+        assert math.isfinite(s.state.alpha) and s.state.alpha >= 0.0
 
 
 class TestEffectiveSampleSize:
