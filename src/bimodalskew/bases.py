@@ -240,21 +240,26 @@ class StudentTBase:
         """log f(0), computed on the first density call.
 
         It is log Gamma((nu + 1)/2) - log Gamma(nu/2) - log(pi (nu - 2)) / 2,
-        where the gammaln difference is log(pi)/2 - betaln(1/2, nu/2).
+        where the gammaln difference is log(pi)/2 - betaln(1/2, nu/2).  Where
+        `_gamma_ratio_series` holds, the two (1/2) log nu terms cancel in
+        closed form: it is -log(2 pi)/2 - series - log1p(-2/nu)/2, which keeps
+        its nu -> inf limit, the standard normal's, to rounding.
         """
         nu = self.nu
-        return -betaln(0.5, 0.5 * nu) - 0.5 * np.log(nu - 2.0)
+        series = _gamma_ratio_series(0.5, 0.5 * nu)
+        if series is None:
+            return -betaln(0.5, 0.5 * nu) - 0.5 * np.log(nu - 2.0)
+        return -0.5 * _LOG_2PI - series - 0.5 * np.log1p(-2.0 / nu)
 
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
         nu = self.nu
         zz = z * z
-        with np.errstate(divide="ignore"):
-            tail = np.where(
-                zz < _HUGE,
-                np.log1p(zz / (nu - 2.0)),
-                2.0 * np.log(np.abs(z)) - np.log(nu - 2.0),
-            )
+        tail = np.log1p(zz / (nu - 2.0))
+        near = zz < _HUGE
+        if not near.all():  # the log form, where z^2 is huge, infinite or NaN
+            with np.errstate(divide="ignore"):
+                tail = np.where(near, tail, 2.0 * np.log(np.abs(z)) - np.log(nu - 2.0))
         return self._log_norm - 0.5 * (nu + 1) * tail
 
     def moment_exists(self, r: int) -> bool:
@@ -326,9 +331,20 @@ class GenTBase:
 
     @cached_property
     def _log_norm(self) -> float:
-        """log f(0), computed on the first density call."""
+        """log f(0), computed on the first density call.
+
+        It is log(p / (2 delta)) - log(q)/p - betaln(1/p, q).  Where
+        `_gamma_ratio_series` holds, betaln(1/p, q) is log Gamma(1/p) - log(q)/p
+        plus the series, so the log(q)/p pair is left out rather than cancelled.
+        """
         p, q = self.p, self.q
-        return np.log(p) - np.log(2.0) - np.log(self.delta) - np.log(q) / p - betaln(1.0 / p, q)
+        head = np.log(p) - np.log(2.0) - np.log(self.delta)
+        series = _gamma_ratio_series(1.0 / p, q)
+        if series is None:
+            return head - np.log(q) / p - betaln(1.0 / p, q)
+        from scipy.special import gammaln
+
+        return head - gammaln(1.0 / p) - series
 
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
@@ -336,12 +352,11 @@ class GenTBase:
         az = np.abs(z)
         with np.errstate(over="ignore"):
             w = (az / delta) ** p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(
-                np.isfinite(w),
-                np.log1p(w / q),
-                p * (np.log(az) - np.log(delta)) - np.log(q),
-            )
+        tail = np.log1p(w / q)
+        finite = np.isfinite(w)
+        if not finite.all():  # the log form, where (|z|/delta)^p overflowed or z is NaN
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tail = np.where(finite, tail, p * (np.log(az) - np.log(delta)) - np.log(q))
         return self._log_norm - (q + 1.0 / p) * tail
 
     def moment_exists(self, r: int) -> bool:

@@ -246,12 +246,22 @@ def cdf(spec: DistributionSpec, x: float) -> float:
         return 0.0
     if x == np.inf:
         return 1.0
-    if x <= spec.loc:
+    return _cdf(spec, x, _quad_pdf(spec, -np.inf, spec.loc) if x >= spec.loc else None)
+
+
+def _cdf(spec: DistributionSpec, x: float, left: tuple[float, float] | None) -> float:
+    """`cdf` at a finite x, given ``left``, the (value, error) of the mass below the fold.
+
+    ``left`` is read only for x >= loc, so a caller that evaluates many
+    points integrates (-inf, loc] once.
+    """
+    if x < spec.loc:
         value, err = _quad_pdf(spec, -np.inf, x)
+    elif x == spec.loc:
+        value, err = left
     else:
-        left, err_left = _quad_pdf(spec, -np.inf, spec.loc)
         right, err_right = _quad_pdf(spec, spec.loc, x)
-        value, err = left + right, err_left + err_right
+        value, err = left[0] + right, left[1] + err_right
     if err > _CDF_MAX_ERROR:
         raise NumericError(
             f"cdf integration did not converge at x={x}: achieved abs error {err:.3e} "
@@ -297,19 +307,24 @@ def cdf_values(spec: DistributionSpec, xs) -> np.ndarray:
 
 
 def quantile(spec: DistributionSpec, u: float) -> float:
-    """Value x with cdf(x) = u, located by bracketing root search."""
+    """Value x with cdf(x) = u, located by bracketing root search.
+
+    The mass below the fold is integrated once and shared by every
+    evaluation of the search at or above ``loc``.
+    """
     u = float(u)
     if not 0.0 < u < 1.0:
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {u}")
 
     center = spec.loc
-    f_center = cdf(spec, center) - u
+    left = _quad_pdf(spec, -np.inf, center)
+    f_center = _cdf(spec, center, left) - u
     if f_center == 0.0:
         return center
     step = spec.scale
     if f_center > 0:
         lo = center - step
-        while cdf(spec, lo) > u:
+        while _cdf(spec, lo, left) > u:
             step *= 2.0
             lo = center - step
             if step > 1e12 * spec.scale:
@@ -317,7 +332,7 @@ def quantile(spec: DistributionSpec, u: float) -> float:
         bracket = (lo, center)
     else:
         hi = center + step
-        while cdf(spec, hi) < u:
+        while _cdf(spec, hi, left) < u:
             step *= 2.0
             hi = center + step
             if step > 1e12 * spec.scale:
@@ -325,7 +340,7 @@ def quantile(spec: DistributionSpec, u: float) -> float:
         bracket = (center, hi)
     from scipy.optimize import brentq  # loaded on first use: only quantile needs it
 
-    return float(brentq(lambda t: cdf(spec, t) - u, *bracket, xtol=1e-12, rtol=8.9e-16))
+    return float(brentq(lambda t: _cdf(spec, t, left) - u, *bracket, xtol=1e-12, rtol=8.9e-16))
 
 
 # ---------- moments ----------

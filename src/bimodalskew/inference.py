@@ -141,6 +141,11 @@ def _check_data(data) -> np.ndarray:
         raise DomainError("data must be a nonempty one-dimensional array")
     if not np.all(np.isfinite(x)):
         raise DomainError("data must be finite")
+    with np.errstate(over="ignore"):
+        square_sum = x @ x
+    if not np.isfinite(square_sum):
+        # every model sums x^2; an infinite sum leaves a silently stuck chain
+        raise DomainError("the sum of the squared data overflows (|x| beyond about 1.3e154)")
     if x.size < 5:
         # the moment-based initializer and a three-parameter fit both need
         # more than a handful of points to mean anything

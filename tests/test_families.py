@@ -245,6 +245,18 @@ class TestSpecialFunctions:
         # so `bimodalskew check` (nu up to 1e4, q up to 5) prints what it did
         assert bases.betaln(a, b) == special.betaln(a, b)
 
+    @pytest.mark.parametrize("nu", [1e200, 1e300])
+    def test_student_log_norm_keeps_its_limit(self, nu):
+        # the (1/2) log nu terms of -betaln(1/2, nu/2) - log(nu - 2)/2 used to
+        # cancel: 9.1e-15 and 2.2e-14 off
+        assert StudentTBase(nu)._log_norm == pytest.approx(-0.9189385332046728, rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1e100, 1e200, 1e300])
+    def test_gen_t_log_norm_keeps_its_limit(self, q):
+        # log f(0) of the unit-variance generalized-t at p = 1.5, with mpmath's
+        # delta; log(q)/p used to cancel against betaln: 3.4e-14 off at 1e200
+        assert GenTBase(1.5, q)._log_norm == pytest.approx(-0.7424074851730663, rel=5e-16, abs=0.0)
+
     @pytest.mark.parametrize("q", [1e17, 1e100, 1e200, 1e300])
     def test_gen_t_scale_keeps_its_limit(self, q):
         # delta -> sqrt(Gamma(1/p) / Gamma(3/p)) as q -> inf; a log q used to
@@ -327,6 +339,82 @@ class TestCdfQuantile:
         vec = cdf_values(spec, GRID)
         np.testing.assert_allclose(vec, [cdf(spec, float(x)) for x in GRID], atol=1e-10)
         assert np.all(np.diff(vec) >= 0)
+
+
+class TestQuantileSharesTheFoldMass:
+    """`quantile` integrates below the fold once and returns what the search
+    over the public `cdf` returned, float for float."""
+
+    @staticmethod
+    def search_over_cdf(spec, u):
+        # the doubling bracket plus brentq over the public cdf, each of whose
+        # evaluations above loc integrated (-inf, loc] again
+        from scipy.optimize import brentq
+
+        center = spec.loc
+        f_center = cdf(spec, center) - u
+        if f_center == 0.0:
+            return center
+        step = spec.scale
+        if f_center > 0:
+            lo = center - step
+            while cdf(spec, lo) > u:
+                step *= 2.0
+                lo = center - step
+                if step > 1e12 * spec.scale:
+                    raise NumericError(f"failed to bracket quantile u={u} below the location")
+            bracket = (lo, center)
+        else:
+            hi = center + step
+            while cdf(spec, hi) < u:
+                step *= 2.0
+                hi = center + step
+                if step > 1e12 * spec.scale:
+                    raise NumericError(f"failed to bracket quantile u={u} above the location")
+            bracket = (center, hi)
+        return float(brentq(lambda t: cdf(spec, t) - u, *bracket, xtol=1e-12, rtol=8.9e-16))
+
+    # the root lies below loc at the first level and above it at the second
+    MEMBERS = [
+        (bsn(1.0, 1.5), (0.1, 0.7)),
+        (bsstd(3.0, 0.8, 4.0, loc=-2.0, scale=3.0), (0.05, 0.9)),
+        (bsgt(0.5, 1.2, 1.7, 2.5, loc=1e3, scale=0.01), (0.2, 0.95)),
+        (bsn(0.0, 1.0, loc=1.0, scale=2.0), (0.3, 0.999)),
+    ]
+
+    @pytest.mark.parametrize("spec,levels", MEMBERS, ids=["bsn", "bsstd-moved", "bsgt-moved", "shifted"])
+    def test_equals_the_search_over_cdf(self, spec, levels):
+        below, above = levels
+        assert quantile(spec, below) < spec.loc < quantile(spec, above)
+        for u in levels:
+            assert quantile(spec, u) == self.search_over_cdf(spec, u)
+
+    def test_same_error_where_the_search_fails(self):
+        # far in the upper tail the cdf cannot certify its error
+        spec, u = bsgt(1.0, 1.5, 1.7, 2.0), 1.0 - 1e-9
+        with pytest.raises(NumericError) as want:
+            self.search_over_cdf(spec, u)
+        with pytest.raises(NumericError) as got:
+            quantile(spec, u)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("spec,levels", MEMBERS[:2], ids=["bsn", "bsstd-moved"])
+    def test_one_integral_below_the_fold_per_call(self, monkeypatch, spec, levels):
+        from bimodalskew import families
+
+        calls = []
+        quad_pdf = families._quad_pdf
+
+        def counted(spec, lo, hi):
+            calls.append((lo, hi))
+            return quad_pdf(spec, lo, hi)
+
+        monkeypatch.setattr(families, "_quad_pdf", counted)
+        for u in levels:
+            calls.clear()
+            quantile(spec, u)
+            assert calls.count((-math.inf, spec.loc)) == 1
+            assert len(calls) > 5  # the bracket and brentq evaluated the cdf many times
 
 
 def left_mass(spec):
@@ -609,6 +697,66 @@ class TestFarTail:
         )
         for near, far in pairs:
             assert far < near and far == pytest.approx(near, abs=0.1)
+
+
+# z^2 overflows past 1.3e154, which numpy reports
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestBaseFarForm:
+    """The heavy-tail bases compute their far-tail log form only where a point
+    needs it, and give what choosing between both forms at every point gave,
+    bit for bit."""
+
+    Z = np.concatenate(
+        [[0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, -3.0, 40.0, 1e149, -1e149],
+         np.geomspace(1e150, 1e308, 25), -np.geomspace(1e150, 1e308, 25),
+         [math.inf, -math.inf, math.nan]]
+    )
+
+    @staticmethod
+    def student_both_forms(base, z):
+        z = np.asarray(z, dtype=float)
+        nu = base.nu
+        zz = z * z
+        with np.errstate(divide="ignore"):
+            tail = np.where(
+                zz < bases._HUGE, np.log1p(zz / (nu - 2.0)), 2.0 * np.log(np.abs(z)) - np.log(nu - 2.0)
+            )
+        return base._log_norm - 0.5 * (nu + 1) * tail
+
+    @staticmethod
+    def gen_t_both_forms(base, z):
+        z = np.asarray(z, dtype=float)
+        p, q, delta = base.p, base.q, base.delta
+        az = np.abs(z)
+        with np.errstate(over="ignore"):
+            w = (az / delta) ** p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(np.isfinite(w), np.log1p(w / q), p * (np.log(az) - np.log(delta)) - np.log(q))
+        return base._log_norm - (q + 1.0 / p) * tail
+
+    @classmethod
+    def assert_bit_equal(cls, base, reference):
+        # the whole grid, each point alone (each path by itself), and columns
+        for z in (cls.Z, cls.Z.reshape(-1, 1), *cls.Z):
+            got, want = base.log_pdf(z), reference(base, z)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("nu", [2.05, 5.0, 1e15])
+    def test_student(self, nu):
+        self.assert_bit_equal(StudentTBase(nu), self.student_both_forms)
+
+    @pytest.mark.parametrize("p", [0.5, 1.7, 4.0])
+    @pytest.mark.parametrize("pq", [2.05, 5.0, 1e15])
+    def test_gen_t(self, p, pq):
+        self.assert_bit_equal(GenTBase(p, pq / p), self.gen_t_both_forms)
+
+    def test_finite_squares_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for base in (StudentTBase(2.05), GenTBase(0.5, 5.0), GenTBase(4.0, 1.0)):
+                base.log_pdf(np.array([0.0, 5e-324, 3.0, 1e149]))
+                base.log_pdf(0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, np.float64(0.0), 2.0], ids=["0", "numpy-0", "2"])

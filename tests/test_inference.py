@@ -337,6 +337,15 @@ class TestRunMcmc:
         with pytest.raises(DomainError):
             run_mcmc(np.array([np.nan, 1.0, 2.0, -1.0]), model="bsn", config=self.CFG)
 
+    @pytest.mark.parametrize("model", ["bsn", "bsstd", "bsgt"])
+    def test_data_whose_squares_overflow_raise(self, model):
+        # an infinite sum of x^2 used to leave alpha at 1.0 and nu at 6.0 with
+        # acceptance 0; (1e154)^2 is finite, but two of them sum past the range
+        data = fixture_data(50)
+        for far in ([2e154], [-1e300], [1e154, -1e154]):
+            with pytest.raises(DomainError, match="squared data overflows"):
+                run_mcmc(np.append(data, far), model=model, config=self.CFG, seed=0, enable_extensions=True)
+
 
 class TestForkedChains:
     """Two or more chains run on two forked workers, the same as one after another."""
