@@ -4,8 +4,9 @@ The construction combines two-piece skewing with a quadratic tilt, giving
 densities that can be simultaneously skewed and bimodal.  The package covers
 density/CDF/moment evaluation (`families`), exact samplers including the
 scale-mixture hierarchies (`sampling`), Bayesian fitting by adaptive
-Metropolis-within-Gibbs with exact precision augmentation (`inference`), an
-independent numeric validation suite (`oracle`), and a CLI (`bimodalskew`).
+Metropolis-within-Gibbs on each base's own log density, with posterior
+precision means as outlier scores (`inference`), an independent numeric
+validation suite (`oracle`), and a CLI (`bimodalskew`).
 """
 
 from .bases import GenTBase, NormalBase, StudentTBase

@@ -209,8 +209,8 @@ def _read_first_numeric_column(path: str) -> np.ndarray:
 def cmd_fit(args: argparse.Namespace) -> int:
     if args.model == "bsgt" and not args.enable_extensions:
         raise CapabilityError(
-            "fitting bsgt tail-shape parameters goes beyond the augmented sampling "
-            "scheme; opt in with --enable-extensions"
+            "fitting bsgt tail-shape parameters is an extension whose p and q blocks "
+            "mix slowly (min ESS about 200 at default length); opt in with --enable-extensions"
         )
     from .inference import McmcConfig, PriorConfig, posterior_summary, run_mcmc
 

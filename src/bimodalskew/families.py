@@ -70,12 +70,23 @@ def two_piece_second_moment(gamma: float) -> float:
     """Second moment b(gamma) of a two-piece density with unit-variance base.
 
     b(gamma) = (gamma^3 + gamma^-3) / (gamma + 1/gamma); symmetric under
-    gamma -> 1/gamma and equal to 1 at gamma = 1.
+    gamma -> 1/gamma and equal to 1 at gamma = 1.  Where gamma^3 or gamma^-3
+    overflows it is max(gamma, 1/gamma)^2, to rounding; where that overflows
+    too (gamma beyond about 1.3e154 or below about 7.5e-155) it raises
+    `DomainError`.
     """
     if not np.isfinite(gamma) or gamma <= 0:
         raise DomainError(f"skewness parameter must be positive and finite, got gamma={gamma}")
     g = float(gamma)
-    return (g**3 + g**-3) / (g + 1.0 / g)
+    try:
+        return (g**3 + g**-3) / (g + 1.0 / g)
+    except OverflowError:
+        pass
+    # the factor (1 + g^-6) / (1 + g^-2) of g^2, or its mirror, rounds to 1 here
+    try:
+        return g**2 if g > 1.0 else g**-2
+    except OverflowError:
+        raise DomainError(f"the second moment b(gamma) overflows at gamma={gamma}") from None
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,11 @@ class DistributionSpec:
             raise DomainError(f"location must be finite, got {self.loc}")
         if not np.isfinite(self.scale) or self.scale <= 0:
             raise DomainError(f"scale must be positive and finite, got {self.scale}")
-        object.__setattr__(self, "b", two_piece_second_moment(self.gamma))
+        b = two_piece_second_moment(self.gamma)
+        if not math.isfinite(float(self.alpha) * b):
+            # the density divides by 1 + alpha*b, which would read as inf
+            raise DomainError(f"alpha*b(gamma) overflows at alpha={self.alpha}, gamma={self.gamma}")
+        object.__setattr__(self, "b", b)
 
     @property
     def family(self) -> str:

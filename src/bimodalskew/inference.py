@@ -3,11 +3,17 @@
 The skewness is parameterized through phi = gamma^2 with a Gamma(a, b) prior,
 the tilt alpha gets a Gamma prior with mass at small values, and for the
 Student-t family the degrees of freedom carry a shifted exponential prior
-p(nu) = beta * exp(-beta (nu - 2)) on nu > 2.  Each observation of the
-Student-t model is augmented with a precision lambda_i whose full conditional
-is Gamma((nu+1)/2, rate (nu - 2 + x_i^2 phi^(-sign(x_i)))/2), i.e. an exact
-Gibbs step; phi, alpha and nu move by adaptive random-walk Metropolis on log
-scales.
+p(nu) = beta * exp(-beta (nu - 2)) on nu > 2.  One sweep serves every model:
+phi, then alpha, then each shape block of the base (nu for bsstd, p and
+q - 2/p for bsgt), each by adaptive random-walk Metropolis on a log scale.
+phi's and the shape blocks' targets take the base's log density summed over
+the data as the skewing stretches them; the normal's sum is closed form in
+two half sums of x^2.
+
+The Student-t is a normal scale mixture, but its precisions lambda_i are not
+drawn: the chain keeps their posterior means, averaging
+E[lambda_i | x, phi, nu] = (nu + 1) / (nu - 2 + x_i^2 phi^(-sign(x_i))) over
+the retained sweeps, as outlier scores.
 
 Proposal scales adapt by Robbins-Monro (step c/t^0.6 toward a target
 acceptance rate) and freeze at the end of burn-in, so the retained draws come
@@ -30,13 +36,11 @@ from .sampling import RngStream, _gen
 __all__ = [
     "PriorConfig",
     "McmcConfig",
-    "AugmentedState",
     "Chain",
     "log_likelihood_bsn",
     "log_likelihood_augmented",
     "log_cond_phi",
     "log_cond_alpha",
-    "log_cond_nu",
     "gibbs_update_lambda",
     "mh_block_update",
     "MetropolisWithinGibbs",
@@ -50,8 +54,9 @@ _HALF_LOG_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 _ALPHA_SHIFT = 1e-12
 _SCALE_BOUNDS = (1e-4, 1e2)
 _INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
-# a bsgt sweep evaluates the base at the current (p, q) in every block and
-# at two proposals once each
+# a sweep evaluates the base at its current shape in every block and at each
+# shape proposal once
+_t_base = functools.lru_cache(maxsize=8)(StudentTBase)
 _gt_base = functools.lru_cache(maxsize=8)(GenTBase)
 
 
@@ -92,16 +97,6 @@ class McmcConfig:
             raise DomainError("thin must be >= 1")
         if self.chains < 1:
             raise DomainError("chains must be >= 1")
-
-
-@dataclass
-class AugmentedState:
-    """Mutable chain state; lam is all-ones for the normal-base model."""
-
-    alpha: float
-    phi: float
-    nu: float
-    lam: np.ndarray
 
 
 @dataclass
@@ -230,13 +225,18 @@ def _stretch(x: np.ndarray, pos: np.ndarray, phi: float) -> np.ndarray:
     return np.where(pos, x / gamma, x * gamma)
 
 
-def _lc_gt(z: np.ndarray, p: float, q_tilt: float) -> float:
-    """The generalized-t base term at the stretched data z, with q = q_tilt + 2/p."""
-    if p <= 0 or q_tilt <= 0:
-        return -np.inf
+def _lc_base(z: np.ndarray, shape: dict[str, float]) -> float:
+    """A heavy-tailed base term: the base's log density summed over the
+    stretched data z, at the shape in ``shape`` (nu for bsstd; p and
+    q_tilt = q - 2/p for bsgt), and -inf outside the shape's support."""
     try:
-        base = _gt_base(p, q_tilt + 2.0 / p)
-    except DomainError:  # the variance is beyond the float range
+        if "nu" in shape:
+            base = _t_base(shape["nu"])
+        elif shape["p"] > 0 and shape["q_tilt"] > 0:
+            base = _gt_base(shape["p"], shape["q_tilt"] + 2.0 / shape["p"])
+        else:
+            return -np.inf
+    except DomainError:  # nu <= 2, or a variance beyond the float range
         return -np.inf
     return float(np.sum(base.log_pdf(z)))
 
@@ -251,26 +251,10 @@ def _lc_alpha(alpha: float, phi: float, xx: np.ndarray, priors: PriorConfig) -> 
     )
 
 
-def _nu_penalty(lam: np.ndarray, priors: PriorConfig) -> float:
-    """The lambda statistic of the nu conditional, with the prior rate folded in."""
-    return priors.beta_nu + 0.5 * float(np.sum(lam - np.log(lam)))
-
-
-def _nu_kernel(n: int):
-    """The nu conditional of n precisions as a function of (nu, penalty)."""
-    from scipy.special import gammaln  # loaded once per kernel, not per nu step
-
-    def lc_nu(nu: float, penalty: float) -> float:
-        if nu <= 2:
-            return -np.inf
-        return 0.5 * n * nu * math.log(0.5 * (nu - 2.0)) - n * gammaln(0.5 * nu) - nu * penalty
-
-    return lc_nu
-
-
-def _draw_lambda(gen, xx: np.ndarray, pos: np.ndarray, phi: float, nu: float) -> np.ndarray:
-    rate = 0.5 * (nu - 2.0 + xx * np.where(pos, 1.0 / phi, phi))
-    return gen.gamma(0.5 * (nu + 1.0), 1.0 / rate)
+def _precision_rate(xx: np.ndarray, pos: np.ndarray, phi: float, nu: float) -> np.ndarray:
+    """nu - 2 + x^2 phi^(-sign(x)), twice the rate of the precisions' Gamma
+    full conditional, whose shape is (nu + 1)/2."""
+    return nu - 2.0 + xx * np.where(pos, 1.0 / phi, phi)
 
 
 def log_cond_phi(phi: float, alpha: float, data, lam, priors: PriorConfig) -> float:
@@ -286,19 +270,14 @@ def log_cond_alpha(alpha: float, phi: float, data, priors: PriorConfig) -> float
     return _lc_alpha(alpha, phi, x * x, priors)
 
 
-def log_cond_nu(nu: float, lam, priors: PriorConfig) -> float:
-    """Unnormalized log full conditional of the degrees of freedom given lambda."""
-    lam = np.asarray(lam, dtype=float)
-    return _nu_kernel(lam.size)(nu, _nu_penalty(lam, priors))
-
-
 def gibbs_update_lambda(data, phi: float, nu: float, rng) -> np.ndarray:
     """Exact draw of the augmented precisions from their Gamma full conditional."""
     x = _check_data(data)
     if phi <= 0:
         raise DomainError(f"need phi > 0, got {phi}")
     StudentTBase(nu)  # validates nu
-    return _draw_lambda(_gen(rng), x * x, x >= 0, phi, nu)
+    rate = 0.5 * _precision_rate(x * x, x >= 0, phi, nu)
+    return _gen(rng).gamma(0.5 * (nu + 1.0), 1.0 / rate)
 
 
 # ---------- Metropolis machinery ----------
@@ -363,14 +342,15 @@ def _default_init(x: np.ndarray, model: str) -> dict[str, float]:
 class MetropolisWithinGibbs:
     """Adaptive Metropolis-within-Gibbs sampler for one chain.
 
-    ``model`` is "bsn" (normal base, blocks phi and alpha) or "bsstd"
-    (Student-t base, adding the nu block and the exact lambda Gibbs step).
-    The experimental "bsgt" model has no augmentation: phi's conditional
-    takes the generalized-t base term in place of the normal's, p and
-    q - 2/p move on that base term under Gamma(2, 1) and Gamma(2, 0.5)
-    priors, and alpha keeps its tilt conditional.  It is not part of the
-    augmented scheme and must be opted into explicitly.  An initial value
-    that is not finite or lies outside its block's support raises `DomainError`.
+    ``model`` is "bsn" (normal base, blocks phi and alpha), "bsstd"
+    (Student-t base, adding nu under its shifted exponential prior) or the
+    experimental "bsgt" (generalized-t base, adding p and q - 2/p under
+    Gamma(2, 1) and Gamma(2, 0.5) priors).  Each sweep moves phi, then alpha,
+    then the base's shape blocks on the base term at the stretched data;
+    ``state`` holds the current value of every block.  "bsgt" must be opted
+    into explicitly, because its p and q blocks trade tail weight and mix
+    slowly.  An initial value that is not finite or lies outside its block's
+    support raises `DomainError`.
     """
 
     def __init__(
@@ -387,43 +367,39 @@ class MetropolisWithinGibbs:
             raise DomainError(f"unknown model {model!r}")
         if model == "bsgt" and not enable_extensions:
             raise CapabilityError(
-                "generalized-t fitting is an extension outside the augmented scheme; "
-                "pass enable_extensions=True to opt in"
+                "generalized-t fitting is an extension whose p and q blocks mix slowly "
+                "(min ESS about 200 at default length); pass enable_extensions=True to opt in"
             )
         self.x = _check_data(data)
         # per-data-set invariants of the block kernels; sign(0) = +1
         self._xx = self.x * self.x
         self._pos = self.x >= 0
-        self._xx_sums = _half_sums(self._xx, self._pos)
-        self._lc_nu = _nu_kernel(self.x.size)
+        self._normal_term = _normal_term(*_half_sums(self._xx, self._pos))
         self.model = model
         self.priors = priors or PriorConfig()
         self.config = config or McmcConfig()
         self.rng = rng if rng is not None else RngStream(0)
         self._gen = _gen(self.rng)
+        # each shape block's log prior, in sweep order; _lc_base holds nu > 2
+        self._shape_priors = {
+            "bsn": {},
+            "bsstd": {"nu": lambda nu: -self.priors.beta_nu * nu},
+            "bsgt": {
+                "p": lambda p: _log_gamma(p, 2.0, 1.0),
+                "q_tilt": lambda qt: _log_gamma(qt, 2.0, 0.5),
+            },
+        }[model]
 
         defaults = _default_init(self.x, model)
         if init:
             defaults.update(init)
-        self.state = AugmentedState(
-            alpha=float(defaults["alpha"]),
-            phi=float(defaults["phi"]),
-            nu=float(defaults.get("nu", 6.0)),
-            lam=np.ones_like(self.x),
-        )
-        self.p = float(defaults.get("p", 2.0))
-        self.q_tilt = float(defaults.get("q_tilt", 2.0))
-
-        blocks = ["phi", "alpha"]
-        if model == "bsstd":
-            blocks += ["nu"]
-        if model == "bsgt":
-            blocks += ["p", "q_tilt"]
+        blocks = ["phi", "alpha", *self._shape_priors]
         for b in blocks:  # the supports: alpha >= 0, nu > 2, every other block > 0
             value, edge = float(defaults[b]), 2.0 if b == "nu" else 0.0
             if not (math.isfinite(value) and (value > edge or b == "alpha" and value == edge)):
                 raise DomainError(f"initial {b} must be finite and in its support, got {value}")
         self.blocks = blocks
+        self.state = {b: float(defaults[b]) for b in blocks}
         self.scales = {b: _INIT_SCALE for b in blocks}
         self.accept_post = {b: 0 for b in blocks}
         self.accept_total = {b: 0 for b in blocks}
@@ -431,62 +407,45 @@ class MetropolisWithinGibbs:
         self._iteration = 0
         self._post_iterations = 0
 
-    def _update_block(self, name: str, log_target, value: float, floor: float, adapt_rate):
+    def _update_block(self, name: str, log_target, adapt_rate) -> None:
+        floor = {"alpha": -_ALPHA_SHIFT, "nu": 2.0}.get(name, 0.0)
         new, accepted, new_scale = mh_block_update(
-            value,
+            self.state[name],
             log_target,
             self.scales[name],
             self._gen,
             floor=floor,
             adapt_rate=adapt_rate,
         )
+        self.state[name] = new
         self.scales[name] = new_scale
         self.accept_total[name] += accepted
         if self._iteration > self.config.burn_in:
             self.accept_post[name] += accepted
-        return new
 
-    def step(self, update_nu: bool | None = None, update_lambda: bool | None = None) -> None:
-        """One full sweep over the blocks."""
+    def step(self) -> None:
+        """One full sweep: phi, then alpha, then each shape block of the base."""
         self._iteration += 1
         t = self._iteration
         if t > self.config.burn_in:
             self._post_iterations += 1
         adapting = t <= self.config.burn_in
         rate = 1.0 / t**0.6 if adapting else None
-        st, x, n, priors = self.state, self.x, self.x.size, self.priors
+        st, x, pos, n, priors = self.state, self.x, self._pos, self.x.size, self.priors
 
-        if self.model == "bsgt":
-            p, q_tilt = self.p, self.q_tilt
-            base_term = lambda phi: _lc_gt(_stretch(x, self._pos, phi), p, q_tilt)
+        if self._shape_priors:
+            base_term = lambda phi: _lc_base(_stretch(x, pos, phi), st)
         else:
-            # lam moves every sweep, so only the unweighted half sums are fixed
-            sums = _half_sums(st.lam * x * x, self._pos) if self.model == "bsstd" else self._xx_sums
-            base_term = _normal_term(*sums)
-        alpha = st.alpha
-        st.phi = self._update_block(
-            "phi", lambda phi: _lc_phi(phi, alpha, n, base_term, priors), st.phi, 0.0, rate
-        )
-        phi = st.phi
+            base_term = self._normal_term
+        alpha = st["alpha"]
+        self._update_block("phi", lambda phi: _lc_phi(phi, alpha, n, base_term, priors), rate)
+        phi = st["phi"]
         # the tilt is the only alpha term of any unit-variance base
-        st.alpha = self._update_block(
-            "alpha", lambda a: _lc_alpha(a, phi, self._xx, priors), st.alpha, -_ALPHA_SHIFT, rate
-        )
-        if self.model == "bsgt":
-            # the base's shape blocks, each on the base term and a mild Gamma prior
-            z = _stretch(x, self._pos, phi)
-            lt_p = lambda p: _lc_gt(z, p, self.q_tilt) + _log_gamma(p, 2.0, 1.0)
-            self.p = self._update_block("p", lt_p, self.p, 0.0, rate)
-            lt_q = lambda qt: _lc_gt(z, self.p, qt) + _log_gamma(qt, 2.0, 0.5)
-            self.q_tilt = self._update_block("q_tilt", lt_q, self.q_tilt, 0.0, rate)
-
-        do_nu = (self.model == "bsstd") if update_nu is None else update_nu
-        do_lam = (self.model == "bsstd") if update_lambda is None else update_lambda
-        if do_nu:
-            penalty = _nu_penalty(st.lam, priors)
-            st.nu = self._update_block("nu", lambda nu: self._lc_nu(nu, penalty), st.nu, 2.0, rate)
-        if do_lam:
-            st.lam = _draw_lambda(self._gen, self._xx, self._pos, st.phi, st.nu)
+        self._update_block("alpha", lambda a: _lc_alpha(a, phi, self._xx, priors), rate)
+        if self._shape_priors:
+            z = _stretch(x, pos, phi)
+            for name, log_prior in self._shape_priors.items():
+                self._update_block(name, lambda v: _lc_base(z, {**st, name: v}) + log_prior(v), rate)
         if adapting:
             self._record_adapt(t)
 
@@ -499,6 +458,7 @@ class MetropolisWithinGibbs:
         cfg = self.config
         keep = range(cfg.burn_in, cfg.iterations, cfg.thin)
         n_keep = len(keep)
+        st = self.state
         # one row per block, with bsgt's q = q_tilt + 2/p kept in place of q_tilt
         kept = {("q" if b == "q_tilt" else b): np.empty(n_keep) for b in self.blocks}
         lam_sum = np.zeros_like(self.x) if self.model == "bsstd" else None
@@ -507,14 +467,10 @@ class MetropolisWithinGibbs:
         for it in range(cfg.iterations):
             self.step()
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                kept["phi"][k] = self.state.phi
-                kept["alpha"][k] = self.state.alpha
-                if self.model == "bsstd":
-                    kept["nu"][k] = self.state.nu
-                    lam_sum += self.state.lam
-                if self.model == "bsgt":
-                    kept["p"][k] = self.p
-                    kept["q"][k] = self.q_tilt + 2.0 / self.p
+                for b, row in zip(self.blocks, kept.values()):
+                    row[k] = st["q_tilt"] + 2.0 / st["p"] if b == "q_tilt" else st[b]
+                if lam_sum is not None:  # E[lambda | x, phi, nu], averaged
+                    lam_sum += (st["nu"] + 1.0) / _precision_rate(self._xx, self._pos, st["phi"], st["nu"])
                 k += 1
 
         denom = max(self._post_iterations, 1)

@@ -116,8 +116,13 @@ def _out(values, size):
 def _two_piece_signs(gamma: float, magnitude: np.ndarray, tilted: bool, gen) -> np.ndarray:
     """Two-piece draws from half-line magnitudes m: gamma*m at mass gamma^2:1
     (gamma^6:1 when tilted), else -m/gamma."""
-    weight = gamma**6 if tilted else gamma**2
-    right = gen.random(magnitude.size) < weight / (1.0 + weight)
+    gamma = float(gamma)
+    try:
+        weight = gamma**6 if tilted else gamma**2
+        right_mass = weight / (1.0 + weight)
+    except OverflowError:  # the left side's mass, about gamma^-6, is below rounding
+        right_mass = 1.0
+    right = gen.random(magnitude.size) < right_mass
     return np.where(right, gamma * magnitude, -magnitude / gamma)
 
 
@@ -209,7 +214,8 @@ def sample_bsstd(alpha: float, gamma: float, nu: float, rng, size: int | None = 
     """Draw from the bimodal skewed standardized Student-t via its gamma mixture.
 
     Returns the precision-like mixing variable lambda alongside x; the joint
-    law of (x, lambda) matches the augmented model used by the Gibbs sampler.
+    law of (x, lambda) is the normal scale mixture whose precision full
+    conditional `inference.gibbs_update_lambda` draws from.
     """
     spec = bsstd(alpha, gamma, nu)  # validates
     gen = _gen(rng)

@@ -900,6 +900,40 @@ class TestValidation:
         with pytest.raises(DomainError):
             build()
 
+    def test_second_moment_far_from_one(self):
+        # gamma**3 or gamma**-3 used to raise a bare OverflowError from about
+        # 5.6e102 and 1.8e-103; there b(gamma) is max(gamma, 1/gamma)^2
+        for g in (5.7e102, 1e120, 1.3e154):
+            assert two_piece_second_moment(g) == bsn(0.0, g).b == g**2
+            assert two_piece_second_moment(1.0 / g) == pytest.approx(g**2, rel=1e-15)
+        assert bsn(0.0, 1.7e-103).b == 1.7e-103**-2
+        below, above = 5.64e102, 5.65e102  # gamma**3 overflows between them
+        assert two_piece_second_moment(below) == pytest.approx(below**2, rel=1e-15)
+        assert two_piece_second_moment(above) == above**2
+
+    @pytest.mark.parametrize("gamma", [1.4e154, 1e300, 7e-155, 5e-324])
+    def test_second_moment_overflow_raises(self, gamma):
+        with pytest.raises(DomainError, match="overflows"):
+            two_piece_second_moment(gamma)
+        with pytest.raises(DomainError, match="overflows"):
+            bsstd(1.0, gamma, 5.0)
+
+    @pytest.mark.parametrize(
+        "alpha,gamma,finite_alpha", [(1e300, 1e5, 1e298), (10.0, 1.3e154, 1.0), (2.0, 1e-154, 1.0)]
+    )
+    def test_tilt_normalizer_overflow_raises(self, alpha, gamma, finite_alpha):
+        # 1 + alpha*b used to read as inf, so pdf was 0 and cdf 0.0 everywhere
+        # and sample drew no tilted component (inf/inf = NaN)
+        for build in (lambda: bsn(alpha, gamma), lambda: bsstd(alpha, gamma, 5.0)):
+            with pytest.raises(DomainError, match="overflows"):
+                build()
+        assert math.isfinite(finite_alpha * bsn(finite_alpha, gamma).b)
+
+    def test_second_moment_unchanged_where_it_is_finite(self):
+        for g in np.logspace(-102.5, 102.7, 121):
+            g = float(g)
+            assert two_piece_second_moment(g) == (g**3 + g**-3) / (g + 1.0 / g)
+
     def test_family_is_read_off_the_base(self):
         assert [s.family for s in (bsn(1, 1), bsstd(1, 1, 5), bsgt(1, 1, 2, 2))] == [
             "bsn", "bsstd", "bsgt",

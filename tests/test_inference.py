@@ -1,4 +1,4 @@
-"""Augmented Gibbs machinery: conditionals, adaptation, chain output."""
+"""Fitter machinery: conditionals, block targets, adaptation, chain output."""
 
 import gc
 import math
@@ -18,7 +18,6 @@ from bimodalskew.inference import (
     effective_sample_size,
     gibbs_update_lambda,
     log_cond_alpha,
-    log_cond_nu,
     log_cond_phi,
     log_likelihood_augmented,
     log_likelihood_bsn,
@@ -89,18 +88,6 @@ class TestConditionalsAgreeWithJoint:
         ]
         assert max(gaps) - min(gaps) < 1e-10
 
-    def test_nu_block(self):
-        rng = RngStream(30, 2).generator
-        lam = rng.gamma(2.0, 1.0, size=150)
-        nus = rng.uniform(2.2, 30.0, size=100)
-        gaps = [
-            log_cond_nu(nu, lam, PRIORS)
-            - float(np.sum(stats.gamma(0.5 * nu, scale=2.0 / (nu - 2.0)).logpdf(lam)))
-            + PRIORS.beta_nu * nu
-            for nu in nus
-        ]
-        assert max(gaps) - min(gaps) < 1e-10
-
     def test_marginal_equals_density_sum(self):
         # the likelihood route must agree with the density the family exposes
         from bimodalskew.families import log_pdf
@@ -146,66 +133,82 @@ class TestBlockUpdate:
             assert value > 2.0
 
 
-class TestCollapseToMarginalSampler:
-    def test_unit_precisions_reproduce_marginal_walk(self):
-        # freezing every precision at 1 and skipping the tail block must give
-        # float-identical phi/alpha trajectories to the marginal-model walker
-        data = fixture_data(150)
-        init = {"phi": 2.0, "alpha": 1.0}
-        a = MetropolisWithinGibbs(data, model="bsn", rng=RngStream(33, 0), init=init)
-        b = MetropolisWithinGibbs(data, model="bsstd", rng=RngStream(33, 0), init={**init, "nu": 8.0})
-        assert np.all(b.state.lam == 1.0)
-        for _ in range(200):
-            a.step()
-            b.step(update_nu=False, update_lambda=False)
-            assert b.state.phi == a.state.phi
-            assert b.state.alpha == a.state.alpha
-
-
-class TestGeneralizedTBlocks:
-    """Each bsgt block's target is the family's log likelihood plus the block's prior, up to a constant."""
+class TestShapeBlocks:
+    """Each heavy-tailed block's target is the family's log likelihood plus the block's prior, up to a constant."""
 
     GRIDS = {
         "phi": np.linspace(0.3, 6.0, 20),
         "alpha": np.linspace(0.0, 12.0, 20),
+        "nu": np.linspace(2.05, 40.0, 20),
         "p": np.linspace(0.6, 5.0, 20),
         "q_tilt": np.linspace(0.2, 10.0, 20),
     }
     PRIORS = {
         "phi": stats.gamma(PRIORS.a_phi, scale=1.0 / PRIORS.b_phi).logpdf,
         "alpha": stats.gamma(PRIORS.a_alpha, scale=1.0 / PRIORS.b_alpha).logpdf,
+        "nu": stats.expon(loc=2.0, scale=1.0 / PRIORS.beta_nu).logpdf,
         "p": stats.gamma(2.0, scale=1.0).logpdf,
         "q_tilt": stats.gamma(2.0, scale=2.0).logpdf,
     }
+    CASES = {
+        "bsstd": (bsstd(3.0, 1.5, 5.0), ["phi", "alpha", "nu"]),
+        "bsgt": (bsgt(3.0, 1.5, 1.7, 2.0), ["phi", "alpha", "p", "q_tilt"]),
+    }
 
-    def test_block_targets_match_family_density(self, monkeypatch):
+    @staticmethod
+    def spec(model, at):
+        gamma = math.sqrt(at["phi"])
+        if model == "bsstd":
+            return bsstd(at["alpha"], gamma, at["nu"])
+        return bsgt(at["alpha"], gamma, at["p"], at["q_tilt"] + 2.0 / at["p"])
+
+    @pytest.mark.parametrize("model", ["bsstd", "bsgt"])
+    def test_block_targets_match_family_density(self, monkeypatch, model):
         # each target is read on its grid when the sampler hands it to the
         # update, with every other block at the value the sampler holds then
         from bimodalskew.families import log_pdf
 
-        data = sample(bsgt(3.0, 1.5, 1.7, 2.0), 500, RngStream(5, 0))
-        s = MetropolisWithinGibbs(data, model="bsgt", rng=RngStream(11, 0), enable_extensions=True)
+        truth, blocks = self.CASES[model]
+        data = sample(truth, 500, RngStream(5, 0))
+        s = MetropolisWithinGibbs(data, model=model, rng=RngStream(11, 0), enable_extensions=True)
         spreads = []
         update = inference.mh_block_update
 
         def checked(value, log_target, *args, **kwargs):
             name = s.blocks[len(spreads) % len(s.blocks)]
-            held = {"alpha": s.state.alpha, "phi": s.state.phi, "p": s.p, "q_tilt": s.q_tilt}
+            held = dict(s.state)
             assert held[name] == value
             gaps = []
             for v in self.GRIDS[name]:
-                at = {**held, name: v}
-                spec = bsgt(at["alpha"], math.sqrt(at["phi"]), at["p"], at["q_tilt"] + 2.0 / at["p"])
-                family = float(np.sum(log_pdf(spec, data))) + self.PRIORS[name](v)
-                gaps.append(log_target(v) - family)
+                family = float(np.sum(log_pdf(self.spec(model, {**held, name: v}), data)))
+                gaps.append(log_target(v) - family - self.PRIORS[name](v))
             spreads.append((name, max(gaps) - min(gaps)))
             return update(value, log_target, *args, **kwargs)
 
         monkeypatch.setattr(inference, "mh_block_update", checked)
         for _ in range(3):
             s.step()
-        assert [name for name, _ in spreads] == s.blocks * 3 == ["phi", "alpha", "p", "q_tilt"] * 3
+        assert [name for name, _ in spreads] == s.blocks * 3 == blocks * 3
         assert max(spread for _, spread in spreads) < 1e-9, spreads
+
+    def test_nu_target_has_no_mass_at_or_below_two(self, monkeypatch):
+        # nu's random walk runs on log(nu - 2); its target itself must also
+        # vanish where the Student-t base has no variance
+        s = MetropolisWithinGibbs(fixture_data(50), model="bsstd", rng=RngStream(11, 1))
+        s.step()
+        held, floors = dict(s.state), []
+
+        def read(value, log_target, scale, rng, *, floor, adapt_rate):
+            if floor == 2.0:
+                assert log_target(2.0) == log_target(1.5) == -np.inf
+                assert math.isfinite(log_target(2.0 + 1e-9))
+            floors.append(floor)
+            return value, False, scale
+
+        monkeypatch.setattr(inference, "mh_block_update", read)
+        s.step()
+        assert floors == [0.0, -inference._ALPHA_SHIFT, 2.0]
+        assert s.state == held
 
 
 class TestInitialValues:
@@ -236,7 +239,8 @@ class TestInitialValues:
         # alpha may start at 0, the edge of its support; a block the model lacks is not checked
         s = MetropolisWithinGibbs(fixture_data(), model="bsn", init={"alpha": 0.0, "nu": float("nan")})
         s.step()
-        assert math.isfinite(s.state.alpha) and s.state.alpha >= 0.0
+        assert list(s.state) == ["phi", "alpha"]
+        assert math.isfinite(s.state["alpha"]) and s.state["alpha"] >= 0.0
 
 
 class TestEffectiveSampleSize:
@@ -310,6 +314,27 @@ class TestRunMcmc:
         g = summ["parameters"]["gamma"]["mean"]
         draws = np.concatenate([np.sqrt(c.params["phi"]) for c in chains])
         assert g == pytest.approx(float(np.mean(draws)), rel=1e-12)
+
+    def test_lambda_mean_is_the_mean_conditional_precision(self):
+        # the precisions are not drawn: lambda_mean averages their conditional
+        # mean (nu + 1)/(nu - 2 + x^2 phi^-+1) over the retained phi and nu
+        data = sample(bsstd(1.0, 1.5, 5.0), 150, RngStream(15, 0))
+        chain = run_mcmc(data, model="bsstd", config=self.CFG, seed=4)[0]
+        phi, nu = chain.params["phi"][:, None], chain.params["nu"][:, None]
+        stretched = np.where(data >= 0, data * data / phi, data * data * phi)
+        want = np.mean((nu + 1.0) / (nu - 2.0 + stretched), axis=0)
+        np.testing.assert_allclose(chain.lambda_mean, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model,blocks", [("bsn", 2), ("bsstd", 3), ("bsgt", 4)])
+    def test_a_sweep_draws_one_normal_and_one_uniform_per_block(self, model, blocks):
+        s = MetropolisWithinGibbs(fixture_data(), model=model, rng=RngStream(4, 0), enable_extensions=True)
+        for _ in range(5):
+            s.step()
+        gen = RngStream(4, 0).generator
+        for _ in range(5 * blocks):
+            gen.standard_normal()
+            gen.random()
+        assert s._gen.random() == gen.random()
 
     def test_generalized_t_fit_recovers_skewness(self):
         # phi's conditional depends on the base; the normal-base one drove

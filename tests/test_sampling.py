@@ -416,6 +416,19 @@ class TestValidation:
         out = draw(RngStream(0), np.int64(3))
         assert getattr(out, "x", out).size == 3
 
+    @pytest.mark.parametrize("gamma", [1e52, 1e100, 1e153])
+    def test_extreme_skewness_draws_from_the_heavy_side(self, gamma):
+        # gamma**6 used to raise a bare OverflowError from about 2.4e51; the
+        # far side's mass, about gamma^-6 (gamma^-2 untilted), is below rounding
+        for spec in (bsn(0.0, gamma), bsn(2.0, gamma), bsstd(2.0, gamma, 5.0), bsgt(2.0, gamma, 1.7, 2.0)):
+            x = sample(spec, 200, RngStream(1))
+            assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+            mirrored = sample(DistributionSpec(spec.alpha, 1.0 / gamma, spec.base), 200, RngStream(1))
+            assert np.all(np.isfinite(mirrored)) and np.all(mirrored < 0.0)
+        # untilted, every draw is gamma times its gamma = 1 magnitude
+        plain = np.abs(sample(bsn(0.0, 1.0), 50, RngStream(1)))
+        assert np.array_equal(sample(bsn(0.0, gamma), 50, RngStream(1)), gamma * plain)
+
     def test_non_standard_generalized_t_scale_is_refused(self):
         # such a spec has mass 1.75; sample used to draw the standard member
         spec = DistributionSpec(1.0, 1.0, GenTBase(2.0, 5.0, 2.0))
