@@ -250,8 +250,10 @@ def _quad_pdf(spec: DistributionSpec, lo: float, hi: float) -> tuple[float, floa
 def cdf(spec: DistributionSpec, x: float) -> float:
     """P(X <= x) by numeric integration of the density.
 
-    The integration is split at the fold point ``loc`` where the density has a
-    continuous but non-smooth join.  Raises NumericError when the integrator
+    The mass below the fold point ``loc``, where the density has a
+    continuous but non-smooth join, is taken in closed form from
+    `cdf_values`, and the density is integrated from ``loc`` to x, or from
+    -inf to x below the fold.  Raises NumericError when the integrator
     cannot certify an absolute error below 1e-8.
     """
     x = float(x)
@@ -261,22 +263,25 @@ def cdf(spec: DistributionSpec, x: float) -> float:
         return 0.0
     if x == np.inf:
         return 1.0
-    return _cdf(spec, x, _quad_pdf(spec, -np.inf, spec.loc) if x >= spec.loc else None)
+    return _cdf(spec, x, _fold_mass(spec) if x >= spec.loc else None)
 
 
-def _cdf(spec: DistributionSpec, x: float, left: tuple[float, float] | None) -> float:
-    """`cdf` at a finite x, given ``left``, the (value, error) of the mass below the fold.
+def _fold_mass(spec: DistributionSpec) -> float:
+    """The mass below the fold, P(X < loc), in closed form."""
+    return float(cdf_values(spec, [spec.loc])[0])
+
+
+def _cdf(spec: DistributionSpec, x: float, left: float | None) -> float:
+    """`cdf` at a finite x, given ``left``, the mass below the fold (`_fold_mass`).
 
     ``left`` is read only for x >= loc, so a caller that evaluates many
-    points integrates (-inf, loc] once.
+    points computes it once.
     """
     if x < spec.loc:
         value, err = _quad_pdf(spec, -np.inf, x)
-    elif x == spec.loc:
-        value, err = left
     else:
-        right, err_right = _quad_pdf(spec, spec.loc, x)
-        value, err = left[0] + right, left[1] + err_right
+        right, err = _quad_pdf(spec, spec.loc, x) if x > spec.loc else (0.0, 0.0)
+        value = left + right
     if err > _CDF_MAX_ERROR:
         raise NumericError(
             f"cdf integration did not converge at x={x}: achieved abs error {err:.3e} "
@@ -324,7 +329,7 @@ def cdf_values(spec: DistributionSpec, xs) -> np.ndarray:
 def quantile(spec: DistributionSpec, u: float) -> float:
     """Value x with cdf(x) = u, located by bracketing root search.
 
-    The mass below the fold is integrated once and shared by every
+    The mass below the fold is computed once and shared by every
     evaluation of the search at or above ``loc``.
     """
     u = float(u)
@@ -332,7 +337,7 @@ def quantile(spec: DistributionSpec, u: float) -> float:
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {u}")
 
     center = spec.loc
-    left = _quad_pdf(spec, -np.inf, center)
+    left = _fold_mass(spec)
     f_center = _cdf(spec, center, left) - u
     if f_center == 0.0:
         return center

@@ -35,7 +35,6 @@ from .families import (
     cdf_values,
     find_modes,
     full_moment,
-    log_pdf,
     moment_exists,
     pdf,
     two_piece_second_moment,
@@ -96,18 +95,22 @@ _WKG = np.stack([_WK, _WG])
 
 
 def _t_of(y: float) -> float:
-    """Inverse of y = t/(1 - t^2) on (-1, 1), in a cancellation-free form."""
+    """Inverse of y = sign(t) (1/|t| - 1) on [-1, 1], with sign(0) = 0."""
     if y == 0.0:
         return 0.0
-    return 2.0 * y / (1.0 + math.hypot(1.0, 2.0 * y))
+    return math.copysign(1.0, y) / (1.0 + abs(y))
 
 
 def _plan(a: float, b: float, points=()) -> tuple[float | None, list[tuple[float, float]]]:
-    """The fold anchor (None on a finite range) and the first panels of one integral.
+    """The map's anchor (None on a finite range) and the first panels of one integral.
 
-    Infinite tails are folded onto (-1, 1) by x = anchor + t/(1 - t^2).  The
-    range is cut at ``points`` and at an interior 0, and each segment is
-    halved once so a lone panel cannot fake convergence.
+    Infinite ranges are mapped by x = anchor + sign(t) (1/|t| - 1), as
+    QUADPACK's qagi maps them: (a, inf) to t in (0, 1], (-inf, b) to
+    [-1, 0) and the line to [-1, 1] about 0, so every infinite end sits at
+    t = 0, where floats are dense.  The range is cut at ``points`` and at an
+    interior 0; on the line that 0 is the anchor, at t = -1 and 1, and the
+    cut falls at `_t_of(0)` = 0, between the two infinite ends.  Each
+    segment is halved once so a lone panel cannot fake convergence.
     """
     a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b) or not a < b:
@@ -144,43 +147,43 @@ def _tail_plan(lowers) -> tuple[np.ndarray, list[tuple[float, float]]]:
     return lowers, [(0.0, 0.5), (0.5, 1.0)]
 
 
-def _gk_rows(f, lo, hi, rows, anchors, folded):
+def _gk_rows(f, lo, hi, rows, anchors, mapped):
     """Kronrod values, error estimates and selection keys of the panels (lo, hi).
 
     A panel's key is its error estimate, or -inf where it has no
     representable midpoint and so cannot be split.  ``lo`` and ``hi`` share
     one shape, which the three results take, and the flat ``rows`` gives
-    each panel's integral in row-major order.  ``folded`` is False when no
-    integral is folded, True when every one is, and else each integral's
-    flag.  Runs under the errstate of `_integrate_rows`.
+    each panel's integral in row-major order.  ``mapped`` is False when no
+    integral is mapped (see `_plan`), True when every one is, and else each
+    integral's flag.  On a mapped range the Jacobian 1/t^2 is applied as two
+    factors 1/|t|, so it does not overflow before the integrand has decayed,
+    and a panel with a node mapped past the largest float gets error +inf,
+    since the mass beyond it is unknown.  Runs under the errstate of
+    `_integrate_rows`.
     """
     width = hi - lo
     mid = 0.5 * (lo + hi)
     half = 0.5 * width
     ts = mid[..., None] + half[..., None] * _NODES
-    if folded is False:
+    if mapped is False:
         ys = np.asarray(f(ts.reshape(-1, 15), rows), dtype=float).reshape(ts.shape)
     else:
         column = ts.shape[:-1] + (1,)
-        tt = ts * ts
-        one_minus = 1.0 - tt
-        xs = anchors[rows].reshape(column) + ts / one_minus
-        jac = (1.0 + tt) / one_minus**2
-        # deep bisection can round a node onto t = +-1, the one place the
-        # map is not finite; the true contribution there is zero and the
-        # integrand never sees inf
-        ok = one_minus != 0.0
-        if folded is not True:
-            fold = folded[rows].reshape(column)
-            xs = np.where(fold, xs, ts)
-            jac = np.where(fold, jac, 1.0)
-            ok |= ~fold
+        inv = 1.0 / np.abs(ts)
+        xs = anchors[rows].reshape(column) + np.copysign(inv - 1.0, ts)
+        # the integrand never sees inf
+        ok = np.isfinite(xs)
+        if mapped is not True:
+            on_map = mapped[rows].reshape(column)
+            xs = np.where(on_map, xs, ts)
+            inv = np.where(on_map, inv, 1.0)
+            ok |= ~on_map
         ys = np.asarray(f(np.where(ok, xs, 0.0).reshape(-1, 15), rows), dtype=float)
-        ys = ys.reshape(ts.shape) * jac
-        # only folded rows drop non-finite values: on a finite range a NaN is the answer
+        ys = ys.reshape(ts.shape) * inv * inv
+        # only mapped rows drop non-finite values: on a finite range a NaN is the answer
         keep = ok & np.isfinite(ys)
-        if folded is not True:
-            keep |= ~fold
+        if mapped is not True:
+            keep |= ~on_map
         ys = np.where(keep, ys, 0.0)
 
     kronrod_gauss = np.add.reduce(ys[..., None, :] * _WKG, axis=-1)
@@ -192,6 +195,8 @@ def _gk_rows(f, lo, hi, rows, anchors, folded):
     spread = half * np.add.reduce(np.abs(ys - (kronrod / width)[..., None]) * _WK, axis=-1)
     sharp = spread * np.minimum(1.0, (200.0 * diff / spread) ** 1.5)
     err = np.where(np.minimum(spread, diff) > 0.0, sharp, diff)
+    if mapped is not False:
+        err = np.where(ok.all(axis=-1), err, np.inf)
     return kronrod, err, np.where((lo < mid) & (mid < hi), err, -np.inf)
 
 
@@ -202,7 +207,8 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     round, every integral whose summed error estimate is above its tolerance
     and whose budget has room for two more panels bisects its worst panel,
     the oldest on ties.  A panel with no representable midpoint is kept
-    unsplit, and an integral stops once none of its panels can be split.
+    unsplit, and an integral stops once none of its panels can be split, or
+    once its summed error is +inf (a node mapped past the float range).
     All children of the round go to ``f`` in one call as ``f(xs, rows)``,
     where ``xs`` is an (m, 15) array of nodes, one panel per row, and
     ``rows[i]`` the index into ``plans`` of the integral that row i belongs
@@ -218,8 +224,8 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     # a plan's anchor may be an array: one integral per anchor, each with the plan's panels
     sizes = [np.size(anchor) for anchor, _ in plans]
     anchors = np.concatenate([np.full(k, 0.0 if a is None else a) for (a, _), k in zip(plans, sizes)])
-    folded = np.repeat([anchor is not None for anchor, _ in plans], sizes)
-    folded = folded if folded.any() and not folded.all() else bool(folded[0])
+    mapped = np.repeat([anchor is not None for anchor, _ in plans], sizes)
+    mapped = mapped if mapped.any() and not mapped.all() else bool(mapped[0])
     widths = [len(panels) for _, panels in plans]
     n = anchors.size
     rows = np.arange(n).repeat(np.repeat(widths, sizes))
@@ -234,7 +240,7 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     box[4] = -np.inf
     sums, spent_all = np.empty((2, n)), np.empty(n, dtype=int)  # value and error sums, evaluations
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors, folded)
+        vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors, mapped)
         box[:, rows, cols] = np.array([lo, hi, vals, errs, keys])
         # the integrals still going, their error totals (added in panel
         # order, as one integral adds them), the evaluations of their first
@@ -250,7 +256,7 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
             r += 1
             slot = box[4, :, :used].argmax(axis=1)
             pick = box[:, at, slot]
-            go = (total > tol) & (pick[4] != -np.inf)
+            go = (tol < total) & (total < np.inf) & (pick[4] != -np.inf)
             if r > tightest:
                 go &= last >= r
             going = np.count_nonzero(go)
@@ -271,7 +277,7 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
             edges = np.array([pick[0], 0.5 * (pick[0] + pick[1]), pick[1]])
             lo, hi = edges[:2].T, edges[1:].T  # the children: (lo, mid) and (mid, hi)
             rows = active.repeat(2)
-            vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors, folded)
+            vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors, mapped)
             box[:, :, used : used + 2] = np.array([lo, hi, vals, errs, keys])
             total += (errs[:, 0] + errs[:, 1]) - pick[3]
             used += 2
@@ -289,12 +295,15 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_
     ``f`` must accept a 1-D ndarray and return one of the same length.
     ``points`` lists interior abscissae to split at from the start; an
     interior 0, where the densities here kink, is split at without being
-    listed.  Infinite tails
-    are folded onto (-1, 1) by x = anchor + t/(1 - t^2), and on a folded
-    range non-finite integrand values count as zero.  The worst-error
-    interval is bisected until the summed error estimate drops below ``tol``
-    or the evaluation budget runs out, in which case ``converged`` is False
-    and the best estimate is returned.
+    listed.  An infinite range is mapped onto t by
+    x = anchor + sign(t) (1/|t| - 1), QUADPACK's qagi map, which puts each
+    infinite end at t = 0, where bisection can follow a heavy tail out to
+    the largest float; on a mapped range non-finite integrand values count
+    as zero.  The worst-error interval is bisected until the summed error
+    estimate drops below ``tol`` or the evaluation budget runs out, in which
+    case ``converged`` is False and the best estimate is returned.  A tail
+    whose mass past the largest float still matters gives an error estimate
+    of +inf and ``converged`` False.
 
     This is the one-integral case of the private `_integrate_rows`, which
     advances many integrals in shared rounds and hands ``f(xs, rows)`` an
@@ -702,34 +711,6 @@ def _norm_discrepancies(specs) -> list[float]:
     return out
 
 
-def _oracle_moment(spec: DistributionSpec, r: int) -> float:
-    """E(X^r) by quadrature: the one-moment case of the quadrature task's `_integral_batch`."""
-    items, value = _moment_integrals(spec, r)
-    return value([res.value for res in _integrals(items)])
-
-
-def _moment_integrals(spec: DistributionSpec, r: int):
-    """The (items, value) of E(X^r) for `_integral_batch`: a center over
-    (-cut, cut) at tol 4e-10 and each tail, in u = 1/x, at 3e-10."""
-    # Power tails near the existence boundary decay as slowly as x^(-1.4),
-    # and the generic fold onto (-1, 1) squeezes their outer mass into a
-    # sliver at t = 1 that double precision cannot split.  Substituting
-    # u = 1/x instead puts the awkward end at u = 0, where floats are dense
-    # and bisection reaches it.
-    cut = 16.0 * max(1.0, abs(spec.loc) + spec.scale)
-
-    def tail(sign: float):
-        def g(us):
-            us = np.maximum(us, 1e-150)
-            # log form: u**-(r+2) and pdf(1/u) overflow/underflow separately
-            return np.exp(-(r + 2.0) * np.log(us) + log_pdf(spec, sign / us))
-
-        return g, 0.0, 1.0 / cut, 3e-10
-
-    center = (lambda xs: xs**r * pdf(spec, xs), -cut, cut, 4e-10)
-    return [center, tail(1.0), tail(-1.0)], lambda v: v[0] + v[1] + (-1.0) ** r * v[2]
-
-
 def _sup_diff(f, g, grid) -> float:
     return float(np.max(np.abs(f(grid) - g(grid))))
 
@@ -887,11 +868,14 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         ),
     )
 
-    # closed-form moments vs direct quadrature, with existence bookkeeping
+    # an integral's gap from a closed-form reference
+    def gap(item, tol, ref):
+        return [(*item, tol)], lambda value: abs(value[0] - ref)
+
+    # closed-form moments vs direct quadrature over the line, with existence bookkeeping
     def moment_gap(make, r):
         spec = make()
-        items, value = _moment_integrals(spec, r)
-        return items, lambda v: abs(full_moment(spec, r) - value(v))
+        return gap((lambda xs: xs**r * pdf(spec, xs), -math.inf, math.inf), 1e-9, full_moment(spec, r))
 
     for label, make, orders in (
         ("bsn alpha=0 gamma=1.5", partial(bsn, 0.0, 1.5), (1, 2, 3, 4)),
@@ -929,9 +913,6 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
     )
 
     # mixture marginalizations vs closed forms
-    def gap(item, tol, ref):
-        return [(*item, tol)], lambda value: abs(value[0] - ref)
-
     def gamma_gap(x, g):
         return gap(_gamma_mixture(x, 1.0, g, 4.0), 1e-10, float(pdf(bsstd(1.0, g, 4.0), x)))
 

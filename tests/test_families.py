@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import kstest, norm, t as student_t
@@ -400,6 +400,7 @@ class TestQuantileSharesTheFoldMass:
 
     @pytest.mark.parametrize("spec,levels", MEMBERS[:2], ids=["bsn", "bsstd-moved"])
     def test_one_integral_below_the_fold_per_call(self, monkeypatch, spec, levels):
+        # the mass below the fold is closed-form: no (-inf, loc) integral is made
         from bimodalskew import families
 
         calls = []
@@ -413,8 +414,11 @@ class TestQuantileSharesTheFoldMass:
         for u in levels:
             calls.clear()
             quantile(spec, u)
-            assert calls.count((-math.inf, spec.loc)) == 1
+            assert (-math.inf, spec.loc) not in calls
             assert len(calls) > 5  # the bracket and brentq evaluated the cdf many times
+        calls.clear()
+        assert cdf(spec, spec.loc + spec.scale) > cdf(spec, spec.loc) == cdf_values(spec, [spec.loc])[0]
+        assert calls == [(spec.loc, spec.loc + spec.scale)]
 
 
 def left_mass(spec):
@@ -504,6 +508,8 @@ class TestCdfValues:
 
     @given(**CDF_DOMAIN, zs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None, derandomize=True)
+    # the scalar cdf's quadrature below the fold once read 0.0 here, not 0.5
+    @example(family="bsgt", alpha=0.0, log_gamma=0.0, log_tail=-1.75, p=0.0546875, zs=[0.0])
     def test_matches_scalar_cdf_where_it_converges(self, family, alpha, log_gamma, log_tail, p, zs):
         spec = mode_spec(family, alpha, 10.0**log_gamma, 10.0**log_tail, p)
         values = cdf_values(spec, zs)
