@@ -37,11 +37,6 @@ __all__ = [
     "PriorConfig",
     "McmcConfig",
     "Chain",
-    "log_likelihood_bsn",
-    "log_likelihood_augmented",
-    "log_cond_phi",
-    "log_cond_alpha",
-    "gibbs_update_lambda",
     "mh_block_update",
     "MetropolisWithinGibbs",
     "run_mcmc",
@@ -49,10 +44,10 @@ __all__ = [
     "posterior_summary",
 ]
 
-_HALF_LOG_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
 # keeps alpha = 0 reachable under the log-scale random walk
 _ALPHA_SHIFT = 1e-12
 _SCALE_BOUNDS = (1e-4, 1e2)
+_TARGET_ACCEPT = 0.44  # the acceptance rate Robbins-Monro steers each block's scale toward
 _INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
 # a sweep evaluates the base at its current shape in every block and at each
 # shape proposal once
@@ -117,7 +112,7 @@ class Chain:
     n_obs: int
 
 
-# ---------- likelihood and full conditionals ----------
+# ---------- block targets ----------
 
 
 def _b_phi(phi: float) -> float:
@@ -148,41 +143,6 @@ def _check_data(data) -> np.ndarray:
     return x
 
 
-def _half_sums(w: np.ndarray, pos: np.ndarray) -> tuple[float, float]:
-    """(sum of w over x >= 0, same over x < 0), given the mask pos = x >= 0."""
-    return float(w[pos].sum()), float(w[~pos].sum())
-
-
-def log_likelihood_bsn(data, alpha: float, phi: float) -> float:
-    """Exact log likelihood of the bimodal skew normal in (alpha, phi = gamma^2).
-
-    At alpha = 0, phi = 1 this is the standard normal log likelihood.
-    """
-    return log_likelihood_augmented(data, alpha, phi, np.ones(np.shape(data)))
-
-
-def log_likelihood_augmented(data, alpha: float, phi: float, lam) -> float:
-    """Joint log density of the data given (alpha, phi, lambda_1..n), up to the
-    mixing density of lambda itself."""
-    x = _check_data(data)
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != x.shape:
-        raise DomainError("lam must have one entry per observation")
-    if alpha < 0 or phi <= 0 or np.any(lam <= 0):
-        return -np.inf
-    n = x.size
-    s_pos, s_neg = _half_sums(lam * x * x, x >= 0)
-    return (
-        n * _HALF_LOG_2_OVER_PI
-        + 0.5 * float(np.sum(np.log(lam)))
-        + float(np.sum(np.log1p(alpha * x * x)))
-        - n * np.log1p(alpha * _b_phi(phi))
-        + 0.5 * n * math.log(phi)
-        - n * np.log1p(phi)
-        - 0.5 * (s_pos / phi + s_neg * phi)
-    )
-
-
 def _log_prior_alpha(alpha: float, priors: PriorConfig) -> float:
     if alpha < 0:
         return -np.inf
@@ -194,9 +154,8 @@ def _log_prior_alpha(alpha: float, priors: PriorConfig) -> float:
     return priors._alpha_log_norm + edge - b * alpha
 
 
-# One kernel per block.  The public log_cond_* and gibbs_update_lambda check
-# their data and call these; the sampler calls them directly with the
-# per-data-set invariants (x^2, the sign mask) computed once.
+# One kernel per block.  The sampler calls them with the per-data-set
+# invariants (x^2, the sign mask) computed once.
 
 
 def _lc_phi(phi: float, alpha: float, n: int, base_term, priors: PriorConfig) -> float:
@@ -215,7 +174,7 @@ def _lc_phi(phi: float, alpha: float, n: int, base_term, priors: PriorConfig) ->
 
 
 def _normal_term(s_pos: float, s_neg: float):
-    """The normal base term, given the (lambda-weighted) half sums of x^2."""
+    """The normal base term, given the sums of x^2 over x >= 0 and over x < 0."""
     return lambda phi: -0.5 * (s_pos / phi + s_neg * phi)
 
 
@@ -257,29 +216,6 @@ def _precision_rate(xx: np.ndarray, pos: np.ndarray, phi: float, nu: float) -> n
     return nu - 2.0 + xx * np.where(pos, 1.0 / phi, phi)
 
 
-def log_cond_phi(phi: float, alpha: float, data, lam, priors: PriorConfig) -> float:
-    """Unnormalized log full conditional of phi = gamma^2."""
-    x = _check_data(data)
-    w = x * x if lam is None else np.asarray(lam, dtype=float) * x * x
-    return _lc_phi(phi, alpha, x.size, _normal_term(*_half_sums(w, x >= 0)), priors)
-
-
-def log_cond_alpha(alpha: float, phi: float, data, priors: PriorConfig) -> float:
-    """Unnormalized log full conditional of the tilt parameter."""
-    x = _check_data(data)
-    return _lc_alpha(alpha, phi, x * x, priors)
-
-
-def gibbs_update_lambda(data, phi: float, nu: float, rng) -> np.ndarray:
-    """Exact draw of the augmented precisions from their Gamma full conditional."""
-    x = _check_data(data)
-    if phi <= 0:
-        raise DomainError(f"need phi > 0, got {phi}")
-    StudentTBase(nu)  # validates nu
-    rate = 0.5 * _precision_rate(x * x, x >= 0, phi, nu)
-    return _gen(rng).gamma(0.5 * (nu + 1.0), 1.0 / rate)
-
-
 # ---------- Metropolis machinery ----------
 
 
@@ -290,14 +226,13 @@ def mh_block_update(
     rng,
     *,
     floor: float = 0.0,
-    target_accept: float = 0.44,
     adapt_rate: float | None = None,
 ) -> tuple[float, bool, float]:
     """One random-walk Metropolis update of log(value - floor).
 
     Always consumes exactly one normal and one uniform variate so parallel
     model variants stay stream-aligned.  Returns (new_value, accepted,
-    new_scale); the scale moves by Robbins-Monro toward ``target_accept``
+    new_scale); the scale moves by Robbins-Monro toward ``_TARGET_ACCEPT``
     when ``adapt_rate`` is given and is returned unchanged otherwise.
     """
     gen = _gen(rng)
@@ -315,7 +250,7 @@ def mh_block_update(
     new_value = prop if accepted else value
     new_scale = scale
     if adapt_rate is not None:
-        new_scale = math.exp(math.log(scale) + adapt_rate * (accept_prob - target_accept))
+        new_scale = math.exp(math.log(scale) + adapt_rate * (accept_prob - _TARGET_ACCEPT))
         new_scale = min(max(new_scale, _SCALE_BOUNDS[0]), _SCALE_BOUNDS[1])
     return new_value, accepted, new_scale
 
@@ -374,7 +309,9 @@ class MetropolisWithinGibbs:
         # per-data-set invariants of the block kernels; sign(0) = +1
         self._xx = self.x * self.x
         self._pos = self.x >= 0
-        self._normal_term = _normal_term(*_half_sums(self._xx, self._pos))
+        self._normal_term = _normal_term(
+            float(self._xx[self._pos].sum()), float(self._xx[~self._pos].sum())
+        )
         self.model = model
         self.priors = priors or PriorConfig()
         self.config = config or McmcConfig()

@@ -214,8 +214,8 @@ def sample_bsstd(alpha: float, gamma: float, nu: float, rng, size: int | None = 
     """Draw from the bimodal skewed standardized Student-t via its gamma mixture.
 
     Returns the precision-like mixing variable lambda alongside x; the joint
-    law of (x, lambda) is the normal scale mixture whose precision full
-    conditional `inference.gibbs_update_lambda` draws from.
+    law of (x, lambda) is the normal scale mixture, under which lambda given x
+    is Gamma((nu + 1)/2, rate (nu - 2 + x^2 phi^(-sign(x)))/2), phi = gamma^2.
     """
     spec = bsstd(alpha, gamma, nu)  # validates
     gen = _gen(rng)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from bimodalskew.families import bsn, bsstd
-from bimodalskew.inference import gibbs_update_lambda, posterior_summary, run_mcmc
-from bimodalskew.oracle import run_checks
+from bimodalskew.inference import _precision_rate, posterior_summary, run_mcmc
+from bimodalskew.oracle import _gamma_mixture, integrate, run_checks
 from bimodalskew.sampling import RngStream, sample
 
 SEED = 20260814
@@ -77,18 +77,20 @@ def test_acceptance_sampler_gates():
 
 
 def test_acceptance_precision_conditional():
-    # the conjugate per-point precision update matches its target law to
-    # four standard errors at five (x, phi, nu) settings
+    # the precisions' conditional mean (nu + 1) / (nu - 2 + x^2 phi^-+1),
+    # which lambda_mean averages, matches E[lambda | x] over the oracle's
+    # gamma-mixing integrand to 1e-12 at five (x, phi, nu) settings, untilted and tilted
     tuples = [(0.0, 2.25, 4.0), (1.5, 2.25, 4.0), (-1.5, 2.25, 4.0), (4.0, 0.64, 7.0), (0.3, 1.0, 3.0)]
-    m = 50_000
-    for k, (x, phi, nu) in enumerate(tuples):
-        m2 = x * x / phi if x >= 0 else x * x * phi
-        shape, rate = 0.5 * (nu + 1.0), 0.5 * (nu - 2.0 + m2)
-        lam = gibbs_update_lambda(np.full(m, x), phi, nu, RngStream(SEED, k))
-        gap = abs(float(np.mean(lam)) - shape / rate)
-        se = math.sqrt(shape / rate**2 / m)
-        assert gap < 4.0 * se, f"tuple {(x, phi, nu)}: gap {gap:.2e} vs 4se {4 * se:.2e}"
-    print(f"PASS precision-conditional: {len(tuples)} settings within 4 standard errors")
+    for x, phi, nu in tuples:
+        for alpha in (0.0, 3.0):
+            f, a, b = _gamma_mixture(x, alpha, math.sqrt(phi), nu)
+            mass = integrate(f, a, b, tol=1e-13)
+            first = integrate(lambda lam: lam * f(lam), a, b, tol=1e-13)
+            assert mass.converged and first.converged
+            want = (nu + 1.0) / float(_precision_rate(x * x, x >= 0, phi, nu))
+            got = first.value / mass.value
+            assert abs(got - want) <= 1e-12 * want, f"{(x, phi, nu, alpha)}: {got!r} vs {want!r}"
+    print(f"PASS precision-conditional: {2 * len(tuples)} settings within 1e-12 of quadrature")
 
 
 def run_fit(model, truth_nu=None, data_stream=0):

@@ -1,4 +1,4 @@
-"""Fitter machinery: conditionals, block targets, adaptation, chain output."""
+"""Fitter machinery: block targets, adaptation, chain output."""
 
 import gc
 import math
@@ -16,11 +16,6 @@ from bimodalskew.inference import (
     MetropolisWithinGibbs,
     PriorConfig,
     effective_sample_size,
-    gibbs_update_lambda,
-    log_cond_alpha,
-    log_cond_phi,
-    log_likelihood_augmented,
-    log_likelihood_bsn,
     mh_block_update,
     posterior_summary,
     run_mcmc,
@@ -32,70 +27,6 @@ PRIORS = PriorConfig()
 
 def fixture_data(n=200, seed=17):
     return sample(bsn(3.0, 1.5), n, RngStream(seed, 0))
-
-
-class TestLambdaGibbs:
-    @pytest.mark.parametrize(
-        "x,phi,nu",
-        [(0.0, 2.25, 4.0), (1.5, 2.25, 4.0), (-1.5, 2.25, 4.0), (4.0, 0.64, 7.0), (0.3, 1.0, 3.0)],
-    )
-    def test_matches_conjugate_gamma(self, x, phi, nu):
-        # one precision per point: shape (nu+1)/2, rate folds in the squared
-        # stretched coordinate, where the stretch factor flips across zero
-        m2 = x * x / phi if x >= 0 else x * x * phi
-        shape = 0.5 * (nu + 1.0)
-        rate = 0.5 * (nu - 2.0 + m2)
-        m = 40_000
-        lam = gibbs_update_lambda(np.full(m, x), phi, nu, RngStream(21, 0))
-        want_mean = shape / rate
-        se = math.sqrt(shape / rate**2 / m)
-        assert abs(float(np.mean(lam)) - want_mean) < 4.0 * se
-
-    def test_moment_match_second_order(self):
-        lam = gibbs_update_lambda(np.full(50_000, 1.0), 1.0, 5.0, RngStream(21, 1))
-        shape, rate = 3.0, 2.0
-        var = shape / rate**2
-        se = math.sqrt(2.0 * var**2 / (lam.size - 1))  # var of the sample variance
-        assert abs(float(np.var(lam, ddof=1)) - var) < 5.0 * se
-
-
-class TestConditionalsAgreeWithJoint:
-    """Each block conditional must equal the joint up to a theta-free shift."""
-
-    def test_phi_block(self):
-        data = fixture_data()
-        rng = RngStream(30, 0).generator
-        lam = rng.gamma(2.0, 1.0, size=data.size)
-        alpha = 1.3
-        phis = rng.uniform(0.3, 6.0, size=100)
-        gaps = [
-            log_cond_phi(p, alpha, data, lam, PRIORS)
-            - log_likelihood_augmented(data, alpha, p, lam)
-            - stats.gamma(PRIORS.a_phi, scale=1.0 / PRIORS.b_phi).logpdf(p)
-            for p in phis
-        ]
-        assert max(gaps) - min(gaps) < 1e-10
-
-    def test_alpha_block(self):
-        data = fixture_data()
-        rng = RngStream(30, 1).generator
-        alphas = rng.uniform(0.05, 12.0, size=100)
-        gaps = [
-            log_cond_alpha(a, 2.0, data, PRIORS)
-            - log_likelihood_bsn(data, a, 2.0)
-            - stats.gamma(PRIORS.a_alpha, scale=1.0 / PRIORS.b_alpha).logpdf(a)
-            for a in alphas
-        ]
-        assert max(gaps) - min(gaps) < 1e-10
-
-    def test_marginal_equals_density_sum(self):
-        # the likelihood route must agree with the density the family exposes
-        from bimodalskew.families import log_pdf
-
-        data = fixture_data(80)
-        for alpha, phi in [(0.0, 1.0), (1.0, 2.25), (4.0, 0.49)]:
-            direct = float(np.sum(log_pdf(bsn(alpha, math.sqrt(phi)), data)))
-            assert log_likelihood_bsn(data, alpha, phi) == pytest.approx(direct, abs=1e-9)
 
 
 class TestBlockUpdate:
@@ -134,7 +65,7 @@ class TestBlockUpdate:
 
 
 class TestShapeBlocks:
-    """Each heavy-tailed block's target is the family's log likelihood plus the block's prior, up to a constant."""
+    """Each block's target is the family's log likelihood plus the block's prior, up to a constant."""
 
     GRIDS = {
         "phi": np.linspace(0.3, 6.0, 20),
@@ -151,6 +82,7 @@ class TestShapeBlocks:
         "q_tilt": stats.gamma(2.0, scale=2.0).logpdf,
     }
     CASES = {
+        "bsn": (bsn(3.0, 1.5), ["phi", "alpha"]),
         "bsstd": (bsstd(3.0, 1.5, 5.0), ["phi", "alpha", "nu"]),
         "bsgt": (bsgt(3.0, 1.5, 1.7, 2.0), ["phi", "alpha", "p", "q_tilt"]),
     }
@@ -158,11 +90,13 @@ class TestShapeBlocks:
     @staticmethod
     def spec(model, at):
         gamma = math.sqrt(at["phi"])
+        if model == "bsn":
+            return bsn(at["alpha"], gamma)
         if model == "bsstd":
             return bsstd(at["alpha"], gamma, at["nu"])
         return bsgt(at["alpha"], gamma, at["p"], at["q_tilt"] + 2.0 / at["p"])
 
-    @pytest.mark.parametrize("model", ["bsstd", "bsgt"])
+    @pytest.mark.parametrize("model", ["bsn", "bsstd", "bsgt"])
     def test_block_targets_match_family_density(self, monkeypatch, model):
         # each target is read on its grid when the sampler hands it to the
         # update, with every other block at the value the sampler holds then
