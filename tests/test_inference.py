@@ -1,4 +1,4 @@
-"""Fitter machinery: block targets, adaptation, chain output."""
+"""Fitter machinery: precision conditional, block targets, adaptation, chain output."""
 
 import gc
 import math
@@ -20,6 +20,7 @@ from bimodalskew.inference import (
     posterior_summary,
     run_mcmc,
 )
+from bimodalskew.oracle import _gamma_mixture, integrate
 from bimodalskew.sampling import RngStream, sample
 
 PRIORS = PriorConfig()
@@ -27,6 +28,24 @@ PRIORS = PriorConfig()
 
 def fixture_data(n=200, seed=17):
     return sample(bsn(3.0, 1.5), n, RngStream(seed, 0))
+
+
+class TestPrecisionConditional:
+    @pytest.mark.parametrize("alpha", [0.0, 3.0])
+    @pytest.mark.parametrize(
+        "x,phi,nu",
+        [(0.0, 2.25, 4.0), (1.5, 2.25, 4.0), (-1.5, 2.25, 4.0), (4.0, 0.64, 7.0), (0.3, 1.0, 3.0)],
+    )
+    def test_mean_matches_quadrature(self, x, phi, nu, alpha):
+        # lambda_mean averages (nu + 1) / (nu - 2 + x^2 phi^-+1), the mean of the
+        # precision's conditional given x; it must equal E[lambda | x] taken over
+        # the oracle's gamma-mixing integrand, where the stretch flips across zero
+        f, a, b = _gamma_mixture(x, alpha, math.sqrt(phi), nu)
+        mass = integrate(f, a, b, tol=1e-13)
+        first = integrate(lambda lam: lam * f(lam), a, b, tol=1e-13)
+        assert mass.converged and first.converged
+        want = (nu + 1.0) / float(inference._precision_rate(x * x, x >= 0, phi, nu))
+        assert first.value / mass.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBlockUpdate:
