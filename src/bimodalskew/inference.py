@@ -116,7 +116,11 @@ class Chain:
 
 
 def _b_phi(phi: float) -> float:
-    return (1.0 + phi**3) / (phi * (1.0 + phi))
+    try:
+        cube = phi**3
+    except OverflowError:
+        raise DomainError(f"phi = {phi} cubed overflows: the data are far from a standardized scale") from None
+    return (1.0 + cube) / (phi * (1.0 + phi))
 
 
 def _log_gamma(value: float, a: float, b: float) -> float:

@@ -3,7 +3,8 @@
 Everything here exists to cross-check the closed-form code in `families` and
 the samplers in `sampling` by a second route: adaptive Gauss-Kronrod
 quadrature (self-contained, deliberately not sharing the library CDF's
-integration code), numeric marginalization of the scale-mixture hierarchies,
+integration code), which maps an infinite range by QUADPACK's qagi map about
+the densities' fold, numeric marginalization of the scale-mixture hierarchies,
 Monte Carlo moments, and Kolmogorov-Smirnov gates against the closed-form
 distribution functions.  The textbook reference densities and the two-sample
 KS p-value are written out here on `scipy.special`, so a check needs nothing
@@ -94,70 +95,57 @@ _WK = np.array([r[2] for r in _GK_ROWS[:-1]] + [r[2] for r in reversed(_GK_ROWS)
 _WKG = np.stack([_WK, _WG])
 
 
-def _t_of(y: float) -> float:
-    """Inverse of y = sign(t) (1/|t| - 1) on [-1, 1], with sign(0) = 0."""
-    if y == 0.0:
-        return 0.0
-    return math.copysign(1.0, y) / (1.0 + abs(y))
+def _plan(a: float, b: float, points=(), count: int = 1) -> tuple[float | None, list, int]:
+    """The map's anchor (None on a finite range), first panels and count of integrals.
 
-
-def _plan(a: float, b: float, points=()) -> tuple[float | None, list[tuple[float, float]]]:
-    """The map's anchor (None on a finite range) and the first panels of one integral.
-
-    Infinite ranges are mapped by x = anchor + sign(t) (1/|t| - 1), as
-    QUADPACK's qagi maps them: (a, inf) to t in (0, 1], (-inf, b) to
-    [-1, 0) and the line to [-1, 1] about 0, so every infinite end sits at
-    t = 0, where floats are dense.  The range is cut at ``points`` and at an
-    interior 0; on the line that 0 is the anchor, at t = -1 and 1, and the
-    cut falls at `_t_of(0)` = 0, between the two infinite ends.  Each
-    segment is halved once so a lone panel cannot fake convergence.
+    An infinite range is mapped by x = anchor + sign(t) (1/|t| - 1), as
+    QUADPACK's qagi maps it, anchored at the fold: the first of ``points``,
+    else 0.  Below the anchor x goes to t in [-1, 0), above it to (0, 1], so
+    every infinite end sits at t = 0, where floats are dense, and a finite
+    limit y from the anchor is a cut at t = sign(y) / (1 + |y|).  The range
+    is cut at ``points`` and at an interior 0, and each segment is halved
+    once so a lone panel cannot fake convergence.
     """
     a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b) or not a < b:
         raise DomainError(f"need an interval with a < b, got ({a}, {b})")
+    points = [float(p) for p in points]
+    if not all(map(math.isfinite, points)):
+        raise DomainError(f"need finite points, got {points}")
+    breaks = points + [0.0] if a < 0.0 < b else points
     if math.isinf(a) or math.isinf(b):
-        if math.isinf(a) and math.isinf(b):
-            anchor, lo, hi = 0.0, -1.0, 1.0
-        elif math.isinf(b):
-            anchor, lo, hi = a, 0.0, 1.0
-        else:
-            anchor, lo, hi = b, -1.0, 0.0
-        breaks = [_t_of(p - anchor) for p in points]
-        if a < 0.0 < b:
-            breaks.append(_t_of(0.0 - anchor))
+        anchor = points[0] if points else 0.0
+
+        def t_of(y):
+            return math.copysign(1.0, y) / (1.0 + abs(y))
+
+        # the anchor is t = -1 below it and t = 1 above it
+        segments = [(t_of(-abs(min(b, anchor) - anchor)), t_of(a - anchor))] if a < anchor else []
+        if anchor < b:
+            segments.append((t_of(b - anchor), t_of(abs(max(a, anchor) - anchor))))
+        breaks = [t_of(p - anchor) for p in breaks]
     else:
-        anchor, lo, hi = None, a, b
-        breaks = list(points)
-        if a < 0.0 < b:
-            breaks.append(0.0)
+        anchor, segments = None, [(a, b)]
 
-    cuts = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
     panels = []
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        panels += [(left, 0.5 * (left + right)), (0.5 * (left + right), right)]
-    return anchor, panels
+    for lo, hi in segments:
+        cuts = sorted({lo, hi, *(p for p in breaks if lo < p < hi)})
+        for left, right in zip(cuts[:-1], cuts[1:]):
+            panels += [(left, 0.5 * (left + right)), (0.5 * (left + right), right)]
+    return anchor, panels, count
 
 
-def _tail_plan(lowers) -> tuple[np.ndarray, list[tuple[float, float]]]:
-    """The plan of the integrals over (a, inf), a in ``lowers``: `_plan`'s
-    for a finite a >= 0, with the anchors in an array; any other a raises DomainError."""
-    lowers = np.asarray(lowers, dtype=float)
-    if not ((lowers >= 0.0) & (lowers < math.inf)).all():
-        raise DomainError(f"need finite lower limits a >= 0, got {lowers.min()} to {lowers.max()}")
-    return lowers, [(0.0, 0.5), (0.5, 1.0)]
-
-
-def _gk_rows(f, lo, hi, rows, anchors, mapped):
+def _gk_rows(f, lo, hi, rows, anchors):
     """Kronrod values, error estimates and selection keys of the panels (lo, hi).
 
     A panel's key is its error estimate, or -inf where it has no
     representable midpoint and so cannot be split.  ``lo`` and ``hi`` share
     one shape, which the three results take, and the flat ``rows`` gives
-    each panel's integral in row-major order.  ``mapped`` is False when no
-    integral is mapped (see `_plan`), True when every one is, and else each
-    integral's flag.  On a mapped range the Jacobian 1/t^2 is applied as two
-    factors 1/|t|, so it does not overflow before the integrand has decayed,
-    and a panel with a node mapped past the largest float gets error +inf,
+    each panel's integral in row-major order.  ``anchors`` is None when the
+    ranges are finite, and else each integral's anchor (see `_plan`).  On a
+    mapped range the Jacobian 1/t^2 is applied as two factors 1/|t|, so it
+    does not overflow before the integrand has decayed, and a node mapped
+    past the largest float counts as zero and gives its panel error +inf,
     since the mass beyond it is unknown.  Runs under the errstate of
     `_integrate_rows`.
     """
@@ -165,26 +153,15 @@ def _gk_rows(f, lo, hi, rows, anchors, mapped):
     mid = 0.5 * (lo + hi)
     half = 0.5 * width
     ts = mid[..., None] + half[..., None] * _NODES
-    if mapped is False:
+    if anchors is None:
         ys = np.asarray(f(ts.reshape(-1, 15), rows), dtype=float).reshape(ts.shape)
     else:
-        column = ts.shape[:-1] + (1,)
         inv = 1.0 / np.abs(ts)
-        xs = anchors[rows].reshape(column) + np.copysign(inv - 1.0, ts)
+        xs = anchors[rows].reshape(ts.shape[:-1] + (1,)) + np.copysign(inv - 1.0, ts)
         # the integrand never sees inf
         ok = np.isfinite(xs)
-        if mapped is not True:
-            on_map = mapped[rows].reshape(column)
-            xs = np.where(on_map, xs, ts)
-            inv = np.where(on_map, inv, 1.0)
-            ok |= ~on_map
         ys = np.asarray(f(np.where(ok, xs, 0.0).reshape(-1, 15), rows), dtype=float)
-        ys = ys.reshape(ts.shape) * inv * inv
-        # only mapped rows drop non-finite values: on a finite range a NaN is the answer
-        keep = ok & np.isfinite(ys)
-        if mapped is not True:
-            keep |= ~on_map
-        ys = np.where(keep, ys, 0.0)
+        ys = np.where(ok, ys.reshape(ts.shape) * inv * inv, 0.0)
 
     kronrod_gauss = np.add.reduce(ys[..., None, :] * _WKG, axis=-1)
     kronrod = half * kronrod_gauss[..., 0]
@@ -195,7 +172,7 @@ def _gk_rows(f, lo, hi, rows, anchors, mapped):
     spread = half * np.add.reduce(np.abs(ys - (kronrod / width)[..., None]) * _WK, axis=-1)
     sharp = spread * np.minimum(1.0, (200.0 * diff / spread) ** 1.5)
     err = np.where(np.minimum(spread, diff) > 0.0, sharp, diff)
-    if mapped is not False:
+    if anchors is not None:
         err = np.where(ok.all(axis=-1), err, np.inf)
     return kronrod, err, np.where((lo < mid) & (mid < hi), err, -np.inf)
 
@@ -203,17 +180,19 @@ def _gk_rows(f, lo, hi, rows, anchors, mapped):
 def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     """Advance the adaptive integrals of ``plans`` (from `_plan`) in shared rounds.
 
-    ``tol`` is one tolerance, or a sequence of one per integral.  Each
-    round, every integral whose summed error estimate is above its tolerance
-    and whose budget has room for two more panels bisects its worst panel,
-    the oldest on ties.  A panel with no representable midpoint is kept
-    unsplit, and an integral stops once none of its panels can be split, or
-    once its summed error is +inf (a node mapped past the float range).
-    All children of the round go to ``f`` in one call as ``f(xs, rows)``,
-    where ``xs`` is an (m, 15) array of nodes, one panel per row, and
-    ``rows[i]`` the index into ``plans`` of the integral that row i belongs
-    to.  ``f`` returns the (m, 15) integrand values.  Each integral follows
-    the bisection sequence it would follow alone.
+    The ranges must be all finite or all infinite, else DomainError is
+    raised.  ``tol`` is one tolerance, or a sequence of one per integral.
+    Each round, every integral whose summed error estimate is above its
+    tolerance and whose budget has room for two more panels bisects its
+    worst panel, the oldest on ties.  A panel with no representable midpoint
+    is kept unsplit, and an integral stops once none of its panels can be
+    split, or once its summed error is +inf (a node mapped past the float
+    range).  All children of the round go to ``f`` in one call as
+    ``f(xs, rows)``, where ``xs`` is an (m, 15) array of nodes, one panel
+    per row, and ``rows[i]`` the index of the integral that row i belongs
+    to, each plan's ``count`` integrals in turn.  ``f`` returns the (m, 15)
+    integrand values.  Each integral follows the bisection sequence it would
+    follow alone.
 
     It returns the `OracleResult` fields as arrays (see `_results`).  The
     panels live in one array with a row per integral still going and a
@@ -221,16 +200,15 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     then the two children of each round.  A split panel's value and error
     are set to 0 there, so an integral's sums are those of its whole row.
     """
-    # a plan's anchor may be an array: one integral per anchor, each with the plan's panels
-    sizes = [np.size(anchor) for anchor, _ in plans]
-    anchors = np.concatenate([np.full(k, 0.0 if a is None else a) for (a, _), k in zip(plans, sizes)])
-    mapped = np.repeat([anchor is not None for anchor, _ in plans], sizes)
-    mapped = mapped if mapped.any() and not mapped.all() else bool(mapped[0])
-    widths = [len(panels) for _, panels in plans]
-    n = anchors.size
-    rows = np.arange(n).repeat(np.repeat(widths, sizes))
-    cols = np.concatenate([np.tile(np.arange(w), k) for w, k in zip(widths, sizes)])
-    lo, hi = np.concatenate([np.tile(np.array(p).T, k) for (_, p), k in zip(plans, sizes)], axis=1)
+    anchors, panels, counts = zip(*plans)
+    if len({anchor is None for anchor in anchors}) > 1:
+        raise DomainError("one call integrates over finite ranges only or infinite ranges only")
+    n = sum(counts)
+    widths = [len(p) for p in panels]
+    rows = np.arange(n).repeat(np.repeat(widths, counts))
+    cols = np.concatenate([np.tile(np.arange(w), k) for w, k in zip(widths, counts)])
+    lo, hi = np.concatenate([np.tile(np.array(p).T, k) for p, k in zip(panels, counts)], axis=1)
+    anchors = None if anchors[0] is None else np.repeat(anchors, counts)
     used = max(widths)
     tols = tol = np.broadcast_to(np.asarray(tol, dtype=float), n)
     # per panel: lo, hi, Kronrod value, error estimate and selection key (see
@@ -240,7 +218,7 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     box[4] = -np.inf
     sums, spent_all = np.empty((2, n)), np.empty(n, dtype=int)  # value and error sums, evaluations
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors, mapped)
+        vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors)
         box[:, rows, cols] = np.array([lo, hi, vals, errs, keys])
         # the integrals still going, their error totals (added in panel
         # order, as one integral adds them), the evaluations of their first
@@ -277,7 +255,7 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
             edges = np.array([pick[0], 0.5 * (pick[0] + pick[1]), pick[1]])
             lo, hi = edges[:2].T, edges[1:].T  # the children: (lo, mid) and (mid, hi)
             rows = active.repeat(2)
-            vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors, mapped)
+            vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors)
             box[:, :, used : used + 2] = np.array([lo, hi, vals, errs, keys])
             total += (errs[:, 0] + errs[:, 1]) - pick[3]
             used += 2
@@ -293,17 +271,19 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_
     """Adaptive Gauss-Kronrod integral of ``f`` over (a, b), infinite ends allowed.
 
     ``f`` must accept a 1-D ndarray and return one of the same length.
-    ``points`` lists interior abscissae to split at from the start; an
-    interior 0, where the densities here kink, is split at without being
+    ``points`` lists finite interior abscissae to split at from the start;
+    an interior 0, where the densities here kink, is split at without being
     listed.  An infinite range is mapped onto t by
-    x = anchor + sign(t) (1/|t| - 1), QUADPACK's qagi map, which puts each
-    infinite end at t = 0, where bisection can follow a heavy tail out to
-    the largest float; on a mapped range non-finite integrand values count
-    as zero.  The worst-error interval is bisected until the summed error
-    estimate drops below ``tol`` or the evaluation budget runs out, in which
-    case ``converged`` is False and the best estimate is returned.  A tail
-    whose mass past the largest float still matters gives an error estimate
-    of +inf and ``converged`` False.
+    x = anchor + sign(t) (1/|t| - 1), QUADPACK's qagi map, anchored at the
+    fold: the first of ``points``, else 0, so an integrand whose mass lies
+    far from 0 must pass its fold there.  Each infinite end sits at t = 0,
+    where bisection can follow a heavy tail out to the largest float, and a
+    finite limit is a cut.  The worst-error interval is bisected until the
+    summed error estimate drops below ``tol`` or the evaluation budget runs
+    out, in which case ``converged`` is False and the best estimate is
+    returned.  A node mapped past the largest float counts as zero and
+    gives an error estimate of +inf and ``converged`` False; a NaN or inf
+    that ``f`` returns reaches the result.
 
     This is the one-integral case of the private `_integrate_rows`, which
     advances many integrals in shared rounds and hands ``f(xs, rows)`` an
@@ -494,21 +474,23 @@ def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
         root_s = np.sqrt(ss).ravel()
         # the power of floats, which can differ from numpy's array power in the last bit
         stretch = (m_of[owner] * root_s / radius_scale[owner]).tolist()
-        plan = _tail_plan([v**p for v, p in zip(stretch, p_of[owner].tolist())])
+        lowers = np.array([v**p for v, p in zip(stretch, p_of[owner].tolist())])
 
-        def integrand(u, rows):
-            out = np.empty_like(u)
+        def integrand(v, rows):
+            out = np.empty_like(v)
             # a pass per run of rows with one p, which stays a scalar exponent
             at = owner[rows]
             for lo, hi in _runs(p_of[at]):
                 p, log_u_const = consts[at[lo]].p, consts[at[lo]].log_u_const
-                root = root_s[rows[lo:hi], None]
-                radius = radius_scale[at[lo:hi], None] * u[lo:hi] ** (1.0 / p) / root
+                u = lowers[rows[lo:hi], None] + v[lo:hi]
+                radius = radius_scale[at[lo:hi], None] * u ** (1.0 / p) / root_s[rows[lo:hi], None]
                 out[lo:hi] = inv_width[at[lo:hi], None] / radius * np.exp(
-                    log_u_const + (1.0 / p) * np.log(u[lo:hi]) - u[lo:hi]
+                    log_u_const + (1.0 / p) * np.log(u) - u
                 )
             return out
 
+        # over v = u - lower on (0, inf), every inner integral has one plan
+        plan = _plan(0.0, math.inf, count=owner.size)
         values, _, evals, _ = _integrate_rows(integrand, [plan], 0.01 * tol, 50_000)
         np.add.at(inner_evals, owner, evals)
         values = values.reshape(ss.shape)
@@ -519,8 +501,8 @@ def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
             out[lo:hi] = np.exp(log_gg) * values[lo:hi] * c.tilt
         return out
 
-    anchor, panels = _plan(0.0, math.inf)
-    value, error, evals, ok = _integrate_rows(outer, [(np.full(len(consts), anchor), panels)], tol, 1_000_000)
+    plan = _plan(0.0, math.inf, count=len(consts))
+    value, error, evals, ok = _integrate_rows(outer, [plan], tol, 1_000_000)
     return _results((value, error, evals + inner_evals, ok))
 
 
@@ -538,6 +520,8 @@ class _UniformGG(NamedTuple):
 
     @classmethod
     def at(cls, x: float, alpha: float, gamma: float, p: float, q: float) -> "_UniformGG":
+        if not math.isfinite(x):  # x enters the inner lower limits
+            raise DomainError(f"need a finite x, got {x}")
         delta = gt_standard_scale(p, q)  # validates p and q
         return cls(
             p,
@@ -698,8 +682,8 @@ def _masses(specs) -> list[OracleResult]:
                 out[sel] = np.exp(_log_density(base, *(c[rows[sel, None]] for c in params), xs[sel]))
         return out
 
-    anchor, panels = _plan(-math.inf, math.inf)
-    return _results(_integrate_rows(rows_f, [(np.full(len(specs), anchor), panels)], 1e-10, 1_000_000))
+    plan = _plan(-math.inf, math.inf, count=len(specs))
+    return _results(_integrate_rows(rows_f, [plan], 1e-10, 1_000_000))
 
 
 def _norm_discrepancies(specs) -> list[float]:

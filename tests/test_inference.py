@@ -324,6 +324,12 @@ class TestRunMcmc:
             with pytest.raises(DomainError, match="squared data overflows"):
                 run_mcmc(np.append(data, far), model=model, config=self.CFG, seed=0, enable_extensions=True)
 
+    def test_data_far_from_a_standardized_scale_raise(self):
+        # phi follows the far point out until phi^3 overflows, which raised a bare OverflowError
+        data = np.append(sample(bsn(3.0, 1.5), 50, RngStream(1, 0)), 1e100)
+        with pytest.raises(DomainError, match="standardized scale"):
+            run_mcmc(data, model="bsn", config=McmcConfig(2000, 500, 1), seed=1)
+
 
 class TestForkedChains:
     """Two or more chains run on two forked workers, the same as one after another."""

@@ -35,7 +35,6 @@ from bimodalskew.oracle import (
     _quadratic_tilt_cdf,
     _results,
     _student_pdf,
-    _tail_plan,
     _uniform_gg_densities,
     gamma_mixture_density,
     gg_mixture_density,
@@ -122,55 +121,121 @@ class TestIntegrate:
         res = integrate(lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, tol=1e-9)
         assert abs(res.value - 2.5) <= 10.0 * max(res.abs_error_estimate, 1e-15)
 
-    def test_nan_reaches_a_finite_range_result(self):
-        nan = lambda x: np.full_like(x, np.nan)
-        res = integrate(nan, 0.0, 1.0)
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)])
+    def test_nan_reaches_every_range_result(self, a, b):
+        res = integrate(lambda x: np.full_like(x, np.nan), a, b)
         assert math.isnan(res.value) and not res.converged
-        # on a mapped infinite range non-finite values count as zero
-        assert integrate(nan, 0.0, np.inf).value == 0.0
 
-    def test_shared_rounds_match_separate_integrals(self):
-        cases = [
-            (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf),
-            (np.exp, -np.inf, 0.0),
-            (lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf),
-            (np.abs, -1.0, 2.0),
-            (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0),
-            (lambda x: np.abs(x) ** -0.5, -1.0, 1.0),  # runs out of budget
-        ]
+    @pytest.mark.parametrize("a,b", [(-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_nan_in_a_far_tail_is_not_converged(self, a, b):
+        # a standard normal density that gives NaN beyond |x| = 50
+        def f(x):
+            return np.where(np.abs(x) > 50.0, np.nan, np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi))
 
+        res = integrate(f, a, b)
+        assert math.isnan(res.value) and not res.converged
+
+    @pytest.mark.parametrize(
+        "spec,x",
+        [
+            # the tabulate reports of `perfbench.workloads.domain_specs` at seeds 1 and 2
+            # whose oracle value came back wrong yet converged while the range was
+            # anchored at its finite limit
+            (bsstd(8.14036851952719, 0.2341331489730663, 2.126259596268782), -1.1103079076969569e24),
+            (bsstd(8.903940341432332, 1.9973248772159116, 2.1177547420977696), 1.8122375172982176e25),
+            (bsstd(1.3537501204251066, 1.1410292285859174, 2.0639606890947624), -8.009334387799143e34),
+            (
+                bsgt(8.987109038409544, 1.1134978010886658, 2.099195049655867, 0.9904898851961421),
+                -9.573488495313556e30,
+            ),
+            (
+                bsgt(4.647161572356118, 1.8815113548347842, 2.5164556816259527, 0.861101649275041),
+                4.738541689631608e17,
+            ),
+            (bsstd(8.037885545721586, 0.20979617767848946, 2.1220470963661566), -8.134223000588561e24),
+            (bsstd(8.925056023861384, 2.0691584478286886, 2.103366175447111), 6.171735436157766e28),
+            (bsstd(1.2134962860772744, 1.0543260359443285, 2.063524044229984), -5.63609260278561e36),
+            (
+                bsgt(9.366455854190873, 1.1562682227973946, 2.093302595056812, 0.9917260753027617),
+                -2.903164048749507e31,
+            ),
+        ],
+        ids=["s1-r1", "s1-r55", "s1-r73", "s1-r83", "s1-r101", "s2-r1", "s2-r55", "s2-r73", "s2-r83"],
+    )
+    def test_far_finite_limit(self, spec, x):
+        res = integrate(partial(pdf, spec), -np.inf, x, tol=1e-9)
+        assert res.converged
+        assert res.value == pytest.approx(cdf_values(spec, [x])[0], abs=1e-8)
+
+    @pytest.mark.parametrize("a,b", [(-np.inf, np.inf), (-np.inf, 1e8), (1e8, np.inf)])
+    def test_points_name_a_far_fold(self, a, b):
+        spec = bsn(3.0, 1.5, loc=1e8)
+        res = integrate(partial(pdf, spec), a, b, points=(1e8,))
+        below = cdf_values(spec, [1e8])[0]
+        want = {(-np.inf, np.inf): 1.0, (-np.inf, 1e8): below, (1e8, np.inf): 1.0 - below}[a, b]
+        assert res.converged
+        assert res.value == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("points", [(math.nan,), (0.5, math.inf), (-math.inf,)])
+    def test_non_finite_points_rejected(self, points):
+        for a, b in ((0.0, 1.0), (-np.inf, np.inf)):
+            with pytest.raises(DomainError):
+                integrate(np.exp, a, b, points=points)
+
+    def test_finite_and_infinite_plans_do_not_mix(self):
+        with pytest.raises(DomainError):
+            _integrate_rows(lambda xs, rows: xs, [_plan(0.0, 1.0), _plan(0.0, np.inf)], 1e-10, 3000)
+
+    @pytest.mark.parametrize(
+        "cases,converged",
+        [
+            (
+                [
+                    (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf),
+                    (np.exp, -np.inf, 0.0),
+                    (lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf),
+                ],
+                [True, True, True],
+            ),
+            (
+                [
+                    (np.abs, -1.0, 2.0),
+                    (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0),
+                    (lambda x: np.abs(x) ** -0.5, -1.0, 1.0),  # runs out of budget
+                ],
+                [True, True, False],
+            ),
+        ],
+        ids=["mapped", "finite"],
+    )
+    def test_shared_rounds_match_separate_integrals(self, cases, converged):
         def rows_f(xs, rows):
             return np.stack([cases[j][0](x) for j, x in zip(rows, xs)])
 
         shared = _results(_integrate_rows(rows_f, [_plan(a, b) for _, a, b in cases], 1e-10, 3000))
         alone = [integrate(f, a, b, tol=1e-10, max_evals=3000) for f, a, b in cases]
         assert shared == alone
-        assert [r.converged for r in shared] == [True] * 5 + [False]
+        assert [r.converged for r in shared] == converged
 
-        # the normalization grid's batch: each row goes to its own spec's pdf
-        specs = [
-            bsn(10.0, 0.5),
-            bsstd(3.0, 1.1, 3.0),
-            bsgt(0.0, 0.9, 1.7, 2.0),
-            bsgt(1.0, 1.5, 2.0, 5.0),
-            _corrupt(bsgt(0.5, 1.0, 2.3, 2.0), 1.05),
-        ]
-        alone = [integrate(lambda xs: pdf(s, xs), -np.inf, np.inf, tol=1e-10) for s in specs]
-        assert _masses(specs) == alone
-        assert abs(alone[-1].value - 1.0) > 1e-3  # the corrupted spec does not integrate to 1
-
-    def test_mixed_tolerances_stop_where_each_stops_alone(self):
-        cases = [
-            (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf, 1e-6),
-            (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf, 1e-13),
-            (np.exp, -np.inf, 0.0, 1e-9),
-            (lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf, 1e-12),
-            (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, 1e-7),
-            (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, 1e-11),
-            # every panel is retired unsplit: this one stops while the others go on
-            (np.exp, 1.0, 1.0 + 2.0**-49, 1e-300),
-        ]
-
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            [
+                (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf, 1e-6),
+                (lambda x: np.exp(-0.5 * x * x), -np.inf, np.inf, 1e-13),
+                (np.exp, -np.inf, 0.0, 1e-9),
+                (lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf, 1e-12),
+            ],
+            [
+                (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, 1e-7),
+                (lambda x: np.asarray(x, dtype=float) ** -0.6, 0.0, 1.0, 1e-11),
+                # every panel is retired unsplit: this one stops while the others go on
+                (np.exp, 1.0, 1.0 + 2.0**-49, 1e-300),
+            ],
+        ],
+        ids=["mapped", "finite"],
+    )
+    def test_mixed_tolerances_stop_where_each_stops_alone(self, cases):
         def rows_f(xs, rows):
             return np.stack([cases[j][0](x) for j, x in zip(rows, xs)])
 
@@ -181,8 +246,9 @@ class TestIntegrate:
             (r.value.hex(), r.abs_error_estimate.hex(), r.evaluations, r.converged) for r in alone
         ]
         # the tolerances part the integrals: each stops at its own
-        assert alone[0].evaluations < alone[1].evaluations and alone[4].evaluations < alone[5].evaluations
-        assert (alone[6].evaluations, alone[6].converged) == (210, False)
+        assert alone[0].evaluations < alone[1].evaluations
+        if len(cases) == 3:
+            assert (alone[2].evaluations, alone[2].converged) == (210, False)
 
     def test_masses_of_specs_that_share_bases(self):
         # a subset of the normalization grid: five bases, each shared by four specs
@@ -205,6 +271,7 @@ class TestIntegrate:
 
         assert fields(_masses(specs)) == fields(alone)
         assert fields(_masses(specs[::-1])) == fields(alone[::-1])
+        assert abs(alone[-1].value - 1.0) > 1e-3  # the corrupted spec does not integrate to 1
 
     def test_ties_go_to_the_oldest_panel(self):
         # a constant integrand gives the panels of one width equal errors;
@@ -221,26 +288,26 @@ class TestIntegrate:
     @pytest.mark.parametrize(
         "f,a,b,kw,want",
         [
-            (lambda x: np.full_like(x, np.nan), 0.0, 1.0, {}, ("nan", "nan", 30)),
-            (lambda x: np.full_like(x, np.nan), 0.0, np.inf, {}, ("0x0.0p+0", "0x0.0p+0", 30)),
+            (lambda x: np.full_like(x, np.nan), 0.0, 1.0, {}, ("nan", "nan", 30, False)),
+            (lambda x: np.full_like(x, np.nan), 0.0, np.inf, {}, ("nan", "nan", 30, False)),
             (
                 lambda x: np.abs(x) ** -0.5, -1.0, 1.0, dict(tol=1e-14, max_evals=300),
-                ("0x1.fdeece052b9bep+1", "0x1.52384dd9c03fbp-2", 300),
+                ("0x1.fdeece052b9bep+1", "0x1.52384dd9c03fbp-2", 300, False),
             ),
             # 2^-49 wide: bisection reaches panels one ulp wide, which are
             # retired unsplit until none is left
             (
                 np.exp, 1.0, 1.0 + 2.0**-49, dict(tol=1e-300),
-                ("0x1.5bf0a8b14576ep-48", "0x1.ffffffffffffep-101", 210),
+                ("0x1.5bf0a8b14576ep-48", "0x1.ffffffffffffep-101", 210, False),
             ),
             (
                 lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), -np.inf, np.inf, {},
-                ("0x1.0000000000000p+0", "0x1.b5241a074e4b7p-36", 300),
+                ("0x1.0000000000000p+0", "0x1.b5241a074e4b7p-36", 300, True),
             ),
-            (np.exp, -np.inf, 0.0, {}, ("0x1.fffffffffffffp-1", "0x1.00f5e2646982dp-34", 120)),
+            (np.exp, -np.inf, 0.0, {}, ("0x1.fffffffffffffp-1", "0x1.00f5e2646982dp-34", 120, True)),
             (
                 lambda x: np.asarray(x, dtype=float) ** -2.4, 1.0, np.inf, dict(tol=1e-10),
-                ("0x1.6db6db6db6f00p-1", "0x1.1c2503c3ce48dp-34", 630),
+                ("0x1.6db6db6db6f00p-1", "0x1.1c26c36da2ff3p-34", 600, True),
             ),
         ],
         ids=["nan", "nan-folded", "budget", "retired-panels", "gauss-line", "exp-tail", "power-tail"],
@@ -248,7 +315,7 @@ class TestIntegrate:
     def test_pinned_outputs(self, f, a, b, kw, want):
         # pinned bit for bit: any change to the bisection order or the sums shows
         res = integrate(f, a, b, **kw)
-        assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == want
+        assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations, res.converged) == want
 
     @pytest.mark.parametrize(
         "a,b",
@@ -317,17 +384,6 @@ class TestMixtureRoutes:
         # x enters the inner lower limit (|x| stretched times sqrt(s) over a scale)^p
         with pytest.raises(DomainError):
             uniform_gg_mixture_density(x, 1.0, 1.5, 2.0, 2.0)
-
-    @pytest.mark.parametrize("lowers", [[0.5, math.nan], [math.inf], [0.0, -1.0]])
-    def test_tail_plan_rejects_bad_lower_limits(self, lowers):
-        with pytest.raises(DomainError):
-            _tail_plan(lowers)
-
-    def test_tail_plan_is_the_one_point_plan(self):
-        lowers = [0.0, 1e-300, 0.7, 3e5]
-        anchors, panels = _tail_plan(lowers)
-        assert anchors.tolist() == lowers
-        assert all(_plan(a, math.inf) == (a, panels) for a in lowers)
 
     def test_double_layer_batch_gives_the_one_point_results(self):
         # mixed p, repeated points, and the order of the suite turned around
