@@ -207,11 +207,6 @@ def _read_first_numeric_column(path: str) -> np.ndarray:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if args.model == "bsgt" and not args.enable_extensions:
-        raise CapabilityError(
-            "fitting bsgt tail-shape parameters is an extension whose p and q blocks "
-            "mix slowly (min ESS about 200 at default length); opt in with --enable-extensions"
-        )
     from .inference import McmcConfig, PriorConfig, posterior_summary, run_mcmc
 
     data = _read_first_numeric_column(args.in_)

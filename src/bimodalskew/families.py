@@ -60,7 +60,7 @@ _FAMILY_OF_BASE = {"normal": "bsn", "student": "bsstd", "gent": "bsgt"}
 
 _LOG_2 = np.log(2.0)
 
-# Tolerances for the numeric CDF; quantile() brackets on top of these.
+# Tolerances of `_cdf`, the numeric CDF that quantile() searches over.
 _CDF_EPSABS = 1e-12
 _CDF_EPSREL = 1e-10
 _CDF_MAX_ERROR = 1e-8
@@ -233,7 +233,7 @@ def pdf(spec: DistributionSpec, x):
 
 
 def _quad_pdf(spec: DistributionSpec, lo: float, hi: float) -> tuple[float, float]:
-    from scipy.integrate import quad  # loaded on first use: only cdf needs it
+    from scipy.integrate import quad  # loaded on first use: only quantile needs it
 
     value, err = quad(
         lambda t: pdf(spec, t),
@@ -248,31 +248,18 @@ def _quad_pdf(spec: DistributionSpec, lo: float, hi: float) -> tuple[float, floa
 
 
 def cdf(spec: DistributionSpec, x: float) -> float:
-    """P(X <= x) by numeric integration of the density.
-
-    The mass below the fold point ``loc``, where the density has a
-    continuous but non-smooth join, is taken in closed form from
-    `cdf_values`, and the density is integrated from ``loc`` to x, or from
-    -inf to x below the fold.  Raises NumericError when the integrator
-    cannot certify an absolute error below 1e-8.
-    """
-    x = float(x)
-    if np.isnan(x):
-        raise DomainError("cdf argument must not be NaN")
-    if x == -np.inf:
-        return 0.0
-    if x == np.inf:
-        return 1.0
-    return _cdf(spec, x, _fold_mass(spec) if x >= spec.loc else None)
+    """P(X <= x) in closed form: `cdf_values` at the one point x; a NaN x raises DomainError."""
+    return float(cdf_values(spec, [x])[0])
 
 
-def _fold_mass(spec: DistributionSpec) -> float:
-    """The mass below the fold, P(X < loc), in closed form."""
-    return float(cdf_values(spec, [spec.loc])[0])
+def _cdf(spec: DistributionSpec, x: float, left: float) -> float:
+    """P(X <= x) at a finite x by numeric integration of the density, given
+    ``left``, the mass below the fold (``cdf(spec, spec.loc)``).
 
-
-def _cdf(spec: DistributionSpec, x: float, left: float | None) -> float:
-    """`cdf` at a finite x, given ``left``, the mass below the fold (`_fold_mass`).
+    The density is integrated from ``loc`` to x, or from -inf to x below the
+    fold, where it has a continuous but non-smooth join.  Raises
+    NumericError when the integrator cannot certify an absolute error below
+    1e-8.
 
     ``left`` is read only for x >= loc, so a caller that evaluates many
     points computes it once.
@@ -327,7 +314,7 @@ def cdf_values(spec: DistributionSpec, xs) -> np.ndarray:
 
 
 def quantile(spec: DistributionSpec, u: float) -> float:
-    """Value x with cdf(x) = u, located by bracketing root search.
+    """Value x with cdf(x) = u, located by bracketing root search over `_cdf`.
 
     The mass below the fold is computed once and shared by every
     evaluation of the search at or above ``loc``.
@@ -337,7 +324,7 @@ def quantile(spec: DistributionSpec, u: float) -> float:
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {u}")
 
     center = spec.loc
-    left = _fold_mass(spec)
+    left = cdf(spec, center)
     f_center = _cdf(spec, center, left) - u
     if f_center == 0.0:
         return center

@@ -8,7 +8,11 @@ phi, then alpha, then each shape block of the base (nu for bsstd, p and
 q - 2/p for bsgt), each by adaptive random-walk Metropolis on a log scale.
 phi's and the shape blocks' targets take the base's log density summed over
 the data as the skewing stretches them; the normal's sum is closed form in
-two half sums of x^2.
+two half sums of x^2.  Each sampler memoizes its two data sums, that base
+term and alpha's sum of log1p(alpha x^2), on their arguments: a block's
+target at the value it holds reuses the sum that its own proposal or the
+previous block's update took, so a sweep passes over the data once per
+proposal.
 
 The Student-t is a normal scale mixture, but its precisions lambda_i are not
 drawn: the chain keeps their posterior means, averaging
@@ -49,10 +53,10 @@ _ALPHA_SHIFT = 1e-12
 _SCALE_BOUNDS = (1e-4, 1e2)
 _TARGET_ACCEPT = 0.44  # the acceptance rate Robbins-Monro steers each block's scale toward
 _INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
-# a sweep evaluates the base at its current shape in every block and at each
-# shape proposal once
-_t_base = functools.lru_cache(maxsize=8)(StudentTBase)
-_gt_base = functools.lru_cache(maxsize=8)(GenTBase)
+# A block reads its target at its proposal and then at the value it holds,
+# which the previous block's update read last; so a memo of a sampler's last
+# three arguments serves every held value without a second pass.
+_memo = functools.lru_cache(maxsize=3)
 
 
 @dataclass(frozen=True)
@@ -177,41 +181,27 @@ def _lc_phi(phi: float, alpha: float, n: int, base_term, priors: PriorConfig) ->
     )
 
 
-def _normal_term(s_pos: float, s_neg: float):
-    """The normal base term, given the sums of x^2 over x >= 0 and over x < 0."""
-    return lambda phi: -0.5 * (s_pos / phi + s_neg * phi)
-
-
-def _stretch(x: np.ndarray, pos: np.ndarray, phi: float) -> np.ndarray:
-    """The data as the base sees them: x / gamma for x >= 0, x gamma below."""
-    gamma = math.sqrt(phi)
-    return np.where(pos, x / gamma, x * gamma)
-
-
-def _lc_base(z: np.ndarray, shape: dict[str, float]) -> float:
-    """A heavy-tailed base term: the base's log density summed over the
-    stretched data z, at the shape in ``shape`` (nu for bsstd; p and
-    q_tilt = q - 2/p for bsgt), and -inf outside the shape's support."""
-    try:
-        if "nu" in shape:
-            base = _t_base(shape["nu"])
-        elif shape["p"] > 0 and shape["q_tilt"] > 0:
-            base = _gt_base(shape["p"], shape["q_tilt"] + 2.0 / shape["p"])
-        else:
-            return -np.inf
-    except DomainError:  # nu <= 2, or a variance beyond the float range
-        return -np.inf
-    return float(np.sum(base.log_pdf(z)))
-
-
-def _lc_alpha(alpha: float, phi: float, xx: np.ndarray, priors: PriorConfig) -> float:
+def _lc_alpha(alpha: float, phi: float, n: int, tilt_sum, priors: PriorConfig) -> float:
+    """alpha's conditional, given ``tilt_sum(alpha)``, the sum of log1p(alpha x^2) over the data."""
     if alpha < 0:
         return -np.inf
-    return (
-        -xx.size * np.log1p(alpha * _b_phi(phi))
-        + float(np.sum(np.log1p(alpha * xx)))
-        + _log_prior_alpha(alpha, priors)
-    )
+    return -n * np.log1p(alpha * _b_phi(phi)) + tilt_sum(alpha) + _log_prior_alpha(alpha, priors)
+
+
+# Each model's base, as a constructor from its shape values (None for the
+# normal), and its shape blocks in sweep order, each as (initial value, walk
+# floor, log prior); a shape block's support lies above its floor.
+_MODELS = {
+    "bsn": (None, {}),
+    "bsstd": (StudentTBase, {"nu": (6.0, 2.0, lambda nu, priors: -priors.beta_nu * nu)}),
+    "bsgt": (
+        lambda p, q_tilt: GenTBase(p, q_tilt + 2.0 / p),
+        {
+            "p": (2.0, 0.0, lambda p, priors: _log_gamma(p, 2.0, 1.0)),
+            "q_tilt": (2.0, 0.0, lambda q_tilt, priors: _log_gamma(q_tilt, 2.0, 0.5)),
+        },
+    ),
+}
 
 
 def _precision_rate(xx: np.ndarray, pos: np.ndarray, phi: float, nu: float) -> np.ndarray:
@@ -259,7 +249,7 @@ def mh_block_update(
     return new_value, accepted, new_scale
 
 
-def _default_init(x: np.ndarray, model: str) -> dict[str, float]:
+def _default_init(x: np.ndarray) -> dict[str, float]:
     m2 = float(np.mean(x * x))
     if 0.0 < m2 < 3.0:
         alpha = (m2 - 1.0) / (3.0 - m2)
@@ -270,12 +260,7 @@ def _default_init(x: np.ndarray, model: str) -> dict[str, float]:
     n_neg = x.size - n_pos
     phi = n_pos / n_neg if n_neg else 10.0
     phi = min(max(phi, 0.1), 10.0)
-    init = {"alpha": alpha, "phi": phi}
-    if model == "bsstd":
-        init["nu"] = 6.0
-    if model == "bsgt":
-        init.update({"p": 2.0, "q_tilt": 2.0})
-    return init
+    return {"alpha": alpha, "phi": phi}
 
 
 class MetropolisWithinGibbs:
@@ -302,42 +287,49 @@ class MetropolisWithinGibbs:
         init: dict[str, float] | None = None,
         enable_extensions: bool = False,
     ):
-        if model not in ("bsn", "bsstd", "bsgt"):
+        if model not in _MODELS:
             raise DomainError(f"unknown model {model!r}")
         if model == "bsgt" and not enable_extensions:
             raise CapabilityError(
                 "generalized-t fitting is an extension whose p and q blocks mix slowly "
-                "(min ESS about 200 at default length); pass enable_extensions=True to opt in"
+                "(min ESS about 200 at default length); opt in with enable_extensions=True, "
+                "or --enable-extensions on the command line"
             )
-        self.x = _check_data(data)
+        self.x = x = _check_data(data)
         # per-data-set invariants of the block kernels; sign(0) = +1
-        self._xx = self.x * self.x
-        self._pos = self.x >= 0
-        self._normal_term = _normal_term(
-            float(self._xx[self._pos].sum()), float(self._xx[~self._pos].sum())
-        )
+        self._xx = xx = x * x
+        self._pos = pos = x >= 0
+        base, self._shapes = _MODELS[model]
+        if base is None:  # closed form in the sums of x^2 over x >= 0 and over x < 0
+            s_pos, s_neg = float(xx[pos].sum()), float(xx[~pos].sum())
+            self._base_sum = lambda phi: -0.5 * (s_pos / phi + s_neg * phi)
+        else:
+            # the generalized-t's constructor costs a sweep about a tenth of its time
+            base = _memo(base)
+
+            def base_sum(phi: float, *shape: float) -> float:
+                gamma = math.sqrt(phi)  # the base sees x / gamma for x >= 0, x gamma below
+                try:
+                    return float(np.sum(base(*shape).log_pdf(np.where(pos, x / gamma, x * gamma))))
+                except DomainError:  # a variance beyond the float range
+                    return -np.inf
+
+            self._base_sum = _memo(base_sum)
+        self._tilt_sum = _memo(lambda alpha: float(np.sum(np.log1p(alpha * xx))))
         self.model = model
         self.priors = priors or PriorConfig()
         self.config = config or McmcConfig()
         self.rng = rng if rng is not None else RngStream(0)
         self._gen = _gen(self.rng)
-        # each shape block's log prior, in sweep order; _lc_base holds nu > 2
-        self._shape_priors = {
-            "bsn": {},
-            "bsstd": {"nu": lambda nu: -self.priors.beta_nu * nu},
-            "bsgt": {
-                "p": lambda p: _log_gamma(p, 2.0, 1.0),
-                "q_tilt": lambda qt: _log_gamma(qt, 2.0, 0.5),
-            },
-        }[model]
 
-        defaults = _default_init(self.x, model)
+        defaults = _default_init(x) | {b: start for b, (start, _, _) in self._shapes.items()}
         if init:
             defaults.update(init)
-        blocks = ["phi", "alpha", *self._shape_priors]
-        for b in blocks:  # the supports: alpha >= 0, nu > 2, every other block > 0
-            value, edge = float(defaults[b]), 2.0 if b == "nu" else 0.0
-            if not (math.isfinite(value) and (value > edge or b == "alpha" and value == edge)):
+        blocks = ["phi", "alpha", *self._shapes]
+        self._floors = {"phi": 0.0, "alpha": -_ALPHA_SHIFT} | {b: f for b, (_, f, _) in self._shapes.items()}
+        for b in blocks:  # every support lies above its floor, but alpha's includes 0
+            value = float(defaults[b])
+            if not (math.isfinite(value) and (value >= 0.0 if b == "alpha" else value > self._floors[b])):
                 raise DomainError(f"initial {b} must be finite and in its support, got {value}")
         self.blocks = blocks
         self.state = {b: float(defaults[b]) for b in blocks}
@@ -349,13 +341,12 @@ class MetropolisWithinGibbs:
         self._post_iterations = 0
 
     def _update_block(self, name: str, log_target, adapt_rate) -> None:
-        floor = {"alpha": -_ALPHA_SHIFT, "nu": 2.0}.get(name, 0.0)
         new, accepted, new_scale = mh_block_update(
             self.state[name],
             log_target,
             self.scales[name],
             self._gen,
-            floor=floor,
+            floor=self._floors[name],
             adapt_rate=adapt_rate,
         )
         self.state[name] = new
@@ -372,23 +363,25 @@ class MetropolisWithinGibbs:
             self._post_iterations += 1
         adapting = t <= self.config.burn_in
         rate = 1.0 / t**0.6 if adapting else None
-        st, x, pos, n, priors = self.state, self.x, self._pos, self.x.size, self.priors
+        st, n, priors = self.state, self.x.size, self.priors
 
-        if self._shape_priors:
-            base_term = lambda phi: _lc_base(_stretch(x, pos, phi), st)
-        else:
-            base_term = self._normal_term
         alpha = st["alpha"]
-        self._update_block("phi", lambda phi: _lc_phi(phi, alpha, n, base_term, priors), rate)
+        self._update_block("phi", lambda phi: _lc_phi(phi, alpha, n, self._base_term, priors), rate)
         phi = st["phi"]
         # the tilt is the only alpha term of any unit-variance base
-        self._update_block("alpha", lambda a: _lc_alpha(a, phi, self._xx, priors), rate)
-        if self._shape_priors:
-            z = _stretch(x, pos, phi)
-            for name, log_prior in self._shape_priors.items():
-                self._update_block(name, lambda v: _lc_base(z, {**st, name: v}) + log_prior(v), rate)
+        self._update_block("alpha", lambda a: _lc_alpha(a, phi, n, self._tilt_sum, priors), rate)
+        for name, (_, floor, log_prior) in self._shapes.items():
+            self._update_block(
+                name,
+                lambda v: self._base_term(phi, **{name: v}) + log_prior(v, priors) if v > floor else -np.inf,
+                rate,
+            )
         if adapting:
             self._record_adapt(t)
+
+    def _base_term(self, phi: float, **moved: float) -> float:
+        """The base term at phi and the held shape, with any block in ``moved`` at its given value."""
+        return self._base_sum(phi, *(moved.get(b, self.state[b]) for b in self._shapes))
 
     def _record_adapt(self, t: int) -> None:
         if t % 100 == 0 or t == self.config.burn_in:

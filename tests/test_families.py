@@ -23,6 +23,7 @@ from bimodalskew.bases import (
 from bimodalskew.errors import DomainError, ExistenceError, NumericError
 from bimodalskew.families import (
     DistributionSpec,
+    _cdf,
     _log_density,
     bsgt,
     bsn,
@@ -334,31 +335,52 @@ class TestCdfQuantile:
         assert cdf(spec, -np.inf) == 0.0
         assert cdf(spec, np.inf) == 1.0
 
+    @pytest.mark.parametrize(
+        "spec,x,want",
+        [
+            (bsn(0.0, 1.0), 1e4, 1.0),
+            (bsstd(1.0, 1.0, 2.05), 1e6, 0.8819725966572914),
+            # 1e8 + 1e-8 rounds to z = 1.4901161193847656
+            (bsn(3.0, 1.5, loc=1e8, scale=1e-8), 1e8 + 1e-8, 0.3455798838989553),
+        ],
+        ids=["bsn-1e4", "nu2.05-far-right", "loc1e8-scale1e-8"],
+    )
+    def test_closed_form_where_quadrature_missed_mass(self, spec, x, want):
+        # quadrature read 0.5, 0.38197 and 0.20822 here; the wants are
+        # 40-digit mpmath values (incomplete beta for the Student-t)
+        assert cdf(spec, x) == pytest.approx(want, abs=1e-12)
+        assert cdf(spec, x) == pytest.approx(cdf_values(spec, [x])[0], abs=1e-12)
+
     def test_vector_path_matches_scalar(self):
         spec = bsgt(1.0, 0.8, 2.3, 2.0)
         vec = cdf_values(spec, GRID)
-        np.testing.assert_allclose(vec, [cdf(spec, float(x)) for x in GRID], atol=1e-10)
+        # the scalar cdf is the closed form too: compare with quadrature
+        left = cdf(spec, spec.loc)
+        np.testing.assert_allclose(vec, [_cdf(spec, float(x), left) for x in GRID], atol=1e-10)
         assert np.all(np.diff(vec) >= 0)
 
 
 class TestQuantileSharesTheFoldMass:
     """`quantile` integrates below the fold once and returns what the search
-    over the public `cdf` returned, float for float."""
+    over the numeric `_cdf` returned, float for float."""
 
     @staticmethod
     def search_over_cdf(spec, u):
-        # the doubling bracket plus brentq over the public cdf, each of whose
-        # evaluations above loc integrated (-inf, loc] again
+        # the doubling bracket plus brentq over the numeric cdf, each of whose
+        # evaluations takes the mass below the fold afresh
         from scipy.optimize import brentq
 
+        def numeric_cdf(t):
+            return _cdf(spec, t, cdf(spec, spec.loc))
+
         center = spec.loc
-        f_center = cdf(spec, center) - u
+        f_center = numeric_cdf(center) - u
         if f_center == 0.0:
             return center
         step = spec.scale
         if f_center > 0:
             lo = center - step
-            while cdf(spec, lo) > u:
+            while numeric_cdf(lo) > u:
                 step *= 2.0
                 lo = center - step
                 if step > 1e12 * spec.scale:
@@ -366,13 +388,13 @@ class TestQuantileSharesTheFoldMass:
             bracket = (lo, center)
         else:
             hi = center + step
-            while cdf(spec, hi) < u:
+            while numeric_cdf(hi) < u:
                 step *= 2.0
                 hi = center + step
                 if step > 1e12 * spec.scale:
                     raise NumericError(f"failed to bracket quantile u={u} above the location")
             bracket = (center, hi)
-        return float(brentq(lambda t: cdf(spec, t) - u, *bracket, xtol=1e-12, rtol=8.9e-16))
+        return float(brentq(lambda t: numeric_cdf(t) - u, *bracket, xtol=1e-12, rtol=8.9e-16))
 
     # the root lies below loc at the first level and above it at the second
     MEMBERS = [
@@ -418,7 +440,7 @@ class TestQuantileSharesTheFoldMass:
             assert len(calls) > 5  # the bracket and brentq evaluated the cdf many times
         calls.clear()
         assert cdf(spec, spec.loc + spec.scale) > cdf(spec, spec.loc) == cdf_values(spec, [spec.loc])[0]
-        assert calls == [(spec.loc, spec.loc + spec.scale)]
+        assert calls == []  # the scalar cdf is closed form
 
 
 def left_mass(spec):
@@ -513,13 +535,13 @@ class TestCdfValues:
     def test_matches_scalar_cdf_where_it_converges(self, family, alpha, log_gamma, log_tail, p, zs):
         spec = mode_spec(family, alpha, 10.0**log_gamma, 10.0**log_tail, p)
         values = cdf_values(spec, zs)
-        # the scalar cdf certifies 1e-8; at p < 0.8 with p*q near 2 its
+        # the numeric cdf certifies 1e-8; at p < 0.8 with p*q near 2 its
         # quadrature is off by up to 4e-9 where the closed form matches
         # 30-digit quadrature, and elsewhere the two agree to 1e-10
         tol = 1e-8 if family == "bsgt" else 1e-10
         for z, value in zip(zs, values):
             try:
-                want = cdf(spec, z)
+                want = _cdf(spec, z, cdf(spec, spec.loc))
             except NumericError:
                 continue
             assert value == pytest.approx(want, abs=tol)

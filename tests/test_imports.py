@@ -9,7 +9,7 @@ the moments, ``fit``). The oracle imports it at module level and loads on
 first use of ``run_checks``, ``integrate`` or ``mc_moment``, so ``check``
 loads it before forking its workers, and a full ``check`` runs on the oracle,
 numpy and ``scipy.special`` alone; ``scipy.integrate`` and ``scipy.optimize``
-load on the first scalar ``cdf`` or ``quantile``, and nothing in the package
+load on the first ``quantile``, and nothing in the package
 loads ``scipy.stats``. Nothing loads ``multiprocessing`` or a
 ``concurrent.futures`` executor: ``run_checks`` and ``run_mcmc`` fork their
 two workers with ``os.fork``, and load the module that does so only when

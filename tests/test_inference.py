@@ -164,6 +164,44 @@ class TestShapeBlocks:
         assert s.state == held
 
 
+class TestDataPasses:
+    """A sweep passes over the data once per proposal: a block's target at the
+    value it holds reuses the sum that an earlier read of a target took."""
+
+    class CountingNumpy:
+        """numpy as `inference` sees it, counting log1p calls over the whole data."""
+
+        def __init__(self, n, calls):
+            self.n, self.calls = n, calls
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def log1p(self, v):
+            if np.size(v) == self.n:
+                self.calls.append("tilt")
+            return np.log1p(v)
+
+    @pytest.mark.parametrize("model,base_passes", [("bsn", 0), ("bsstd", 2), ("bsgt", 3)])
+    def test_one_pass_per_proposal(self, monkeypatch, model, base_passes):
+        from bimodalskew.bases import GenTBase, StudentTBase
+
+        s = MetropolisWithinGibbs(fixture_data(), model=model, rng=RngStream(4, 0), enable_extensions=True)
+        for _ in range(5):  # the first sweep reads every held value afresh
+            s.step()
+        calls = []
+        for cls in (StudentTBase, GenTBase):
+            log_pdf = cls.log_pdf
+            monkeypatch.setattr(cls, "log_pdf", lambda b, z, f=log_pdf: calls.append("base") or f(b, z))
+        monkeypatch.setattr(inference, "np", self.CountingNumpy(s.x.size, calls))
+        per_sweep = []
+        for _ in range(20):
+            calls.clear()
+            s.step()
+            per_sweep.append((calls.count("base"), calls.count("tilt")))
+        assert per_sweep == [(base_passes, 1)] * 20
+
+
 class TestInitialValues:
     """An initial value that is not finite or lies outside its block's support raises."""
 
