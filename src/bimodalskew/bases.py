@@ -15,7 +15,7 @@ A(y) = 2 alpha s^p a y^(1 - p/2) - alpha b y - 1 with y = z^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -305,20 +305,15 @@ class StudentTBase:
 class GenTBase:
     """Generalized-t rescaled to unit variance; requires finite p > 0, q > 0 and p*q > 2.
 
-    ``delta`` defaults to the standardizing scale; passing another value
-    gives a generalized-t of a different variance.
+    The derived ``delta`` is the standardizing scale `gt_standard_scale(p, q)`.
     """
 
     p: float
     q: float
-    delta: float | None = None
+    delta: float = field(init=False)
 
     def __post_init__(self):
-        standard = gt_standard_scale(self.p, self.q)  # validates p and q
-        if self.delta is None:
-            object.__setattr__(self, "delta", standard)
-        elif not (np.isfinite(self.delta) and self.delta > 0):
-            raise DomainError(f"scale delta must be positive and finite, got {self.delta}")
+        object.__setattr__(self, "delta", gt_standard_scale(self.p, self.q))  # validates p and q
 
     @property
     def name(self) -> str:

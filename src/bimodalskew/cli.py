@@ -163,7 +163,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def _read_first_numeric_column(path: str) -> np.ndarray:
     """Parse the first numeric column of a CSV; any unparseable row is fatal."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is not data
         lines = fh.read().splitlines()
     rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
     if not rows:
@@ -264,12 +264,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from .oracle import run_checks  # the only command that needs the oracle
 
-    results = run_checks(
-        only=args.only,
-        seed=args.seed,
-        sample_size=args.sample_size,
-        delta_scale=args.corrupt_delta_scale,
-    )
+    results = run_checks(only=args.only, seed=args.seed, sample_size=args.sample_size)
     if not results:
         print(f"no identities match --only {args.only!r}", file=sys.stderr)
         return 2
@@ -328,7 +323,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--only", default=None, help="substring filter on identity names")
     sp.add_argument("--seed", type=int, default=20260814)
     sp.add_argument("--sample-size", type=int, default=100_000)
-    sp.add_argument("--corrupt-delta-scale", type=float, default=None, help=argparse.SUPPRESS)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_check)
 

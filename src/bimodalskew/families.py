@@ -97,8 +97,7 @@ class DistributionSpec:
     symmetric unit-variance ``base`` (which validates its own tail
     parameters) and the map x = loc + scale * z.  The derived ``b`` is the
     second moment of the untilted two-piece density, which normalizes the
-    tilt factor only when the base has unit variance, so a ``GenTBase``
-    given a non-standard ``delta`` yields an unnormalized density at alpha > 0.
+    tilt factor.
     """
 
     alpha: float
@@ -390,9 +389,8 @@ def full_moment(spec: DistributionSpec, r: int) -> float:
 def moment_exists(spec: DistributionSpec, r: int) -> bool:
     """Whether the r-th moment of the tilted, skewed density is finite."""
     base = spec.base
-    if spec.alpha == 0.0:
-        return base.moment_exists(r)
-    return base.moment_exists(r + 2)
+    # r is validated first; existence is monotone in r, so a tilted spec still asks r + 2
+    return base.moment_exists(r) and (spec.alpha == 0.0 or base.moment_exists(r + 2))
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betaln, gammainc, gammaln, kolmogorov
 
-from .bases import GenTBase, NormalBase, StudentTBase, gt_standard_scale
+from .bases import NormalBase, StudentTBase, gt_standard_scale
 from .errors import DomainError, ExistenceError
 from .families import (
     DistributionSpec,
@@ -656,13 +656,6 @@ _MIX_XS = (-2.0, -0.5, 0.0, 0.5, 2.0)
 _MIX_GAMMAS = (0.8, 1.5)
 
 
-def _corrupt(spec: DistributionSpec, delta_scale: float | None) -> DistributionSpec:
-    if delta_scale is None or not isinstance(spec.base, GenTBase):
-        return spec
-    base = spec.base
-    return replace(spec, base=GenTBase(base.p, base.q, base.delta * delta_scale))
-
-
 def _masses(specs) -> list[OracleResult]:
     """`integrate` of each spec's `pdf` over the line at tol 1e-10, in one `_integrate_rows` call.
 
@@ -713,7 +706,7 @@ class _Case:
     larger_is_better: bool = False
 
 
-def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], list[tuple]]:
+def _suite(seed: int, n: int) -> tuple[list[_Case], list[tuple]]:
     """The identity suite: its cases in order, and the tasks they run as.
 
     A task is ``(positions, batch, cost)``: the positions of its cases in
@@ -739,9 +732,6 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         cases.extend(new)
         return group
 
-    def gt(a, g, p, q):
-        return _corrupt(bsgt(a, g, p, q), delta_scale)
-
     def rng(stream):
         return RngStream(seed, stream)
 
@@ -754,14 +744,14 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
                 add(norm, _Case(ident, partial(bsstd, a, g, nu), 1e-8))
             for p, q in _GRID_PQS:
                 ident = f"normalization/bsgt alpha={a} gamma={g} p={p} q={q}"
-                add(norm, _Case(ident, partial(gt, a, g, p, q), 1e-8))
+                add(norm, _Case(ident, partial(bsgt, a, g, p, q), 1e-8))
 
     # reduction chain
     grid = np.linspace(-10.0, 10.0, 401)
 
     def gent_student(a, g):
         return _sup_diff(
-            lambda xs: pdf(gt(a, g, 2.0, 2.0), xs), lambda xs: pdf(bsstd(a, g, 4.0), xs), grid
+            lambda xs: pdf(bsgt(a, g, 2.0, 2.0), xs), lambda xs: pdf(bsstd(a, g, 4.0), xs), grid
         )
 
     def normal_limit(a, g):
@@ -904,10 +894,10 @@ def _suite(seed: int, n: int, delta_scale: float | None) -> tuple[list[_Case], l
         return gap(_uniform_mixture(x, g, lam), 1e-10, float(pdf(bsn(0.0, g, scale=lam**-0.5), x)))
 
     def gg_gap(x, g, p, q):
-        return gap(_gg_mixture(x, 1.0, g, p, q), 1e-9, float(pdf(gt(1.0, g, p, q), x)))
+        return gap(_gg_mixture(x, 1.0, g, p, q), 1e-9, float(pdf(bsgt(1.0, g, p, q), x)))
 
     def uniform_gg_point(x, g, p, q):
-        return (x, 1.0, g, p, q), float(pdf(gt(1.0, g, p, q), x))
+        return (x, 1.0, g, p, q), float(pdf(bsgt(1.0, g, p, q), x))
 
     def uniform_gg_gaps(runs):
         points, refs = zip(*runs)
@@ -1066,7 +1056,6 @@ def run_checks(
     only: str | None = None,
     seed: int = 20260814,
     sample_size: int = 100_000,
-    delta_scale: float | None = None,
 ) -> list[dict]:
     """Run the identity suite; returns one record per identity, in suite order.
 
@@ -1074,8 +1063,6 @@ def run_checks(
     the achieved discrepancy except for "sampler/paths-agree", where it is a
     two-sample KS p-value from Smirnov's limit law and larger is better.
     ``only`` filters identities by substring before anything is built.
-    ``delta_scale`` rescales the generalized-t standardization constant
-    before checking, as a deliberate-fault hook proving the suite can fail.
 
     The selected cases run as tasks through `_workers.map_forked`, on two
     workers forked with `os.fork` when the selection spans two tasks or
@@ -1098,7 +1085,7 @@ def run_checks(
     n = int(sample_size)
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {sample_size}")
-    cases, tasks = _suite(seed, n, delta_scale)
+    cases, tasks = _suite(seed, n)
     chosen = []
     for positions, batch, cost in tasks:
         picked = positions if only is None else [i for i in positions if only in cases[i].identity]

@@ -34,7 +34,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .bases import GenTBase, NormalBase, StudentTBase, _check_shape, gt_standard_scale
+from .bases import GenTBase, NormalBase, StudentTBase, _check_shape
 from .errors import CapabilityError, DomainError
 from .families import DistributionSpec, bsgt, bsn, bsstd, two_piece_second_moment
 
@@ -304,17 +304,11 @@ def sample_bsgt(
 
 
 def sample(spec: DistributionSpec, n: int | None, rng):
-    """n draws from any family member, on the loc/scale of the spec (one float for n=None).
-
-    A generalized-t base with a non-standard ``delta`` has no sampler here and
-    raises DomainError.
-    """
+    """n draws from any family member, on the loc/scale of the spec (one float for n=None)."""
     alpha, gamma, base = spec.alpha, spec.gamma, spec.base
     if isinstance(base, StudentTBase):
         z = sample_bsstd(alpha, gamma, base.nu, rng, n).x
     elif isinstance(base, GenTBase):
-        if base.delta != gt_standard_scale(base.p, base.q):
-            raise DomainError(f"cannot sample a generalized-t base with non-standard delta={base.delta}")
         z = sample_bsgt(alpha, gamma, base.p, base.q, rng, n).x
     else:
         z = sample_bsn(alpha, gamma, rng, n)

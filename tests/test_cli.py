@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import bimodalskew
-from bimodalskew import cli
+from bimodalskew import bases, cli, oracle
 from bimodalskew.cli import main
+from bimodalskew.errors import DomainError
 from bimodalskew.families import bsgt, bsn, bsstd, pdf
 from bimodalskew.sampling import RngStream, sample
 
@@ -267,6 +268,11 @@ class TestFit:
         assert code == 2
         assert "line(s) 3, 5" in err
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff1.5\n2.5\n-0.5\n0.3\n1.1\n0.7\n", encoding="utf-8")
+        assert cli._read_first_numeric_column(str(path)).tolist() == [1.5, 2.5, -0.5, 0.3, 1.1, 0.7]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "fit", "--model", "bsn", "--in", "/no/such/file.csv")
         assert code == 2
@@ -281,16 +287,21 @@ class TestCheck:
         assert all(row["status"] == "pass" for row in doc["checks"])
         assert "identities pass" in err
 
-    def test_corruption_hook_fails_checks(self, capsys):
-        code, _, _ = run(capsys, "check", "--only", "normalization/bsgt",
-                         "--corrupt-delta-scale", "1.05")
+    def test_failed_identities_exit_1(self, capsys, monkeypatch):
+        # a generalized-t base 5 % wider than unit variance does not integrate to 1 once tilted
+        scale = bases.gt_standard_scale
+        monkeypatch.setattr(bases, "gt_standard_scale", lambda p, q: 1.05 * scale(p, q))
+        code, out, _ = run(capsys, "check", "--only", "normalization/bsgt alpha=1.0 gamma=1.5")
         assert code == 1
+        assert [row["status"] for row in json.loads(out)["checks"]] == ["fail"] * 4
 
-    def test_corruption_builds_only_selected_specs(self, capsys):
-        # a negative scale makes every bsgt spec invalid, but no selected
-        # identity builds one
-        code, out, err = run(capsys, "check", "--only", "normalization/bsn",
-                             "--corrupt-delta-scale", "-1")
+    def test_builds_only_selected_specs(self, capsys, monkeypatch):
+        # every bsgt spec fails to build, but no selected identity builds one
+        def refuse(*args):
+            raise DomainError("no bsgt spec should be built")
+
+        monkeypatch.setattr(oracle, "bsgt", refuse)
+        code, out, err = run(capsys, "check", "--only", "normalization/bsn")
         assert code == 0, err
         assert len(json.loads(out)["checks"]) == 25
 

@@ -70,6 +70,10 @@ class TestPinnedValues:
     def test_gen_t_unit_variance_scale(self):
         assert gt_standard_scale(2.0, 2.0) == pytest.approx(1.0, abs=1e-12)
         assert gt_standard_scale(2.0, 3.0) == pytest.approx(1.1547005383792512, abs=1e-12)
+        # the base derives its delta, so no generalized-t of another variance can be built
+        assert GenTBase(2.0, 3.0).delta == gt_standard_scale(2.0, 3.0)
+        with pytest.raises(TypeError):
+            GenTBase(2.0, 3.0, 1.0)
 
     def test_first_skewed_moment(self):
         assert skew_moment(bsn(0.0, 2.0), 1) == pytest.approx(1.196826841204298, abs=1e-12)
@@ -827,7 +831,7 @@ class TestSharedBaseKernel:
         StudentTBase(3.0),
         StudentTBase(8.0),
         GenTBase(1.7, 2.0),
-        GenTBase(2.3, 2.0, GenTBase(2.3, 2.0).delta * 1.05),  # as --corrupt-delta-scale 1.05 builds it
+        GenTBase(2.3, 2.0),
     ]
 
     @staticmethod
@@ -837,14 +841,14 @@ class TestSharedBaseKernel:
         columns = [np.array([[getattr(s, name)] for s in specs]) for name in names]
         return specs, _log_density(base, *columns, xs)
 
-    @pytest.mark.parametrize("base", BASES, ids=["normal", "student3", "student8", "gent", "gent-delta1.05"])
+    @pytest.mark.parametrize("base", BASES, ids=["normal", "student3", "student8", "gent", "gent2.3"])
     def test_rows_equal_each_member_alone(self, base):
         xs = np.tile(self.POINTS, (len(self.MEMBERS), 1))
         specs, rows = self.rows(base, self.MEMBERS, xs)
         for spec, row in zip(specs, rows):
             assert row.tobytes() == log_pdf(spec, xs[0]).tobytes()
 
-    @pytest.mark.parametrize("base", BASES, ids=["normal", "student3", "student8", "gent", "gent-delta1.05"])
+    @pytest.mark.parametrize("base", BASES, ids=["normal", "student3", "student8", "gent", "gent2.3"])
     def test_one_slow_row_leaves_the_others_as_alone(self, base):
         # the other rows take the fast path alone, and the whole call the slow one
         xs = np.tile(np.linspace(-9.0, 9.0, 37), (len(self.MEMBERS), 1))
@@ -878,6 +882,10 @@ class TestMoments:
         # tail requirement relative to the untilted case
         for r, want in flags.items():
             assert moment_exists(spec, r) is want
+
+    def test_existence_names_the_order_it_was_given(self):
+        with pytest.raises(DomainError, match="got 1.5"):
+            moment_exists(bsstd(1.0, 1.0, 3.0), 1.5)
 
     def test_divergent_moment_raises(self):
         with pytest.raises(ExistenceError):
@@ -914,14 +922,14 @@ class TestValidation:
             lambda: bsgt(1.0, 1.0, 2.0, float("inf")),
             lambda: bsstd(1.0, 1.0, float("inf")),
             lambda: StudentTBase(float("inf")),
-            lambda: GenTBase(float("nan"), 2.0, 1.0),
+            lambda: GenTBase(float("nan"), 2.0),
             lambda: bsgt(1.0, 1.0, 0.01, 300.0),
-            lambda: GenTBase(0.01, 300.0, 1.0),
+            lambda: GenTBase(0.01, 300.0),
         ],
         ids=[
             "nu-at-2", "pq-at-2", "p-zero", "gamma-zero", "alpha-neg", "scale-neg", "alpha-nan",
-            "p-nan", "q-inf", "nu-inf", "student-base-nu-inf", "gent-base-p-nan-given-delta",
-            "variance-overflow", "gent-base-variance-overflow-given-delta",
+            "p-nan", "q-inf", "nu-inf", "student-base-nu-inf", "gent-base-p-nan",
+            "variance-overflow", "gent-base-variance-overflow",
         ],
     )
     def test_bad_parameters_rejected(self, build):

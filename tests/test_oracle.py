@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from bimodalskew import _workers, oracle
+from bimodalskew import _workers, bases, oracle
 from bimodalskew.bases import NormalBase
 from bimodalskew.errors import DomainError, ExistenceError
 from bimodalskew.families import (
@@ -24,7 +24,6 @@ from bimodalskew.families import (
 )
 from bimodalskew.oracle import (
     _beta_prime_pdf,
-    _corrupt,
     _integrate_rows,
     _ks_2samp_pvalue,
     _ks_from_cdf,
@@ -261,7 +260,7 @@ class TestIntegrate:
                 lambda a, g: bsstd(a, g, 3.0),
                 lambda a, g: bsstd(a, g, 8.0),
                 lambda a, g: bsgt(a, g, 1.7, 2.0),
-                lambda a, g: _corrupt(bsgt(a, g, 2.3, 2.0), 1.05),
+                lambda a, g: bsgt(a, g, 2.3, 2.0),
             )
         ]
         alone = [integrate(partial(pdf, s), -np.inf, np.inf, tol=1e-10) for s in specs]
@@ -271,7 +270,6 @@ class TestIntegrate:
 
         assert fields(_masses(specs)) == fields(alone)
         assert fields(_masses(specs[::-1])) == fields(alone[::-1])
-        assert abs(alone[-1].value - 1.0) > 1e-3  # the corrupted spec does not integrate to 1
 
     def test_ties_go_to_the_oldest_panel(self):
         # a constant integrand gives the panels of one width equal errors;
@@ -423,7 +421,7 @@ class TestMomentTasks:
             assert rec["value"] == abs(full_moment(spec, r) - alone.value)
 
     def test_items_carry_their_tolerances(self):
-        cases, _ = oracle._suite(1, 100, None)
+        cases, _ = oracle._suite(1, 100)
         [case] = [c for c in cases if c.identity == "moments/bsn alpha=1 gamma=0.5 r=2"]
         items, value = case.run()
         assert [(a, b, tol) for _, a, b, tol in items] == [(-math.inf, math.inf, 1e-9)]
@@ -589,9 +587,20 @@ class TestCheckHarness:
     def test_unmatched_filter_is_empty(self):
         assert run_checks(only="no-such-identity") == []
 
-    def test_scale_corruption_is_detected(self):
-        rows = run_checks(only="normalization/bsgt", delta_scale=1.05)
-        assert any(r["status"] == "fail" for r in rows)
+    def test_widened_generalized_t_base_is_detected(self, monkeypatch):
+        # a base 5 % wider than unit variance: the library's delta moves, the
+        # oracle's references keep their own
+        scale = bases.gt_standard_scale
+        monkeypatch.setattr(bases, "gt_standard_scale", lambda p, q: 1.05 * scale(p, q))
+        rows = run_checks(only="normalization/bsgt")
+        assert len(rows) == 100
+        for row in rows:
+            untilted = " alpha=0.0 " in row["identity"]
+            assert row["status"] == ("pass" if untilted else "fail"), row
+        for only, count in (("mixture/gg ", 30), ("mixture/uniform-gg ", 30), ("reduction/gent-student", 3)):
+            rows = run_checks(only=only)
+            assert len(rows) == count
+            assert all(row["status"] == "fail" for row in rows), only
 
 
 class TestCheckWorkers:
@@ -639,10 +648,23 @@ class TestCheckWorkers:
             "sampler/bsgt p=1.7 q=2 alpha=1 gamma=1.5",
         ]
 
+    @staticmethod
+    def refuse_p23(monkeypatch):
+        """Make the suite's `bsgt` raise DomainError at p = 2.3; forked workers inherit it."""
+        real = oracle.bsgt
+
+        def bsgt(alpha, gamma, p, q, *rest):
+            if p == 2.3:
+                raise DomainError("refused bsgt at p=2.3")
+            return real(alpha, gamma, p, q, *rest)
+
+        monkeypatch.setattr(oracle, "bsgt", bsgt)
+
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in-process"])
     def test_worker_domain_error_reaches_the_caller(self, monkeypatch, forks, cpus):
-        with pytest.raises(DomainError, match="scale delta must be positive") as excinfo:
-            self.run(monkeypatch, cpus, only="p=2.3", delta_scale=0.0)
+        self.refuse_p23(monkeypatch)
+        with pytest.raises(DomainError, match="refused bsgt at p=2.3") as excinfo:
+            self.run(monkeypatch, cpus, only="p=2.3")
         assert excinfo.type is DomainError
         assert forks == (["fork"] * 2 if cpus == 2 else [])
 
@@ -650,8 +672,9 @@ class TestCheckWorkers:
     def test_collector_is_left_unfrozen(self, monkeypatch, forks, cpus):
         assert self.run(monkeypatch, cpus, only="gamma=2")
         assert gc.get_freeze_count() == 0
+        self.refuse_p23(monkeypatch)
         with pytest.raises(DomainError):
-            self.run(monkeypatch, cpus, only="p=2.3", delta_scale=0.0)
+            self.run(monkeypatch, cpus, only="p=2.3")
         assert gc.get_freeze_count() == 0
         assert forks == (["fork"] * 4 if cpus == 2 else [])
 

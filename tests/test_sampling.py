@@ -429,16 +429,6 @@ class TestValidation:
         plain = np.abs(sample(bsn(0.0, 1.0), 50, RngStream(1)))
         assert np.array_equal(sample(bsn(0.0, gamma), 50, RngStream(1)), gamma * plain)
 
-    def test_non_standard_generalized_t_scale_is_refused(self):
-        # such a spec has mass 1.75; sample used to draw the standard member
-        spec = DistributionSpec(1.0, 1.0, GenTBase(2.0, 5.0, 2.0))
-        with pytest.raises(DomainError):
-            sample(spec, 10, RngStream(0))
-        standard = DistributionSpec(1.0, 1.0, GenTBase(2.0, 5.0, GenTBase(2.0, 5.0).delta))
-        np.testing.assert_array_equal(
-            sample(standard, 10, RngStream(0)), sample(bsgt(1.0, 1.0, 2.0, 5.0), 10, RngStream(0))
-        )
-
     def test_quadratic_tilt_needs_a_closed_form_tilted_sampler(self):
         with pytest.raises(CapabilityError):
             sample_quadratic_tilt(1.0, StudentTBase(5.0), RngStream(0), size=5)
