@@ -2,7 +2,8 @@
 
 Every base is standardized so that its variance equals one; the skewing and
 tilting layers in :mod:`bimodalskew.families` then never need to renormalize
-second moments.  Each base exposes its log density, its absolute moments
+second moments.  Each base exposes its log density, the same as a function of
+log|z| for where z^2 overflows (``far_log_pdf``), its absolute moments
 m_r = E|Z|^r, exact samplers for |Z| and for the quadratically weighted
 half-line density proportional to z^2 f(z) on z > 0 (where one is available
 in closed form), its partial moments of order r = 0 and 2 (the integral of
@@ -184,6 +185,10 @@ class NormalBase:
         z = np.asarray(z, dtype=float)
         return -0.5 * z * z - 0.5 * _LOG_2PI
 
+    def far_log_pdf(self, log_abs):
+        """The log density at |z| = e^log_abs where z^2 overflows: -inf."""
+        return -np.inf
+
     def moment_exists(self, r: int) -> bool:
         _validate_order(r)
         return True
@@ -255,12 +260,18 @@ class StudentTBase:
         z = np.asarray(z, dtype=float)
         nu = self.nu
         zz = z * z
-        tail = np.log1p(zz / (nu - 2.0))
+        out = self._log_norm - 0.5 * (nu + 1) * np.log1p(zz / (nu - 2.0))
         near = zz < _HUGE
         if not near.all():  # the log form, where z^2 is huge, infinite or NaN
-            with np.errstate(divide="ignore"):
-                tail = np.where(near, tail, 2.0 * np.log(np.abs(z)) - np.log(nu - 2.0))
-        return self._log_norm - 0.5 * (nu + 1) * tail
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(near, out, self.far_log_pdf(np.log(np.abs(z))))[()]
+        return out
+
+    def far_log_pdf(self, log_abs):
+        """The log density at |z| = e^log_abs, with log1p(z^2/(nu - 2)) taken
+        as log(1 + e^y), y = 2 log|z| - log(nu - 2), which needs no z^2."""
+        y = 2.0 * log_abs - np.log(self.nu - 2.0)
+        return self._log_norm - 0.5 * (self.nu + 1) * np.logaddexp(0.0, y)
 
     def moment_exists(self, r: int) -> bool:
         return _validate_order(r) < self.nu
@@ -347,12 +358,19 @@ class GenTBase:
         az = np.abs(z)
         with np.errstate(over="ignore"):
             w = (az / delta) ** p
-        tail = np.log1p(w / q)
+        out = self._log_norm - (q + 1.0 / p) * np.log1p(w / q)
         finite = np.isfinite(w)
         if not finite.all():  # the log form, where (|z|/delta)^p overflowed or z is NaN
             with np.errstate(divide="ignore", invalid="ignore"):
-                tail = np.where(finite, tail, p * (np.log(az) - np.log(delta)) - np.log(q))
-        return self._log_norm - (q + 1.0 / p) * tail
+                out = np.where(finite, out, self.far_log_pdf(np.log(az)))[()]
+        return out
+
+    def far_log_pdf(self, log_abs):
+        """The log density at |z| = e^log_abs, with log1p((|z|/delta)^p/q) taken
+        as log(1 + e^y), y = p (log|z| - log delta) - log q: no (|z|/delta)^p."""
+        p, q = self.p, self.q
+        y = p * (log_abs - np.log(self.delta)) - np.log(q)
+        return self._log_norm - (q + 1.0 / p) * np.logaddexp(0.0, y)
 
     def moment_exists(self, r: int) -> bool:
         return _validate_order(r) < self.p * self.q

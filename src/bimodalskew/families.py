@@ -150,6 +150,7 @@ def bsgt(
 # ---------- density ----------
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _log_density(base, alpha, gamma, b, loc, scale, x):
     """The family's log density on ``base``: the one place its formula is written.
 
@@ -161,66 +162,37 @@ def _log_density(base, alpha, gamma, b, loc, scale, x):
     z = (x - loc) / scale
     # sign(0) = +1: z = 0 goes through the stretched positive branch.
     arg = np.where(z >= 0, z / gamma, z * gamma)
-    out = base.log_pdf(arg) + _LOG_2 - np.log(gamma + 1.0 / gamma)
-    # An infinite z would make alpha z^2 = 0 * inf at alpha = 0: NaN, which the
-    # slow path replaces, but with numpy's invalid-value warning.  A point's z
-    # and alpha go in as Python floats, which give the NaN silently; in an
-    # array the infinite z, whose arg is infinite too, are zeroed first.
-    if isinstance(z, float) and not isinstance(alpha, np.ndarray):
-        z, alpha = float(z), float(alpha)
-    elif not np.isfinite(z).all():
-        z = np.where(np.isinf(z), 0.0, z)
+    log_f = base.log_pdf(arg)
     t = alpha * z * z
-    # The slow path handles an overflowed alpha z^2, whose log(1 + alpha z^2)
-    # then comes from logs, and an overflowed arg.  Both terms are >= 0 or
-    # NaN, so their sum is finite exactly when both are, unless it overflows;
-    # the slow path gives the fast path's values where neither did.
-    slow = not np.isfinite(t + np.abs(arg)).all()
-    if slow:
-        far = np.isinf(arg)  # x is infinite, or the standardized argument overflowed
-        z, t = np.where(far, 0.0, z), np.where(far, 0.0, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fallback = np.log(alpha) + 2.0 * np.log(np.abs(z))
-        tilt = np.where(np.isfinite(t), np.log1p(np.where(np.isfinite(t), t, 0.0)), fallback)
-    else:
-        tilt = np.log1p(t)
-    out = out + tilt - np.log1p(alpha * b) - np.log(scale)
-    if slow and far.any():
-        out = np.where(far, _far_log_density(base, alpha, gamma, b, loc, scale, x), out)
-    return out
-
-
-def _far_log_density(base, alpha, gamma, b, loc, scale, x):
-    """`_log_density` where the standardized argument overflows.
-
-    Far out, the standardized log density is -inf (normal base) or linear in
-    log|z|, so it follows the line through |z| = e^(top-1) and e^top, where
-    top = 700 - |log gamma| keeps z and its stretched argument finite, out to
-    log|z| = log|x - loc| - log(scale); halving keeps x - loc finite.
-    """
-    top = 700.0 - np.abs(np.log(gamma))
-    side = np.where(x >= loc, 1.0, -1.0)
-    with np.errstate(over="ignore"):
-        inner, edge = (
-            _log_density(base, alpha, gamma, b, 0.0, 1.0, np.exp(level) * side)
-            for level in (top - 1.0, top)
-        )
-    # only the overflowed entries are kept, so log(0) and -inf - -inf drop out
-    with np.errstate(divide="ignore", invalid="ignore"):
+    tilt = np.log1p(t)
+    # t and |arg| are >= 0 or NaN, so their sum is finite exactly when both
+    # are, unless it overflows.  Where arg overflowed, the base's far form
+    # takes log|arg|; where alpha z^2 did, the tilt is
+    # log(1 + e^(log alpha + 2 log|z|)).  log|z| comes from x - loc halved,
+    # which stays finite, and an infinite x gets tilt 0, so its value is -inf.
+    if not np.isfinite(t + np.abs(arg)).all():
         log_z = np.log(np.abs(0.5 * x - 0.5 * loc)) + _LOG_2 - np.log(scale)
-        line = edge + (edge - inner) * (log_z - top)
-    return np.where(edge == -np.inf, -np.inf, line) - np.log(scale)
+        log_gamma = np.log(gamma)
+        log_arg = np.where(z >= 0, log_z - log_gamma, log_z + log_gamma)
+        log_f = np.where(np.isinf(arg), base.far_log_pdf(log_arg), log_f)
+        tilt = np.where(np.isfinite(t), tilt, np.logaddexp(0.0, np.log(alpha) + 2.0 * log_z))
+        tilt = np.where(np.isinf(x), 0.0, tilt)
+    out = log_f + _LOG_2 - np.log(gamma + 1.0 / gamma)
+    return out + tilt - np.log1p(alpha * b) - np.log(scale)
 
 
 def log_pdf(spec: DistributionSpec, x):
-    """Log density at x; vectorized, never NaN for non-NaN x.
+    """Log density at x; vectorized, never NaN for non-NaN x, and never warns.
 
     A call of the private `_log_density` with the spec's parameters; a
-    Python float in gives a float out.
+    single point goes in, and comes out, as a Python float.
     """
     x = np.asarray(x, dtype=float)
-    out = _log_density(spec.base, spec.alpha, spec.gamma, spec.b, spec.loc, spec.scale, x)
-    return float(out) if x.ndim == 0 else out
+    point = x.ndim == 0
+    out = _log_density(
+        spec.base, spec.alpha, spec.gamma, spec.b, spec.loc, spec.scale, float(x) if point else x
+    )
+    return float(out) if point else out
 
 
 def pdf(spec: DistributionSpec, x):

@@ -136,12 +136,13 @@ def _plan(a: float, b: float, points=(), count: int = 1) -> tuple[float | None, 
 
 
 def _gk_rows(f, lo, hi, rows, anchors):
-    """Kronrod values, error estimates and selection keys of the panels (lo, hi).
+    """Kronrod values, error estimates, selection keys and non-zero flags of the panels (lo, hi).
 
     A panel's key is its error estimate, or -inf where it has no
     representable midpoint and so cannot be split.  ``lo`` and ``hi`` share
-    one shape, which the three results take, and the flat ``rows`` gives
-    each panel's integral in row-major order.  ``anchors`` is None when the
+    one shape, which the four results take, and the flat ``rows`` gives
+    each panel's integral in row-major order.  A panel's flag is whether any
+    of its nodes read non-zero.  ``anchors`` is None when the
     ranges are finite, and else each integral's anchor (see `_plan`).  On a
     mapped range the Jacobian 1/t^2 is applied as two factors 1/|t|, so it
     does not overflow before the integrand has decayed, and a node mapped
@@ -174,7 +175,7 @@ def _gk_rows(f, lo, hi, rows, anchors):
     err = np.where(np.minimum(spread, diff) > 0.0, sharp, diff)
     if anchors is not None:
         err = np.where(ok.all(axis=-1), err, np.inf)
-    return kronrod, err, np.where((lo < mid) & (mid < hi), err, -np.inf)
+    return kronrod, err, np.where((lo < mid) & (mid < hi), err, -np.inf), (ys != 0.0).any(axis=-1)
 
 
 def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
@@ -194,7 +195,9 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     integrand values.  Each integral follows the bisection sequence it would
     follow alone.
 
-    It returns the `OracleResult` fields as arrays (see `_results`).  The
+    It returns the `OracleResult` fields as arrays (see `_results`).  On
+    infinite ranges an integral none of whose nodes ever read non-zero is
+    not converged: its mass may lie where no node looked.  The
     panels live in one array with a row per integral still going and a
     column per panel, in the order the panels were made: the first panels,
     then the two children of each round.  A split panel's value and error
@@ -218,8 +221,9 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
     box[4] = -np.inf
     sums, spent_all = np.empty((2, n)), np.empty(n, dtype=int)  # value and error sums, evaluations
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors)
+        vals, errs, keys, nonzero = _gk_rows(f, lo, hi, rows, anchors)
         box[:, rows, cols] = np.array([lo, hi, vals, errs, keys])
+        seen = np.bincount(rows, weights=nonzero, minlength=n) > 0  # per integral
         # the integrals still going, their error totals (added in panel
         # order, as one integral adds them), the evaluations of their first
         # panels and the last round their budget allows
@@ -255,11 +259,12 @@ def _integrate_rows(f, plans, tol, max_evals: int) -> tuple[np.ndarray, ...]:
             edges = np.array([pick[0], 0.5 * (pick[0] + pick[1]), pick[1]])
             lo, hi = edges[:2].T, edges[1:].T  # the children: (lo, mid) and (mid, hi)
             rows = active.repeat(2)
-            vals, errs, keys = _gk_rows(f, lo, hi, rows, anchors)
+            vals, errs, keys, nonzero = _gk_rows(f, lo, hi, rows, anchors)
             box[:, :, used : used + 2] = np.array([lo, hi, vals, errs, keys])
+            seen[active] |= nonzero.any(axis=1)
             total += (errs[:, 0] + errs[:, 1]) - pick[3]
             used += 2
-    return sums[0], sums[1], spent_all, sums[1] <= tols
+    return sums[0], sums[1], spent_all, (sums[1] <= tols) & (seen | (anchors is None))
 
 
 def _results(columns) -> list[OracleResult]:
@@ -283,7 +288,10 @@ def integrate(f, a: float, b: float, tol: float = 1e-10, max_evals: int = 1_000_
     out, in which case ``converged`` is False and the best estimate is
     returned.  A node mapped past the largest float counts as zero and
     gives an error estimate of +inf and ``converged`` False; a NaN or inf
-    that ``f`` returns reaches the result.
+    that ``f`` returns reaches the result.  On an infinite range an ``f``
+    that reads exactly 0 at every node is not ``converged`` either, since
+    its mass may lie between the nodes; this changes no result in which
+    some node read non-zero.
 
     This is the one-integral case of the private `_integrate_rows`, which
     advances many integrals in shared rounds and hands ``f(xs, rows)`` an

@@ -697,9 +697,6 @@ class TestModes:
                 assert any(zs[i - 1] < x < zs[i + 1] for x in modes)
 
 
-# numpy reports the overflow of (x - loc) / scale as it happens; log_pdf keeps
-# that warning rather than pay for an errstate guard on every call
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestFarTail:
     @pytest.mark.parametrize(
         "spec,want",
@@ -729,6 +726,56 @@ class TestFarTail:
         )
         for near, far in pairs:
             assert far < near and far == pytest.approx(near, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "spec,x,want",
+        [
+            (bsstd(0, 1, 5), 1e200, -2760.519481504022),  # z * z overflows
+            (bsn(0.5, 1e100), -1e210, -math.inf),  # z * gamma overflows
+            (bsn(0.5, 1e100), 1e250, -5e299),  # alpha z^2 overflows
+        ],
+        ids=["student-square", "normal-stretch", "normal-tilt"],
+    )
+    def test_overflowing_terms_warn_nothing(self, spec, x, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_pdf(spec, x) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec,x,want",
+        [
+            (bsstd(50, 3, 2.05), 1.7e308, -771.24343340826907),
+            (bsgt(2, 0.1, 4, 0.6), -1.7e308, -1178.0254349089847),
+            (bsgt(50, 0.7, 1.7, 2), 1.7e308, -2349.7447829908774),
+            (bsstd(2, 0.1, 30), -1.0924589153335691e294, -32412.964636312084),
+            (bsgt(2, 3, 0.5, 5), -1.7976931348623157e308, -1301.4384950026084),
+        ],
+        ids=["bsstd-nu2.05", "bsgt-p4", "bsgt-p1.7", "bsstd-nu30", "bsgt-p0.5"],
+    )
+    def test_overflowed_argument_matches_50_digit_values(self, spec, x, want):
+        # x - loc and z overflow; the references are the closed form
+        # evaluated in 50-digit arithmetic (mpmath)
+        spec = DistributionSpec(spec.alpha, spec.gamma, spec.base, loc=1e8, scale=1e-200)
+        assert log_pdf(spec, x) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "spec,x,want,rel",
+        [
+            # arg overflows, yet (|arg|/delta)^p / q = e^-6.9 is below 1
+            (bsgt(0, 0.5, 0.05, 1e20), 1.7e308, -1.0064184990399569e17, 1e-14),
+            # z^2 = 1e200 takes the log form, yet z^2 / (nu - 2) = 1e-100; the
+            # log form loses the digits of 2 log|z| - log(nu - 2)
+            (bsstd(0, 1, 1e300), 1e100, -5.000000000000000e199, 1e-12),
+        ],
+        ids=["bsgt-q1e20", "bsstd-nu1e300"],
+    )
+    def test_log_form_holds_where_the_bracket_is_small(self, spec, x, want, rel):
+        # log(1 + e^y) is not y where y is not large; the references are the
+        # closed form evaluated in 700-digit arithmetic (mpmath)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_pdf(spec, x) == pytest.approx(want, rel=rel)
+            assert pdf(spec, x) == 0.0
 
 
 # z^2 overflows past 1.3e154, which numpy reports
@@ -806,8 +853,6 @@ def test_log_pdf_at_infinity_warns_nothing(spec, alpha):
     assert values[2] == log_pdf(spec, 0.5)
 
 
-# the far points overflow (x - loc) / scale or alpha z^2, which numpy reports
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestSharedBaseKernel:
     """`_log_density` on rows of members that share a base, one row each,
     equals `log_pdf` of each member alone, bit for bit."""

@@ -175,6 +175,12 @@ class TestIntegrate:
         assert res.converged
         assert res.value == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("a,b", [(-np.inf, np.inf), (-np.inf, 1e8), (1e8, np.inf)])
+    def test_a_far_fold_no_node_sees_is_not_converged(self, a, b):
+        # without points every node reads 0: the mass was never seen
+        res = integrate(partial(pdf, bsn(3.0, 1.5, loc=1e8)), a, b)
+        assert res.value == 0.0 and not res.converged
+
     @pytest.mark.parametrize("points", [(math.nan,), (0.5, math.inf), (-math.inf,)])
     def test_non_finite_points_rejected(self, points):
         for a, b in ((0.0, 1.0), (-np.inf, np.inf)):
