@@ -2,8 +2,9 @@
 
 Every base is standardized so that its variance equals one; the skewing and
 tilting layers in :mod:`bimodalskew.families` then never need to renormalize
-second moments.  Each base exposes its log density, the same as a function of
-log|z| for where z^2 overflows (``far_log_pdf``), its absolute moments
+second moments.  Each base exposes its log density, which for the heavy tails
+takes log1p(v) of a power v of |z| while v is finite and, where v overflows,
+the log form log(1 + e^(log v)) from log|z| (``far_log_pdf``), its absolute moments
 m_r = E|Z|^r, exact samplers for |Z| and for the quadratically weighted
 half-line density proportional to z^2 f(z) on z > 0 (where one is available
 in closed form), its partial moments of order r = 0 and 2 (the integral of
@@ -26,8 +27,6 @@ from .errors import DomainError, ExistenceError
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _SQRT_2 = float(np.sqrt(2.0))
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-# z**2 overflows above ~1.3e154; switch to log-space asymptotics before that.
-_HUGE = 1e150
 # From here up a Student-t's partial moments are the normal's: the beta form
 # differs from them by at most about 1e-16 at nu = 2e15, and scipy's betainc
 # returns NaN once its second parameter passes about 1e200.
@@ -60,17 +59,24 @@ def _beta_split(a: float, b: float, u: np.ndarray, upper: bool) -> np.ndarray:
 
     Far out x rounds to 1, so where x > 1/2 (u > 1) the value comes from
     I_y(b, a) = 1 - I_x(a, b) at y = 1 - x = 1 / (1 + u), computed directly
-    and never as 1 - x.  Complements are taken as 1 - I rather than with
-    ``betaincc``, which costs 5 to 10 times as much per point.
+    and never as 1 - x.  Complements are taken as 1 - I, except where
+    I > 0.999 and 1 - I would cancel: there they come from ``betaincc``,
+    which costs 5 to 10 times as much per point, at those points only.
     """
-    from scipy.special import betainc
+    from scipy.special import betainc, betaincc
 
     near = u <= 1.0
     out = np.empty_like(u)
     un, uf = u[near], u[~near]
     out[near] = betainc(a, b, un / (1.0 + un))
     out[~near] = betainc(b, a, 1.0 / (1.0 + uf))
-    return np.where(near != upper, out, 1.0 - out)[()]
+    fix = (near == upper) & (out > 0.999)
+    out = np.where(near != upper, out, 1.0 - out)
+    if fix.any():
+        un, uf = u[fix & near], u[fix & ~near]
+        out[fix & near] = betaincc(a, b, un / (1.0 + un))
+        out[fix & ~near] = betaincc(b, a, 1.0 / (1.0 + uf))
+    return out[()]
 
 
 def _check_shape(p: float, q: float) -> None:
@@ -259,12 +265,12 @@ class StudentTBase:
     def log_pdf(self, z):
         z = np.asarray(z, dtype=float)
         nu = self.nu
-        zz = z * z
-        out = self._log_norm - 0.5 * (nu + 1) * np.log1p(zz / (nu - 2.0))
-        near = zz < _HUGE
-        if not near.all():  # the log form, where z^2 is huge, infinite or NaN
+        v = z * z / (nu - 2.0)
+        out = self._log_norm - 0.5 * (nu + 1) * np.log1p(v)
+        finite = np.isfinite(v)
+        if not finite.all():  # the log form, where v overflowed or z is NaN
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(near, out, self.far_log_pdf(np.log(np.abs(z))))[()]
+                out = np.where(finite, out, self.far_log_pdf(np.log(np.abs(z))))[()]
         return out
 
     def far_log_pdf(self, log_abs):
@@ -357,10 +363,10 @@ class GenTBase:
         p, q, delta = self.p, self.q, self.delta
         az = np.abs(z)
         with np.errstate(over="ignore"):
-            w = (az / delta) ** p
-        out = self._log_norm - (q + 1.0 / p) * np.log1p(w / q)
-        finite = np.isfinite(w)
-        if not finite.all():  # the log form, where (|z|/delta)^p overflowed or z is NaN
+            v = (az / delta) ** p / q
+        out = self._log_norm - (q + 1.0 / p) * np.log1p(v)
+        finite = np.isfinite(v)
+        if not finite.all():  # the log form, where v overflowed or z is NaN
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = np.where(finite, out, self.far_log_pdf(np.log(az)))[()]
         return out

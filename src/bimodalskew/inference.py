@@ -14,6 +14,11 @@ target at the value it holds reuses the sum that its own proposal or the
 previous block's update took, so a sweep passes over the data once per
 proposal.
 
+Every log1p of the data follows the bases' one rule, log1p(v) while v is
+finite and log(1 + e^(log v)) where it overflows, so bsstd and bsgt fit data
+whose squares overflow; bsn, whose closed form needs the sums of x^2, refuses
+data whose squares sum past the float range.
+
 The Student-t is a normal scale mixture, but its precisions lambda_i are not
 drawn: the chain keeps their posterior means, averaging
 E[lambda_i | x, phi, nu] = (nu + 1) / (nu - 2 + x_i^2 phi^(-sign(x_i))) over
@@ -139,11 +144,6 @@ def _check_data(data) -> np.ndarray:
         raise DomainError("data must be a nonempty one-dimensional array")
     if not np.all(np.isfinite(x)):
         raise DomainError("data must be finite")
-    with np.errstate(over="ignore"):
-        square_sum = x @ x
-    if not np.isfinite(square_sum):
-        # every model sums x^2; an infinite sum leaves a silently stuck chain
-        raise DomainError("the sum of the squared data overflows (|x| beyond about 1.3e154)")
     if x.size < 5:
         # the moment-based initializer and a three-parameter fit both need
         # more than a handful of points to mean anything
@@ -249,15 +249,15 @@ def mh_block_update(
     return new_value, accepted, new_scale
 
 
-def _default_init(x: np.ndarray) -> dict[str, float]:
-    m2 = float(np.mean(x * x))
+def _default_init(xx: np.ndarray, pos: np.ndarray) -> dict[str, float]:
+    m2 = float(np.mean(xx))
     if 0.0 < m2 < 3.0:
         alpha = (m2 - 1.0) / (3.0 - m2)
         alpha = min(max(alpha, 0.05), 10.0) if alpha > 0 else 0.05
     else:
         alpha = 1.0
-    n_pos = int(np.sum(x >= 0))
-    n_neg = x.size - n_pos
+    n_pos = int(np.sum(pos))
+    n_neg = xx.size - n_pos
     phi = n_pos / n_neg if n_neg else 10.0
     phi = min(max(phi, 0.1), 10.0)
     return {"alpha": alpha, "phi": phi}
@@ -296,12 +296,17 @@ class MetropolisWithinGibbs:
                 "or --enable-extensions on the command line"
             )
         self.x = x = _check_data(data)
-        # per-data-set invariants of the block kernels; sign(0) = +1
-        self._xx = xx = x * x
+        # per-data-set invariants of the block kernels; sign(0) = +1, and x^2 is inf where it overflows
         self._pos = pos = x >= 0
+        with np.errstate(over="ignore"):
+            self._xx = xx = x * x
+            guess = _default_init(xx, pos)
         base, self._shapes = _MODELS[model]
         if base is None:  # closed form in the sums of x^2 over x >= 0 and over x < 0
-            s_pos, s_neg = float(xx[pos].sum()), float(xx[~pos].sum())
+            with np.errstate(over="ignore"):
+                s_pos, s_neg = float(xx[pos].sum()), float(xx[~pos].sum())
+            if not math.isfinite(s_pos + s_neg):  # which would leave a silently stuck chain
+                raise DomainError("the sum of the squared data overflows (|x| beyond about 1.3e154)")
             self._base_sum = lambda phi: -0.5 * (s_pos / phi + s_neg * phi)
         else:
             # the generalized-t's constructor costs a sweep about a tenth of its time
@@ -315,14 +320,24 @@ class MetropolisWithinGibbs:
                     return -np.inf
 
             self._base_sum = _memo(base_sum)
-        self._tilt_sum = _memo(lambda alpha: float(np.sum(np.log1p(alpha * xx))))
+        xx_top = float(xx.max())
+
+        def tilt_sum(alpha: float) -> float:
+            if math.isfinite(alpha * xx_top):
+                return float(np.sum(np.log1p(alpha * xx)))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the sum is 0 at alpha = 0
+                t = alpha * xx
+                far = np.logaddexp(0.0, np.log(alpha) + 2.0 * np.log(np.abs(x)))  # where t overflows
+                return float(np.sum(np.where(np.isfinite(t), np.log1p(t), far)))
+
+        self._tilt_sum = _memo(tilt_sum)
         self.model = model
         self.priors = priors or PriorConfig()
         self.config = config or McmcConfig()
         self.rng = rng if rng is not None else RngStream(0)
         self._gen = _gen(self.rng)
 
-        defaults = _default_init(x) | {b: start for b, (start, _, _) in self._shapes.items()}
+        defaults = guess | {b: start for b, (start, _, _) in self._shapes.items()}
         if init:
             defaults.update(init)
         blocks = ["phi", "alpha", *self._shapes]
@@ -398,14 +413,17 @@ class MetropolisWithinGibbs:
         lam_sum = np.zeros_like(self.x) if self.model == "bsstd" else None
 
         k = 0
-        for it in range(cfg.iterations):
-            self.step()
-            if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                for b, row in zip(self.blocks, kept.values()):
-                    row[k] = st["q_tilt"] + 2.0 / st["p"] if b == "q_tilt" else st[b]
-                if lam_sum is not None:  # E[lambda | x, phi, nu], averaged
-                    lam_sum += (st["nu"] + 1.0) / _precision_rate(self._xx, self._pos, st["phi"], st["nu"])
-                k += 1
+        # far data can overflow the stretched data, their squares or a base's v, which
+        # the bases' log forms and a rate of inf take as they are, so numpy need not warn
+        with np.errstate(over="ignore"):
+            for it in range(cfg.iterations):
+                self.step()
+                if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+                    for b, row in zip(self.blocks, kept.values()):
+                        row[k] = st["q_tilt"] + 2.0 / st["p"] if b == "q_tilt" else st[b]
+                    if lam_sum is not None:  # E[lambda | x, phi, nu], averaged
+                        lam_sum += (st["nu"] + 1.0) / _precision_rate(self._xx, self._pos, st["phi"], st["nu"])
+                    k += 1
 
         denom = max(self._post_iterations, 1)
         return Chain(

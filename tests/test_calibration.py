@@ -74,6 +74,15 @@ def test_ranks_are_uniform(model, fits):
     assert min(pvalues.values()) > LEVEL, pvalues
 
 
+def test_prior_draws_past_the_square_root_of_the_float_range_fit():
+    # nu near 2 from the prior gives data whose squares overflow: three of
+    # these draws are past 1.3e154, the largest 1.5e242
+    data = sample(families.bsstd(1.0, 1.0, 2.01), N_OBS, RngStream(3, 0))
+    assert np.sum(np.abs(data) > 1.3e154) == 3
+    chain = run_mcmc(data, model="bsstd", config=CONFIG, seed=1)[0]
+    assert all(np.isfinite(draws).all() and draws.size == DRAWS for draws in chain.params.values())
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("model", ["bsn", "bsstd", "bsgt"])
 def test_ranks_are_uniform_long_run(model):

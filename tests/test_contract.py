@@ -57,6 +57,8 @@ STANDARD = dict(alpha=0.0, gamma=1.0, tail=3.0, p=1.0, loc=0.0, scale=1.0)
 # took log1p(e^y) for y where y is not large
 @example(**{**STANDARD, "family": "bsgt", "gamma": 0.5, "tail": 5e18, "p": 0.05, "x": 1.7e308})
 @example(**{**STANDARD, "family": "bsstd", "tail": 1e300, "x": 1e100})
+# read -inf at a finite x: (|z|/delta)^p was finite and its quotient by q < 1 was not
+@example(family="bsgt", alpha=0.0, gamma=1.0, tail=0.4, p=4.0, loc=0.0, scale=1.0, x=8.399697964285896e76)
 def test_log_pdf_is_bounded_and_never_warns(family, alpha, gamma, tail, p, loc, scale, x):
     try:
         spec = member(family, alpha, gamma, tail, p, loc, scale)
@@ -74,5 +76,7 @@ def test_log_pdf_is_bounded_and_never_warns(family, alpha, gamma, tail, p, loc, 
     bound = top + (np.logaddexp(0.0, np.log(alpha) + 2.0 * log_z) if alpha > 0.0 else 0.0)
     for value in (point, *values):
         assert not math.isnan(value) and value != math.inf
+    if family != "bsn" and math.isfinite(x):  # a heavy tail has positive density at every finite x
+        assert point > -math.inf and values[0] > -math.inf
     for value in (point, values[0]):
         assert value <= bound + 1e-12 * (1.0 + abs(bound))

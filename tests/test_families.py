@@ -482,6 +482,21 @@ class TestCdfValues:
         # references from 30-digit quadrature of the density
         np.testing.assert_allclose(cdf_values(spec, xs), want, rtol=rel, atol=0.0)
 
+    @pytest.mark.parametrize(
+        "spec,xs,want",
+        [
+            (bsgt(0, 1, 1.5, 1e12), [-30.0, -20.0, -12.0],
+             [1.0266928512862312e-58, 1.0068532761436593e-32, 4.7270579577294927e-16]),
+            (bsstd(0, 1, 1e12), [-30.0, -12.0], [4.9067149185437239e-198, 1.7764821211568822e-33]),
+        ],
+        ids=["bsgt-q1e12", "bsstd-nu1e12"],
+    )
+    def test_far_tail_complement_keeps_its_digits(self, spec, xs, want):
+        # the upper partial moment is 1 - I with I near 1, which read 0 here
+        # as a difference; the references are the closed form at the given
+        # parameters in 120-digit arithmetic (mpmath)
+        np.testing.assert_allclose(cdf_values(spec, xs), want, rtol=1e-13, atol=0.0)
+
     def test_pit_is_uniform_where_x_rounds_to_one(self):
         # nu just above 2: t^2 / (t^2 + nu - 2) rounds to 1 for most draws, so
         # the beta function must see 1 - x computed directly
@@ -763,9 +778,8 @@ class TestFarTail:
         [
             # arg overflows, yet (|arg|/delta)^p / q = e^-6.9 is below 1
             (bsgt(0, 0.5, 0.05, 1e20), 1.7e308, -1.0064184990399569e17, 1e-14),
-            # z^2 = 1e200 takes the log form, yet z^2 / (nu - 2) = 1e-100; the
-            # log form loses the digits of 2 log|z| - log(nu - 2)
-            (bsstd(0, 1, 1e300), 1e100, -5.000000000000000e199, 1e-12),
+            # z^2 = 1e200, yet z^2 / (nu - 2) = 1e-100 is finite, so log1p takes it
+            (bsstd(0, 1, 1e300), 1e100, -5.000000000000000e199, 1e-15),
         ],
         ids=["bsgt-q1e20", "bsstd-nu1e300"],
     )
@@ -777,16 +791,32 @@ class TestFarTail:
             assert log_pdf(spec, x) == pytest.approx(want, rel=rel)
             assert pdf(spec, x) == 0.0
 
+    @pytest.mark.parametrize(
+        "spec,x,want",
+        [
+            (bsgt(0, 1, 10, 0.25), 5.577421098253082e30, -249.43862107828328),
+            (bsgt(0, 1, 4, 0.6), 8.399697964285896e76, -604.03405232500708),
+        ],
+        ids=["bsgt-p10", "bsgt-p4"],
+    )
+    def test_log_form_where_only_the_quotient_by_q_overflows(self, spec, x, want):
+        # (|z|/delta)^p is finite and its quotient by q < 1 is not, which read
+        # -inf; the references are the closed form in 50-digit arithmetic (mpmath)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_pdf(spec, x) == pytest.approx(want, rel=1e-14)
+
 
 # z^2 overflows past 1.3e154, which numpy reports
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestBaseFarForm:
     """The heavy-tail bases compute their far-tail log form only where a point
-    needs it, and give what choosing between both forms at every point gave,
-    bit for bit."""
+    needs it, the argument v of log1p(v) overflowing, and give what choosing
+    between both forms at every point gave, bit for bit."""
 
     Z = np.concatenate(
         [[0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, -3.0, 40.0, 1e149, -1e149],
+         np.geomspace(1e29, 1e31, 9), [5.577421098253082e30, -8.399697964285896e76],
          np.geomspace(1e150, 1e308, 25), -np.geomspace(1e150, 1e308, 25),
          [math.inf, -math.inf, math.nan]]
     )
@@ -795,11 +825,10 @@ class TestBaseFarForm:
     def student_both_forms(base, z):
         z = np.asarray(z, dtype=float)
         nu = base.nu
-        zz = z * z
-        with np.errstate(divide="ignore"):
-            tail = np.where(
-                zz < bases._HUGE, np.log1p(zz / (nu - 2.0)), 2.0 * np.log(np.abs(z)) - np.log(nu - 2.0)
-            )
+        with np.errstate(over="ignore"):
+            v = z * z / (nu - 2.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(np.isfinite(v), np.log1p(v), 2.0 * np.log(np.abs(z)) - np.log(nu - 2.0))
         return base._log_norm - 0.5 * (nu + 1) * tail
 
     @staticmethod
@@ -808,9 +837,9 @@ class TestBaseFarForm:
         p, q, delta = base.p, base.q, base.delta
         az = np.abs(z)
         with np.errstate(over="ignore"):
-            w = (az / delta) ** p
+            v = (az / delta) ** p / q
         with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(np.isfinite(w), np.log1p(w / q), p * (np.log(az) - np.log(delta)) - np.log(q))
+            tail = np.where(np.isfinite(v), np.log1p(v), p * (np.log(az) - np.log(delta)) - np.log(q))
         return base._log_norm - (q + 1.0 / p) * tail
 
     @classmethod
@@ -829,6 +858,10 @@ class TestBaseFarForm:
     @pytest.mark.parametrize("pq", [2.05, 5.0, 1e15])
     def test_gen_t(self, p, pq):
         self.assert_bit_equal(GenTBase(p, pq / p), self.gen_t_both_forms)
+
+    def test_gen_t_where_only_the_quotient_by_q_overflows(self):
+        # from |z| = 5.5e30, (|z|/delta)^10 is finite but its quotient by q = 0.25 is not
+        self.assert_bit_equal(GenTBase(10.0, 0.25), self.gen_t_both_forms)
 
     def test_finite_squares_warn_nothing(self):
         with warnings.catch_warnings():

@@ -353,14 +353,26 @@ class TestRunMcmc:
         with pytest.raises(DomainError):
             run_mcmc(np.array([np.nan, 1.0, 2.0, -1.0]), model="bsn", config=self.CFG)
 
-    @pytest.mark.parametrize("model", ["bsn", "bsstd", "bsgt"])
+    # (1e154)^2 is finite, but two of them sum past the range
+    FAR = ([2e154], [-1e300], [1e154, -1e154])
+
+    @pytest.mark.parametrize("model", ["bsn"])
     def test_data_whose_squares_overflow_raise(self, model):
-        # an infinite sum of x^2 used to leave alpha at 1.0 and nu at 6.0 with
-        # acceptance 0; (1e154)^2 is finite, but two of them sum past the range
+        # the normal's closed form needs the sums of x^2; an infinite one
+        # used to leave alpha at 1.0 with acceptance 0
         data = fixture_data(50)
-        for far in ([2e154], [-1e300], [1e154, -1e154]):
+        for far in self.FAR:
             with pytest.raises(DomainError, match="squared data overflows"):
-                run_mcmc(np.append(data, far), model=model, config=self.CFG, seed=0, enable_extensions=True)
+                run_mcmc(np.append(data, far), model=model, config=self.CFG, seed=0)
+
+    @pytest.mark.parametrize("model", ["bsstd", "bsgt"])
+    def test_heavy_tails_fit_data_whose_squares_overflow(self, model):
+        # the tilt sum and the base sums take their log forms where x^2 overflows
+        data = fixture_data(50)
+        for far in self.FAR:
+            chain = run_mcmc(np.append(data, far), model=model, config=self.CFG, seed=0, enable_extensions=True)[0]
+            assert all(np.isfinite(draws).all() for draws in chain.params.values()), far
+            assert min(chain.accept_rates.values()) > 0.0, (far, chain.accept_rates)
 
     def test_data_far_from_a_standardized_scale_raise(self):
         # phi follows the far point out until phi^3 overflows, which raised a bare OverflowError

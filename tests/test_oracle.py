@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from bimodalskew import _workers, bases, oracle
 from bimodalskew.bases import NormalBase
@@ -25,7 +25,6 @@ from bimodalskew.families import (
 from bimodalskew.oracle import (
     _beta_prime_pdf,
     _integrate_rows,
-    _ks_2samp_pvalue,
     _ks_from_cdf,
     _ks_sorted,
     _masses,
@@ -496,13 +495,6 @@ class TestSampleDiagnostics:
         res = mc_moment(spec, 2, 200_000, RngStream(40, 2))
         assert abs(res.value - full_moment(spec, 2)) < 5.0 * res.abs_error_estimate
 
-    def test_two_sample_pvalue_is_the_smirnov_limit(self):
-        a = RngStream(40, 4).generator.standard_normal(3000)
-        b = RngStream(40, 5).generator.standard_normal(2000) + 0.05
-        d = stats.ks_2samp(a, b).statistic
-        want = special.kolmogorov(math.sqrt(3000 * 2000 / 5000) * d)
-        assert _ks_2samp_pvalue(a, b) == pytest.approx(want, rel=1e-12)
-
     def test_quadratic_tilt_cdf_integrates_its_density(self):
         gamma = 2.0
         xs = np.array([-3.0, -0.4, 0.0, 0.9, 5.0])
@@ -632,7 +624,7 @@ class TestCheckWorkers:
         alone = self.run(monkeypatch, 1, only="gamma=1.5")
         assert forks == ["fork"] * 2
         assert forked == alone
-        assert len(forked) == 107
+        assert len(forked) == 108
 
     def test_records_come_back_in_suite_order(self, monkeypatch, forks):
         # the tasks go out costliest first: each sampler gate a task of its
@@ -652,6 +644,7 @@ class TestCheckWorkers:
             "sampler/bsn-uniform alpha=1 gamma=1.5",
             "sampler/bsstd alpha=1 gamma=1.5 nu=4",
             "sampler/bsgt p=1.7 q=2 alpha=1 gamma=1.5",
+            "sampler/bsgt p=2.3 q=2 alpha=1 gamma=1.5",
         ]
 
     @staticmethod
