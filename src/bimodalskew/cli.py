@@ -8,6 +8,7 @@ and is deterministic given the full flag set (timing goes to stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -60,7 +61,7 @@ def _build_spec(args: argparse.Namespace) -> DistributionSpec:
 
 def _spec_params(spec: DistributionSpec) -> dict:
     out = {"alpha": spec.alpha, "gamma": spec.gamma, "mu": spec.loc, "sigma": spec.scale}
-    out.update({k: getattr(spec.base, k) for k in ("nu", "p", "q") if hasattr(spec.base, k)})
+    out.update({f.name: getattr(spec.base, f.name) for f in dataclasses.fields(spec.base) if f.init})
     return out
 
 

@@ -438,7 +438,7 @@ def find_modes(spec: DistributionSpec) -> list[tuple[float, float]]:
     (2, 1, 1) and bsstd (2, (nu-2)/(nu+1), (nu-1)/(nu+1)) have their interior
     maximum at z^2 = (2 alpha s^2 a - 1) / (alpha b) when that is positive, so
     both are bimodal exactly when alpha > max(gamma^2, gamma^-2) / (2 a).  For
-    bsgt (p, q delta^p/(pq+1), (pq-1)/(pq+1)), p < 2 always keeps a mode at
+    bsgt (p, c/(pq+1), (pq-1)/(pq+1)), c = q delta^p, p < 2 always keeps a mode at
     the fold and p > 2 splits the peak at any alpha > 0.  The fold z = 0 is a
     mode exactly when the density falls away from it on both sides.
     Locations are loc + scale * z; roots that round to the same x count once.

@@ -350,7 +350,6 @@ class MetropolisWithinGibbs:
         self.state = {b: float(defaults[b]) for b in blocks}
         self.scales = {b: _INIT_SCALE for b in blocks}
         self.accept_post = {b: 0 for b in blocks}
-        self.accept_total = {b: 0 for b in blocks}
         self.adapt_trace = {b: [(0, _INIT_SCALE)] for b in blocks}
         self._iteration = 0
         self._post_iterations = 0
@@ -366,7 +365,6 @@ class MetropolisWithinGibbs:
         )
         self.state[name] = new
         self.scales[name] = new_scale
-        self.accept_total[name] += accepted
         if self._iteration > self.config.burn_in:
             self.accept_post[name] += accepted
 

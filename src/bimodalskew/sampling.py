@@ -306,7 +306,7 @@ def sample_bsgt(
 def sample(spec: DistributionSpec, n: int | None, rng):
     """n draws from any family member, on the loc/scale of the spec (one float for n=None)."""
     alpha, gamma, base = spec.alpha, spec.gamma, spec.base
-    if isinstance(base, StudentTBase):
+    if isinstance(base, StudentTBase):  # a GenTBase too, so it is tested first
         z = sample_bsstd(alpha, gamma, base.nu, rng, n).x
     elif isinstance(base, GenTBase):
         z = sample_bsgt(alpha, gamma, base.p, base.q, rng, n).x

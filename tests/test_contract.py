@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bimodalskew.errors import DomainError
-from bimodalskew.families import bsgt, bsn, bsstd, log_pdf
+from bimodalskew.families import bsgt, bsn, bsstd, cdf_values, log_pdf
 
 
 def log_uniform(lo: float, hi: float):
@@ -62,7 +62,7 @@ STANDARD = dict(alpha=0.0, gamma=1.0, tail=3.0, p=1.0, loc=0.0, scale=1.0)
 def test_log_pdf_is_bounded_and_never_warns(family, alpha, gamma, tail, p, loc, scale, x):
     try:
         spec = member(family, alpha, gamma, tail, p, loc, scale)
-    except DomainError:  # a generalized-t whose variance leaves the float range
+    except DomainError:  # a generalized-t whose variance or q delta^p leaves the float range
         assume(False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -80,3 +80,20 @@ def test_log_pdf_is_bounded_and_never_warns(family, alpha, gamma, tail, p, loc, 
         assert point > -math.inf and values[0] > -math.inf
     for value in (point, values[0]):
         assert value <= bound + 1e-12 * (1.0 + abs(bound))
+
+
+FINITE_XS = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8)
+
+
+@given(**DOMAIN, xs=FINITE_XS.map(sorted))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_cdf_values_is_a_distribution_function(family, alpha, gamma, tail, p, loc, scale, xs):
+    try:
+        spec = member(family, alpha, gamma, tail, p, loc, scale)
+    except DomainError:  # a generalized-t whose variance or q delta^p leaves the float range
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = cdf_values(spec, xs)
+    assert ((values >= 0.0) & (values <= 1.0)).all()
+    assert (np.diff(values) >= 0.0).all()

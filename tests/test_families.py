@@ -12,7 +12,6 @@ from scipy.stats import kstest, norm, t as student_t
 
 from bimodalskew import bases
 from bimodalskew.bases import (
-    _NU_NORMAL,
     _Q_EXP_POWER,
     GenTBase,
     NormalBase,
@@ -137,24 +136,6 @@ class TestLargeTailParameters:
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, cdf_values(bsn(1.0, 1.0), xs), rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
-    @pytest.mark.parametrize("r", [0, 2])
-    def test_student_partial_moments_agree_across_the_normal_switch(self, r, upper):
-        t = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 38.0])
-
-        def beta_form(nu):
-            u = t * t / (nu - 2.0)
-            half_moment = 0.5 * StudentTBase(nu).abs_moment(r)
-            return half_moment * _beta_split(0.5 * (r + 1), 0.5 * (nu - r), u, upper)
-
-        normal = NormalBase().partial_moment(r, t, upper)
-        below = np.nextafter(_NU_NORMAL, 0.0)
-        assert StudentTBase(below).partial_moment(r, t, upper).tobytes() == beta_form(below).tobytes()
-        assert StudentTBase(_NU_NORMAL).partial_moment(r, t, upper).tobytes() == normal.tobytes()
-        # either side of the switch the beta form is the normal's within 4e-16
-        for nu in (below, _NU_NORMAL):
-            np.testing.assert_allclose(beta_form(nu), normal, rtol=0.0, atol=4e-16)
-
     @pytest.mark.parametrize("q", [1e200, 1e250, 1e300])
     @pytest.mark.parametrize("p", [1.5, 2.0])
     def test_huge_q_cdf_values_are_finite(self, p, q):
@@ -187,7 +168,7 @@ class TestLargeTailParameters:
 
         def beta_form(q):
             base = GenTBase(p, q)
-            w = (t / base.delta) ** p / q
+            w = t**p / base.c
             return 0.5 * base.abs_moment(r) * _beta_split((r + 1.0) / p, q - r / p, w, upper)
 
         def limit(q):
@@ -242,13 +223,40 @@ class TestSpecialFunctions:
     def test_huge_nu(self, nu, want):
         assert bases.betaln(0.5, 0.5 * nu) == pytest.approx(want, rel=5e-16, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "a,b", [(0.5, 5e3), (0.5, 5999.0), (2.0, 3.0), (100.0, 9e3), (0.7, 1e-3), (1e3, 1e4)]
-    )
+    @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.7, 1e-3), (1e3, 1e4)])
     def test_scipy_below_the_switch(self, a, b):
-        # below b = 6e3, or where a^2 > b, the values are scipy's bit for bit,
-        # so `bimodalskew check` (nu up to 1e4, q up to 5) prints what it did
+        # below b = 20, or where 20 a > b, the values are scipy's bit for bit
         assert bases.betaln(a, b) == special.betaln(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b,want",
+        [
+            (0.5, 5e3, -3.6862066527834605),
+            (0.5, 5999.0, -3.7772882540957364),
+            (100.0, 9e3, -551.9117645403401),
+        ],
+    )
+    def test_series_at_moderate_arguments(self, a, b, want):
+        # scipy's betaln cancels here: 1.6e-13, 1.9e-12 and 3.7e-14 off
+        assert bases.betaln(a, b) == pytest.approx(want, rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "p,q,delta,log_norm",
+        [
+            (2.0, 5999.0, 1.4140956866852576, -0.9188760158387136),
+            (1.7, 5000.0, 1.2821242735543998, -0.8276746148996516),
+            (10.0, 5999.0, 1.7832674478065147, -1.2217295671191242),
+        ],
+    )
+    def test_gen_t_constants_at_moderate_q(self, p, q, delta, log_norm):
+        # with scipy's betaln delta was up to 5.3e-12 off, and log f(0) 1.4e-11
+        base = GenTBase(p, q)
+        assert base.delta == pytest.approx(delta, rel=5e-16, abs=0.0)
+        assert base._log_norm == pytest.approx(log_norm, rel=5e-16, abs=0.0)
+
+    def test_student_log_norm_at_moderate_nu(self):
+        # with scipy's betaln it was 8.8e-12 off
+        assert StudentTBase(1.1e4)._log_norm == pytest.approx(-0.9188703431209949, rel=5e-16, abs=0.0)
 
     @pytest.mark.parametrize("nu", [1e200, 1e300])
     def test_student_log_norm_keeps_its_limit(self, nu):
@@ -285,6 +293,26 @@ class TestReductions:
         lhs = pdf(bsgt(1.0, 1.3, 2.0, 3.0), GRID)
         rhs = pdf(bsstd(1.0, 1.3, 6.0), GRID)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("nu", [2.001, 2.05, 3.0, 5.0, 30.0, 1e3, 1e4, 1.1e4, 1e12, 1e16, 1e300])
+    def test_student_is_the_gen_t_at_p_2_to_the_last_digits(self, nu):
+        # the two differ only in how delta and c are computed; with scipy's
+        # betaln at q = 5.5e3 the values below differed by up to 2.2e-11
+        def assert_close(got, want, tol):
+            assert np.all(np.abs(np.subtract(got, want)) <= tol * np.maximum(1.0, np.abs(want)))
+
+        x = np.concatenate([[0.0], np.geomspace(1e-3, 1e300, 40), -np.geomspace(1e-3, 1e300, 40)])
+        for alpha, gamma in ((0.0, 1.0), (3.0, 1.5), (0.5, 0.2)):
+            student, gen_t = bsstd(alpha, gamma, nu), bsgt(alpha, gamma, 2.0, nu / 2.0)
+            assert_close(log_pdf(gen_t, x), log_pdf(student, x), 1e-14)
+            np.testing.assert_allclose(cdf_values(gen_t, x), cdf_values(student, x), rtol=1e-13, atol=0.0)
+            modes = find_modes(student)
+            assert len(find_modes(gen_t)) == len(modes)
+            assert_close([m[0] for m in find_modes(gen_t)], [m[0] for m in modes], 1e-14)
+            for got, want in zip(moment_report(gen_t), moment_report(student)):
+                assert (got.full is None) == (want.full is None)
+                if want.full is not None:
+                    assert_close(got.full, want.full, 1e-14)
 
     def test_location_scale_change_of_variables(self):
         spec = bsstd(1.0, 1.5, 5.0, loc=2.0, scale=3.0)
@@ -587,6 +615,12 @@ def not_above(spec, x, y):
 
 
 class TestModes:
+    def test_two_modes_near_the_float_limit(self):
+        # c = q delta^2 = 2e300 is finite; at q = 1e308 it is not, and the base
+        # is not built (`TestValidation`)
+        locs = [m[0] for m in find_modes(bsgt(1.0, 1.0, 2.0, 1e300))]
+        assert locs == pytest.approx([-1.0, 1.0], rel=0.0, abs=2e-16)
+
     def test_single_mode_below_threshold(self):
         for alpha in (0.0, 0.2, 0.4):
             assert [m[0] for m in find_modes(bsn(alpha, 1.0))] == [0.0]
@@ -834,12 +868,12 @@ class TestBaseFarForm:
     @staticmethod
     def gen_t_both_forms(base, z):
         z = np.asarray(z, dtype=float)
-        p, q, delta = base.p, base.q, base.delta
+        p, q, c = base.p, base.q, base.c
         az = np.abs(z)
         with np.errstate(over="ignore"):
-            v = (az / delta) ** p / q
+            v = az**p / c
         with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(np.isfinite(v), np.log1p(v), p * (np.log(az) - np.log(delta)) - np.log(q))
+            tail = np.where(np.isfinite(v), np.log1p(v), p * np.log(az) - np.log(c))
         return base._log_norm - (q + 1.0 / p) * tail
 
     @classmethod
@@ -1003,11 +1037,16 @@ class TestValidation:
             lambda: GenTBase(float("nan"), 2.0),
             lambda: bsgt(1.0, 1.0, 0.01, 300.0),
             lambda: GenTBase(0.01, 300.0),
+            # q delta^p overflows: at p = 10 and 4 mode finding never returned
+            lambda: GenTBase(10.0, 1e306),
+            lambda: GenTBase(4.0, 1e308),
+            lambda: GenTBase(2.0, 1e308),
         ],
         ids=[
             "nu-at-2", "pq-at-2", "p-zero", "gamma-zero", "alpha-neg", "scale-neg", "alpha-nan",
             "p-nan", "q-inf", "nu-inf", "student-base-nu-inf", "gent-base-p-nan",
             "variance-overflow", "gent-base-variance-overflow",
+            "gent-base-c-overflow-p10", "gent-base-c-overflow-p4", "gent-base-c-overflow-p2",
         ],
     )
     def test_bad_parameters_rejected(self, build):
