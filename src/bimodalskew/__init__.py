@@ -58,7 +58,7 @@ _INFERENCE_NAMES = frozenset(
         "run_mcmc",
     }
 )
-_ORACLE_NAMES = frozenset({"OracleResult", "integrate", "mc_moment", "run_checks"})
+_ORACLE_NAMES = frozenset({"OracleResult", "integrate", "run_checks"})
 
 
 def __getattr__(name: str):
@@ -98,7 +98,6 @@ __all__ = [
     "full_moment",
     "integrate",
     "log_pdf",
-    "mc_moment",
     "moment_exists",
     "moment_report",
     "pdf",

@@ -5,12 +5,13 @@ the samplers in `sampling` by a second route: adaptive Gauss-Kronrod
 quadrature (self-contained, deliberately not sharing the library CDF's
 integration code), which maps an infinite range by QUADPACK's qagi map about
 the densities' fold, numeric marginalization of the scale-mixture hierarchies,
-Monte Carlo moments, and Kolmogorov-Smirnov gates against the closed-form
-distribution functions.  The textbook reference densities are written out
-here on `scipy.special`, so a check needs nothing from `scipy.stats`.
-`run_checks` executes the whole identity suite and is what the ``check`` CLI
-command prints.  Its cases run as tasks on up to two forked worker processes;
-the records are the same as when they run in-process.
+and Kolmogorov-Smirnov gates against the closed-form distribution functions.
+The textbook reference densities are written out here on `scipy.special`, so
+a check needs nothing from `scipy.stats`.  `run_checks` executes the whole
+identity suite and is what the ``check`` CLI command prints.  Its cases run
+as tasks on up to two forked worker processes; the records are the same as
+when they run in-process.  It exports `run_checks`, `integrate` with its
+`OracleResult`, and `ks_distance`; only the suite calls the mixture builders.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.special import betaln, gammainc, gammaln
 
 from .bases import NormalBase, StudentTBase, gt_standard_scale
-from .errors import DomainError, ExistenceError
+from .errors import DomainError
 from .families import (
     DistributionSpec,
     _log_density,
@@ -41,7 +42,6 @@ from .families import (
 )
 from .sampling import (
     RngStream,
-    sample,
     sample_bsgt,
     sample_bsn,
     sample_bsstd,
@@ -54,11 +54,6 @@ from .sampling import (
 __all__ = [
     "OracleResult",
     "integrate",
-    "gamma_mixture_density",
-    "uniform_mixture_density",
-    "gg_mixture_density",
-    "uniform_gg_mixture_density",
-    "mc_moment",
     "ks_distance",
     "run_checks",
 ]
@@ -348,18 +343,13 @@ def _log_tilt(x: float, alpha: float, gamma: float) -> float:
     return math.log1p(alpha * x * x) - math.log1p(alpha * two_piece_second_moment(gamma))
 
 
-def gamma_mixture_density(x: float, alpha: float, gamma: float, nu: float, tol: float = 1e-10) -> OracleResult:
-    """BSSTD density rebuilt by integrating the normal kernel over its gamma mixing law.
+def _gamma_mixture(x: float, alpha: float, gamma: float, nu: float):
+    """The BSSTD density at x as an integral over its gamma mixing law, as (f, a, b).
 
     The conditional given lambda is the tilted two-piece normal with scale
     lambda^(-1/2); marginalizing over Gamma(nu/2, rate (nu-2)/2) must
     reproduce the closed-form family density.
     """
-    return integrate(*_gamma_mixture(x, alpha, gamma, nu), tol=tol)
-
-
-def _gamma_mixture(x: float, alpha: float, gamma: float, nu: float):
-    """The integrand and range of `gamma_mixture_density`, as (f, a, b)."""
     StudentTBase(nu)  # validates nu
     m = _stretched(x, gamma)
     c = math.log(2.0) - math.log(gamma + 1.0 / gamma)
@@ -381,18 +371,13 @@ def _gamma_mixture(x: float, alpha: float, gamma: float, nu: float):
     return integrand, 0.0, math.inf
 
 
-def uniform_mixture_density(x: float, gamma: float, lam: float, tol: float = 1e-10) -> OracleResult:
-    """Two-piece normal density rebuilt from its uniform scale mixture.
+def _uniform_mixture(x: float, gamma: float, lam: float):
+    """The two-piece normal density at x as an integral over its uniform mixture, as (f, a, b).
 
     Conditional on u the draw is the two-piece uniform with radius
     sqrt(u/lam); mixing over chi-square(3) must give the two-piece normal
     with scale lam^(-1/2).
     """
-    return integrate(*_uniform_mixture(x, gamma, lam), tol=tol)
-
-
-def _uniform_mixture(x: float, gamma: float, lam: float):
-    """The integrand and range of `uniform_mixture_density`, as (f, a, b)."""
     if not lam > 0:
         raise DomainError(f"need lam > 0, got {lam}")
     two_piece_second_moment(gamma)
@@ -420,16 +405,9 @@ def _log_ep_kernel(m: float, lam_scale: np.ndarray, p: float) -> np.ndarray:
     )
 
 
-def gg_mixture_density(
-    x: float, alpha: float, gamma: float, p: float, q: float, tol: float = 1e-9
-) -> OracleResult:
-    """BSGT density rebuilt by integrating the exponential-power kernel over
-    its generalized-gamma mixing law."""
-    return integrate(*_gg_mixture(x, alpha, gamma, p, q), tol=tol)
-
-
 def _gg_mixture(x: float, alpha: float, gamma: float, p: float, q: float):
-    """The integrand and range of `gg_mixture_density`, as (f, a, b)."""
+    """The BSGT density at x as an integral of the exponential-power kernel
+    over its generalized-gamma mixing law, as (f, a, b)."""
     delta = gt_standard_scale(p, q)
     m = _stretched(x, gamma)
     c = math.log(2.0) - math.log(gamma + 1.0 / gamma)
@@ -446,27 +424,17 @@ def _gg_mixture(x: float, alpha: float, gamma: float, p: float, q: float):
     return integrand, 0.0, math.inf
 
 
-def uniform_gg_mixture_density(
-    x: float, alpha: float, gamma: float, p: float, q: float, tol: float = 1e-7
-) -> OracleResult:
-    """BSGT density rebuilt from the double mixture: uniform layer inside the
-    generalized-gamma layer.
-
-    The inner integral runs over the uniform-layer radius variable u from the
-    smallest u whose piece still covers x; the outer integral runs over the
-    generalized-gamma scale s.  This is the one-point case of
-    `_uniform_gg_densities`.
-    """
-    return _uniform_gg_densities([(x, alpha, gamma, p, q)], tol)[0]
-
-
 def _uniform_gg_densities(points, tol: float = 1e-7) -> list[OracleResult]:
-    """`uniform_gg_mixture_density` at each point (x, alpha, gamma, p, q).
+    """The BSGT density at each point (x, alpha, gamma, p, q), rebuilt from the
+    double mixture: uniform layer inside the generalized-gamma layer.
 
-    The outer integrals share rounds, and each round's inner integrals, one
-    per outer node, go to one `_integrate_rows` call.  Every integral
-    bisects as it would alone, so each result is the one-point result, and
-    its evaluations count the point's outer and inner integrals.
+    At each point the inner integral runs over the uniform-layer radius
+    variable u from the smallest u whose piece still covers x, and the outer
+    integral over the generalized-gamma scale s.  The outer integrals share
+    rounds, and each round's inner integrals, one per outer node, go to one
+    `_integrate_rows` call.  Every integral bisects as it would alone, so
+    each result is the one-point result, and its evaluations count the
+    point's outer and inner integrals.
     """
     consts = [_UniformGG.at(*point) for point in points]
     if not tol > 0:
@@ -548,16 +516,7 @@ def _runs(labels: np.ndarray) -> list[tuple[int, int]]:
     return list(zip([0, *cuts], [*cuts, len(labels)]))
 
 
-# ---------- Monte Carlo and goodness-of-fit ----------
-
-
-def mc_moment(spec: DistributionSpec, r: int, n: int, rng) -> OracleResult:
-    """Monte Carlo estimate of E(X^r); abs_error_estimate is one standard error."""
-    if not moment_exists(spec, r):
-        raise ExistenceError(f"moment of order {r} does not exist for this spec")
-    draws = sample(spec, int(n), rng) ** r
-    se = float(np.std(draws, ddof=1) / math.sqrt(draws.size))
-    return OracleResult(float(np.mean(draws)), se, int(n), True)
+# ---------- goodness-of-fit ----------
 
 
 def _ks_from_cdf(f_sorted: np.ndarray) -> float:
@@ -1056,9 +1015,10 @@ def run_checks(
     its own, the closed-form cases are one, and the integrals of a task share
     one round loop: the selected normalizations, whose density is evaluated
     once per distinct base per round; every other selected quadrature
-    identity (mass ratio, moments, and the gamma, uniform and gg mixtures),
-    each integral bisecting and ending as it would alone; and every selected
-    uniform-gg marginalization, whose outer integrals share rounds.  The
+    identity (mass ratio, moments, and the `_gamma_mixture`, `_uniform_mixture`
+    and `_gg_mixture` integrands), each integral bisecting and ending as it
+    would alone; and every selected uniform-gg marginalization, whose outer
+    integrals share rounds in `_uniform_gg_densities`.  The
     records are the same either way, and an exception raised by a task
     reaches the caller as in-process; a worker that dies raises
     `_workers.WorkerError`.

@@ -35,7 +35,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .bases import GenTBase, NormalBase, StudentTBase, _check_shape
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, NumericError
 from .families import DistributionSpec, bsgt, bsn, bsstd, two_piece_second_moment
 
 __all__ = [
@@ -126,13 +126,17 @@ def _two_piece_signs(gamma: float, magnitude: np.ndarray, tilted: bool, gen) -> 
     return np.where(right, gamma * magnitude, -magnitude / gamma)
 
 
-def _restore_underflow(x, latent, tilt, exponents, gen) -> np.ndarray:
-    """Rescale by latent**-0.5, in logs, the draws built with 1.0 for a latent that underflowed to 0.0.
+def _finish_heavy_tail(x, latent, tilt, exponents, gen) -> np.ndarray:
+    """The heavy-tailed draws ``x``, those built with 1.0 for a latent that
+    underflowed to 0.0 rescaled by latent**-0.5 in logs.
 
     Near 0 a latent L = (c*G)**e, G ~ Gamma(a), has density proportional to
     l**(a/e - 1), so given L < 2**-1075 it is 2**-1075 * V**(e/a), V uniform;
     ``exponents`` holds e/a of the (plain, tilted) components.  Only calls
-    that hit an underflow draw these uniforms, after all the others.
+    that hit an underflow draw these uniforms, after all the others.  A draw
+    that lies past the float range raises NumericError, which names how many
+    do: near nu = 2 or p*q = 2 the x^2-weighted component's tail falls so
+    slowly that a share of its draws can.
     """
     low = latent == 0.0
     if low.any():
@@ -140,6 +144,14 @@ def _restore_underflow(x, latent, tilt, exponents, gen) -> np.ndarray:
         log_latent = _LOG_UNDERFLOW + e * np.log(gen.random(e.size))
         with np.errstate(divide="ignore", over="ignore"):
             x[low] = np.copysign(np.exp(np.log(np.abs(x[low])) - 0.5 * log_latent), x[low])
+    return _finite(x)
+
+
+def _finite(x):
+    """The draws ``x``, or NumericError naming how many lie past the float range."""
+    beyond = np.size(x) - np.count_nonzero(np.isfinite(x))
+    if beyond:
+        raise NumericError(f"{beyond} of {np.size(x)} draws lie past the float range")
     return x
 
 
@@ -231,7 +243,7 @@ def sample_bsstd(alpha: float, gamma: float, nu: float, rng, size: int | None = 
     x, tilt = _compose(alpha, gamma, spec.b, gen, n, normal_layer)
     # near nu = 2 the tilted lam can underflow; 1.0 stands in for it until restored
     x = x / np.sqrt(np.where(lam > 0.0, lam, 1.0))
-    x = _restore_underflow(x, lam, tilt, (2.0 / nu, 2.0 / (nu - 2.0)), gen)
+    x = _finish_heavy_tail(x, lam, tilt, (2.0 / nu, 2.0 / (nu - 2.0)), gen)
     return _out(AugmentedDraw(x=x, lam=lam), size)
 
 
@@ -274,7 +286,9 @@ def sample_bsgt(
     Two equivalent hierarchies are available: ``path="gg"`` mixes an
     exponential-power conditional over a generalized-gamma scale, and
     ``path="uniform-gg"`` adds the uniform layer underneath the
-    exponential-power conditional.  Both are exact.
+    exponential-power conditional.  Both are exact.  The returned ``s`` is
+    inf where S = Y^(2/p) passes the float range; those draws, and every
+    draw once (q/2)^(1/p) does, are built without S.
     """
     if path not in ("gg", "uniform-gg"):
         raise DomainError(f"path must be 'gg' or 'uniform-gg', got {path!r}")
@@ -283,28 +297,50 @@ def sample_bsgt(
     n = _count(size)
     s = np.empty(n)
     u_out = np.empty(n) if path == "uniform-gg" else None
+    delta = spec.base.delta
+    try:
+        kernel = (0.5 * q) ** (1.0 / p) * delta
+    except OverflowError:  # every draw takes the ratio form
+        kernel = math.inf
 
     def gt_layer(k, mask, tilted):
         # size-biased mixing law for the x^2-weighted component; q - 2/p > 0 as p*q > 2
-        s[mask] = s_k = gen.gamma(q - 2.0 / p if tilted else q, 1.0, k) ** (2.0 / p)
+        y = gen.gamma(q - 2.0 / p if tilted else q, 1.0, k)
+        with np.errstate(over="ignore"):
+            s[mask] = s_k = y ** (2.0 / p)
         # exponential-power kernel scale that makes the S-mixture a unit-variance
-        # generalized-t; near p*q = 2 the tilted s can underflow and 1.0 stands in for it
-        scale = (0.5 * q) ** (1.0 / p) * spec.base.delta / np.sqrt(np.where(s_k > 0.0, s_k, 1.0))
+        # generalized-t; 1.0 stands in for an s that underflowed near p*q = 2
+        # (restored later) and where s or the kernel overflowed (ratio form below)
+        far = (s_k == np.inf) | (kernel == math.inf)
+        held = (s_k > 0.0) & ~far
+        scale = (1.0 if kernel == math.inf else kernel) / np.sqrt(np.where(held, s_k, 1.0))
         r = 3.0 if tilted else 1.0
         if path == "gg":
-            return scale * gen.gamma(r / p, 2.0, k) ** (1.0 / p)
-        # uniform layer: |x| spread below the envelope radius, x^2-weighted when tilted
-        u_out[mask] = u = gen.gamma(1.0 + r / p, 1.0, k)
-        v = gen.random(k)
-        return 2.0 ** (1.0 / p) * scale * u ** (1.0 / p) * (v ** (1.0 / 3.0) if tilted else v)
+            g = gen.gamma(r / p, 2.0, k)
+            x = scale * g ** (1.0 / p)
+            h, w = 0.5 * g[far], 1.0
+        else:
+            # uniform layer: |x| spread below the envelope radius, x^2-weighted when tilted
+            u_out[mask] = u = gen.gamma(1.0 + r / p, 1.0, k)
+            v = gen.random(k)
+            w = v ** (1.0 / 3.0) if tilted else v
+            x = 2.0 ** (1.0 / p) * scale * u ** (1.0 / p) * w
+            h, w = u[far], w[far]
+        # the ratio form delta (q h / Y)^(1/p), as GenTBase.sample_abs draws it,
+        # forms neither s nor (q/2)^(1/p)
+        x[far] = delta * ((q / y[far]) * h) ** (1.0 / p) * w
+        return x
 
     x, tilt = _compose(alpha, gamma, spec.b, gen, n, gt_layer)
-    x = _restore_underflow(x, s, tilt, (2.0 / (p * q), 2.0 / (p * q - 2.0)), gen)
+    x = _finish_heavy_tail(x, s, tilt, (2.0 / (p * q), 2.0 / (p * q - 2.0)), gen)
     return _out(AugmentedDraw(x=x, s=s, u=u_out), size)
 
 
 def sample(spec: DistributionSpec, n: int | None, rng):
-    """n draws from any family member, on the loc/scale of the spec (one float for n=None)."""
+    """n draws from any family member, on the loc/scale of the spec (one float for n=None).
+
+    A draw past the float range, before or after the loc/scale, raises NumericError.
+    """
     alpha, gamma, base = spec.alpha, spec.gamma, spec.base
     if isinstance(base, StudentTBase):  # a GenTBase too, so it is tested first
         z = sample_bsstd(alpha, gamma, base.nu, rng, n).x
@@ -312,4 +348,5 @@ def sample(spec: DistributionSpec, n: int | None, rng):
         z = sample_bsgt(alpha, gamma, base.p, base.q, rng, n).x
     else:
         z = sample_bsn(alpha, gamma, rng, n)
-    return spec.loc + spec.scale * z
+    with np.errstate(over="ignore"):
+        return _finite(spec.loc + spec.scale * z)

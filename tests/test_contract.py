@@ -14,8 +14,9 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bimodalskew.errors import DomainError
+from bimodalskew.errors import DomainError, NumericError
 from bimodalskew.families import bsgt, bsn, bsstd, cdf_values, log_pdf
+from bimodalskew.sampling import RngStream, sample
 
 
 def log_uniform(lo: float, hi: float):
@@ -97,3 +98,27 @@ def test_cdf_values_is_a_distribution_function(family, alpha, gamma, tail, p, lo
         values = cdf_values(spec, xs)
     assert ((values >= 0.0) & (values <= 1.0)).all()
     assert (np.diff(values) >= 0.0).all()
+
+
+@given(**DOMAIN)
+@settings(max_examples=500, deadline=None, derandomize=True)
+# each once drew all zeros, or raised OverflowError, where Y^(2/p) or (q/2)^(1/p)
+# passed the float range
+@example(**{**STANDARD, "family": "bsgt", "tail": 1e155})
+@example(**{**STANDARD, "family": "bsgt", "tail": 1e10, "p": 0.05})
+@example(**{**STANDARD, "family": "bsgt", "tail": 1e50, "p": 0.05})
+# each once drew +-inf, silently, where a draw lies past the float range
+@example(**{**STANDARD, "family": "bsstd", "alpha": 1.0, "tail": 0.01})
+@example(**{**STANDARD, "family": "bsgt", "alpha": 1.0, "tail": 1e-3, "p": 1.7})
+def test_sample_is_finite_or_raises(family, alpha, gamma, tail, p, loc, scale):
+    try:
+        spec = member(family, alpha, gamma, tail, p, loc, scale)
+    except DomainError:  # a generalized-t whose variance or q delta^p leaves the float range
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x = sample(spec, 20, RngStream(0, 0))
+        except NumericError:  # a draw past the float range
+            return
+    assert x.shape == (20,) and np.isfinite(x).all()

@@ -184,6 +184,23 @@ class TestLargeTailParameters:
         for q in (below, _Q_EXP_POWER):
             np.testing.assert_allclose(beta_form(q), limit(q), rtol=0.0, atol=1.5e-15)
 
+    def test_no_relative_jump_at_the_limit_switch(self):
+        # from q = nextafter(1e17, 0) to q = 1e17, wherever either value is a
+        # normal float; the widest gaps are 2.9e-12 (the r = 2 upper tail at
+        # p = 1, t = 13.5) and 2.6e-12 (cdf_values at p = 3.7, x = -7.64)
+        below = np.nextafter(_Q_EXP_POWER, 0.0)
+        ts = np.geomspace(1e-3, 30.0, 400)
+        xs = np.linspace(-8.0, 8.0, 801)
+        for p in np.linspace(0.3, 4.0, 38):
+            pairs = [[cdf_values(bsgt(1.0, 1.3, p, q), xs) for q in (below, _Q_EXP_POWER)]]
+            for r in (0, 2):
+                for upper in (False, True):
+                    pairs.append([GenTBase(p, q).partial_moment(r, ts, upper) for q in (below, _Q_EXP_POWER)])
+            for a, b in pairs:
+                top = np.maximum(a, b)
+                normal = top >= np.finfo(float).tiny
+                assert (np.abs(a - b)[normal] <= 1e-11 * top[normal]).all(), p
+
 
 class TestSpecialFunctions:
     """`bases.betaln` and the log-gamma ratios against mpmath, which computed

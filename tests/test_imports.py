@@ -6,7 +6,7 @@ module at all: the normal density and the three samplers need none, so
 alone. ``scipy.special`` loads on the first call that needs it (the
 Student-t and generalized-t densities, ``cdf``, ``cdf_values``, ``quantile``,
 the moments, ``fit``). The oracle imports it at module level and loads on
-first use of ``run_checks``, ``integrate`` or ``mc_moment``, so ``check``
+first use of ``run_checks``, ``integrate`` or ``OracleResult``, so ``check``
 loads it before forking its workers, and a full ``check`` runs on the oracle,
 numpy and ``scipy.special`` alone; ``scipy.integrate`` and ``scipy.optimize``
 load on the first ``quantile``, and nothing in the package

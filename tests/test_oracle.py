@@ -12,7 +12,7 @@ from scipy import stats
 
 from bimodalskew import _workers, bases, oracle
 from bimodalskew.bases import NormalBase
-from bimodalskew.errors import DomainError, ExistenceError
+from bimodalskew.errors import DomainError
 from bimodalskew.families import (
     bsgt,
     bsn,
@@ -33,15 +33,13 @@ from bimodalskew.oracle import (
     _quadratic_tilt_cdf,
     _results,
     _student_pdf,
+    _gamma_mixture,
+    _gg_mixture,
     _uniform_gg_densities,
-    gamma_mixture_density,
-    gg_mixture_density,
+    _uniform_mixture,
     integrate,
     ks_distance,
-    mc_moment,
     run_checks,
-    uniform_gg_mixture_density,
-    uniform_mixture_density,
 )
 from bimodalskew.sampling import RngStream, sample
 
@@ -334,7 +332,7 @@ class TestIntegrate:
             with pytest.raises(DomainError):
                 integrate(lambda x: x, 0.0, 1.0, tol=tol)
             with pytest.raises(DomainError):
-                uniform_gg_mixture_density(0.5, 1.0, 1.5, 2.0, 2.0, tol=tol)
+                _uniform_gg_densities([(0.5, 1.0, 1.5, 2.0, 2.0)], tol)
 
 
 class TestMixtureRoutes:
@@ -343,28 +341,28 @@ class TestMixtureRoutes:
     def test_gamma_precision_layer(self):
         spec = bsstd(1.0, 1.5, 4.0)
         for x in (-1.2, 0.0, 0.7):
-            res = gamma_mixture_density(x, 1.0, 1.5, 4.0)
+            res = integrate(*_gamma_mixture(x, 1.0, 1.5, 4.0), tol=1e-10)
             assert res.value == pytest.approx(float(pdf(spec, x)), abs=1e-8)
 
     def test_uniform_layer_over_normal(self):
         spec = bsn(0.0, 2.0, 0.0, 2.5**-0.5)
         for x in (-0.7, 0.4):
-            res = uniform_mixture_density(x, 2.0, 2.5)
+            res = integrate(*_uniform_mixture(x, 2.0, 2.5), tol=1e-10)
             assert res.value == pytest.approx(float(pdf(spec, x)), abs=1e-8)
 
     def test_gen_gamma_scale_layer(self):
         spec = bsgt(1.0, 0.8, 2.3, 2.0)
-        res = gg_mixture_density(0.5, 1.0, 0.8, 2.3, 2.0)
+        res = integrate(*_gg_mixture(0.5, 1.0, 0.8, 2.3, 2.0), tol=1e-9)
         assert res.value == pytest.approx(float(pdf(spec, 0.5)), abs=1e-7)
 
     def test_double_layer_uniform_over_gen_gamma(self):
         spec = bsgt(1.0, 1.5, 2.0, 2.0)
-        res = uniform_gg_mixture_density(0.5, 1.0, 1.5, 2.0, 2.0)
+        res = _uniform_gg_densities([(0.5, 1.0, 1.5, 2.0, 2.0)])[0]
         assert res.value == pytest.approx(float(pdf(spec, 0.5)), abs=1e-4)
 
     def test_double_layer_evaluation_count(self):
         # the inner integrals share rounds but bisect as they would alone
-        res = uniform_gg_mixture_density(0.5, 1.0, 1.5, 2.3, 2.0)
+        res = _uniform_gg_densities([(0.5, 1.0, 1.5, 2.3, 2.0)])[0]
         assert res.evaluations == 10470
         assert res.value == pytest.approx(float(pdf(bsgt(1.0, 1.5, 2.3, 2.0), 0.5)), abs=1e-4)
 
@@ -379,14 +377,14 @@ class TestMixtureRoutes:
     )
     def test_double_layer_pinned_outputs(self, point, want):
         # pinned bit for bit: any change to the bisection order or the sums shows
-        res = uniform_gg_mixture_density(*point)
+        res = _uniform_gg_densities([point])[0]
         assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == want
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_double_layer_rejects_a_non_finite_inner_lower_limit(self, x):
         # x enters the inner lower limit (|x| stretched times sqrt(s) over a scale)^p
         with pytest.raises(DomainError):
-            uniform_gg_mixture_density(x, 1.0, 1.5, 2.0, 2.0)
+            _uniform_gg_densities([(x, 1.0, 1.5, 2.0, 2.0)])[0]
 
     def test_double_layer_batch_gives_the_one_point_results(self):
         # mixed p, repeated points, and the order of the suite turned around
@@ -397,7 +395,7 @@ class TestMixtureRoutes:
             (-0.5, 1.0, 0.8, 1.7, 2.0),
             (0.5, 1.0, 0.8, 2.0, 2.0),
         ]
-        assert _uniform_gg_densities(points) == [uniform_gg_mixture_density(*pt) for pt in points]
+        assert _uniform_gg_densities(points) == [_uniform_gg_densities([pt])[0] for pt in points]
 
 
 class TestMomentTasks:
@@ -488,13 +486,6 @@ class TestSampleDiagnostics:
         x = RngStream(40, 1).generator.standard_normal(5000) + 0.5
         assert ks_distance(x, bsn(0.0, 1.0)) > 0.1
 
-    def test_mc_moment_agrees_with_closed_form(self):
-        from bimodalskew.families import full_moment
-
-        spec = bsn(1.0, 1.5)
-        res = mc_moment(spec, 2, 200_000, RngStream(40, 2))
-        assert abs(res.value - full_moment(spec, 2)) < 5.0 * res.abs_error_estimate
-
     def test_quadratic_tilt_cdf_integrates_its_density(self):
         gamma = 2.0
         xs = np.array([-3.0, -0.4, 0.0, 0.9, 5.0])
@@ -510,10 +501,6 @@ class TestSampleDiagnostics:
         np.testing.assert_allclose(
             _beta_prime_pdf(ws, 1.0 / 1.7, 2.0), stats.betaprime.pdf(ws, 1.0 / 1.7, 2.0), rtol=1e-13
         )
-
-    def test_mc_moment_refuses_divergent_order(self):
-        with pytest.raises(ExistenceError):
-            mc_moment(bsstd(1.0, 1.0, 4.0), 2, 1000, RngStream(40, 3))
 
 
 class TestBracketedKs:

@@ -6,13 +6,14 @@ test between independent construction routes.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from bimodalskew.bases import GenTBase, NormalBase, StudentTBase
-from bimodalskew.errors import CapabilityError, DomainError
+from bimodalskew.errors import CapabilityError, DomainError, NumericError
 from bimodalskew.families import DistributionSpec, bsgt, bsn, bsstd, full_moment
 from bimodalskew.oracle import ks_distance
 from bimodalskew.sampling import (
@@ -301,10 +302,43 @@ class TestNearBoundaryTails:
         ):
             assert np.all(np.isfinite(x))
 
-    def test_inf_only_beyond_the_float_range(self):
-        # about 2.4% of this member lies beyond 1.8e308; 13% of draws were inf
-        x = sample(bsstd(3.0, 1.5, 2.005), 100_000, RngStream(1, 0))
-        assert np.mean(np.isinf(x)) < 0.04
+    @pytest.mark.parametrize(
+        "spec,n,stream,beyond",
+        [
+            (bsstd(3.0, 1.5, 2.005), 100_000, RngStream(1, 0), 2506),
+            (bsstd(1.0, 1.0, 2.01), 50, RngStream(0, 0), 1),
+            (bsgt(1.0, 1.0, 1.7, 2.001 / 1.7), 2000, RngStream(0, 1), 506),
+        ],
+        ids=["bsstd-2.005", "bsstd-2.01", "bsgt-pq-2.001"],
+    )
+    def test_draws_beyond_the_float_range_raise(self, spec, n, stream, beyond):
+        # about 2.4% of bsstd(3, 1.5, 2.005) lies beyond 1.8e308, and at
+        # p*q - 2 = 1e-3 about half of the x^2-weighted component: such draws
+        # came back as +-inf, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"^{beyond} of {n} draws lie past the float range"):
+                sample(spec, n, stream)
+
+    def test_loc_scale_past_the_float_range_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^\d+ of 1000 draws lie past the float range"):
+                sample(bsn(0.0, 1.0, 0.0, 1e308), 1000, RngStream(0, 0))
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [(1.0, 2.0 + 1e155), (0.05, (2.0 + 1e10) / 0.05), (0.05, (2.0 + 1e50) / 0.05)],
+        ids=["p1-q1e155", "p0.05-q2e11", "p0.05-q2e51"],
+    )
+    @pytest.mark.parametrize("path", ["gg", "uniform-gg"])
+    def test_huge_q_draws_pass_the_gate(self, p, q, path):
+        # S = Y^(2/p), and in the last case (q/2)^(1/p) too, pass the float
+        # range; the draws were all 0, or the power raised OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = sample_bsgt(1.0, 1.5, p, q, RngStream(0, 0), N, path=path).x
+        assert ks_distance(x, bsgt(1.0, 1.5, p, q)) < KS_GATE
 
     def test_tail_beyond_the_old_cap(self):
         # P(|x| > t) for the tilted component is the small-ball probability
