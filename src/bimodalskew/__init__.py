@@ -2,11 +2,12 @@
 
 The construction combines two-piece skewing with a quadratic tilt, giving
 densities that can be simultaneously skewed and bimodal.  The package covers
-density/CDF/moment evaluation (`families`), exact samplers including the
-scale-mixture hierarchies (`sampling`), Bayesian fitting by adaptive
-Metropolis-within-Gibbs on each base's own log density, with posterior
-precision means as outlier scores (`inference`), an independent numeric
-validation suite (`oracle`), and a CLI (`bimodalskew`).
+density/CDF/moment evaluation (`families`), exact samplers that return
+draws only and take every heavy-tailed member, the Student-t as the
+generalized-t at p = 2, through one scale-mixture hierarchy (`sampling`),
+Bayesian fitting by adaptive Metropolis-within-Gibbs on each base's own log
+density, with posterior precision means as outlier scores (`inference`), an
+independent numeric validation suite (`oracle`), and a CLI (`bimodalskew`).
 """
 
 from .bases import GenTBase, NormalBase, StudentTBase
@@ -30,12 +31,10 @@ from .families import (
     two_piece_second_moment,
 )
 from .sampling import (
-    AugmentedDraw,
     RngStream,
     sample,
     sample_bsgt,
     sample_bsn,
-    sample_bsstd,
     sample_gen_gamma,
     sample_quadratic_tilt,
     sample_skewed_uniform_normal,
@@ -72,7 +71,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "AugmentedDraw",
     "CapabilityError",
     "Chain",
     "DistributionSpec",
@@ -108,7 +106,6 @@ __all__ = [
     "sample",
     "sample_bsgt",
     "sample_bsn",
-    "sample_bsstd",
     "sample_gen_gamma",
     "sample_quadratic_tilt",
     "sample_skewed_uniform_normal",

@@ -15,8 +15,8 @@ A(y) = 2 alpha s^p a y^(1 - p/2) - alpha b y - 1 with y = z^2.
 
 The Student-t base is the generalized-t at p = 2 and q = nu/2: `StudentTBase`
 is a `GenTBase` that sets the two derived constants, the scale delta and the
-divisor c = q delta^p of |z|^p, in closed form, and keeps only its name and
-its t-variate sampler of |Z|.  So every heavy-tail formula is written once.
+divisor c = q delta^p of |z|^p, in closed form, and keeps only its name.  So
+every heavy-tail formula, the sampler of |Z| included, is written once.
 """
 
 from __future__ import annotations
@@ -365,6 +365,3 @@ class StudentTBase(GenTBase):
         object.__setattr__(self, "q", 0.5 * nu)
         object.__setattr__(self, "delta", math.sqrt(2.0 * ((nu - 2.0) / nu)))
         object.__setattr__(self, "c", nu - 2.0)
-
-    def sample_abs(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return np.abs(gen.standard_t(self.nu, size)) * np.sqrt((self.nu - 2.0) / self.nu)

@@ -42,9 +42,9 @@ from .families import (
 )
 from .sampling import (
     RngStream,
+    sample,
     sample_bsgt,
     sample_bsn,
-    sample_bsstd,
     sample_gen_gamma,
     sample_quadratic_tilt,
     sample_skewed_uniform_normal,
@@ -939,32 +939,32 @@ def _suite(seed: int, n: int) -> tuple[list[_Case], list[tuple]]:
             "uniform-normal gamma=2 lambda=2.5",
             10.0,
             lambda: ks_distance(
-                sample_skewed_uniform_normal(2.0, 2.5, rng(6), n).x, bsn(0.0, 2.0, scale=2.5**-0.5)
+                sample_skewed_uniform_normal(2.0, 2.5, rng(6), n), bsn(0.0, 2.0, scale=2.5**-0.5)
             ),
         ),
         (
             "bsstd alpha=1 gamma=1.5 nu=4",
             18.0,
-            lambda: ks_distance(sample_bsstd(1.0, 1.5, 4.0, rng(7), n).x, bsstd(1.0, 1.5, 4.0)),
+            lambda: ks_distance(sample(bsstd(1.0, 1.5, 4.0), n, rng(7)), bsstd(1.0, 1.5, 4.0)),
         ),
         ("gen-gamma p=1.7 q=2", 7.0, gen_gamma_ks),
         (
             "bsgt p=1.7 q=2 alpha=1 gamma=1.5",
             29.0,
-            lambda: ks_distance(sample_bsgt(1.0, 1.5, 1.7, 2.0, rng(9), n).x, bsgt(1.0, 1.5, 1.7, 2.0)),
+            lambda: ks_distance(sample_bsgt(1.0, 1.5, 1.7, 2.0, rng(9), n), bsgt(1.0, 1.5, 1.7, 2.0)),
         ),
         (
             "bsgt-uniform p=2.3 q=2 alpha=1 gamma=0.8",
             33.0,
             lambda: ks_distance(
-                sample_bsgt(1.0, 0.8, 2.3, 2.0, rng(10), n, path="uniform-gg").x,
+                sample_bsgt(1.0, 0.8, 2.3, 2.0, rng(10), n, path="uniform-gg"),
                 bsgt(1.0, 0.8, 2.3, 2.0),
             ),
         ),
         (
             "bsgt p=2.3 q=2 alpha=1 gamma=1.5",
             20.0,
-            lambda: ks_distance(sample_bsgt(1.0, 1.5, 2.3, 2.0, rng(11), n).x, bsgt(1.0, 1.5, 2.3, 2.0)),
+            lambda: ks_distance(sample_bsgt(1.0, 1.5, 2.3, 2.0, rng(11), n), bsgt(1.0, 1.5, 2.3, 2.0)),
         ),
     ):
         gates.append((add([], _Case(f"sampler/{label}", run, gate)), None, cost * n / 1e5))

@@ -12,39 +12,36 @@ Under the tilt component the mixing variable follows the size-biased version
 of its plain density (second moment of the conditional kernel times the plain
 density), which stays in the same parametric family:
 
-* Student-t layer: plain lambda ~ Gamma(nu/2, rate (nu-2)/2); tilted
-  lambda ~ Gamma(nu/2 - 1, rate (nu-2)/2).
-* generalized-t layer: plain S = Y^(2/p) with Y ~ Gamma(q, 1); tilted
-  Y ~ Gamma(q - 2/p, 1).
+* generalized-t layer, the Student-t (p = 2, q = nu/2) included: a draw is
+  delta (q h / Y)^(1/p) with plain Y ~ Gamma(q, 1); tilted
+  Y ~ Gamma(q - 2/p, 1).  S = Y^(2/p) is the generalized-gamma scale of the
+  exponential-power conditional.
 * uniform layer under the normal: plain U ~ chi-square(3); tilted
   U ~ chi-square(5), and the conditional uniform gains the x^2 weight
   (cube-root inversion).
 * uniform layer under the exponential power: plain U ~ Gamma(1 + 1/p, 1);
   tilted U ~ Gamma(1 + 3/p, 1), with the same cube-root inversion.
 
-Everything is driven by numpy Generators; RngStream wraps a counter-based
-bit generator so that (seed, stream) pairs give reproducible, independent
-streams.
+The samplers return draws only.  Everything is driven by numpy Generators;
+RngStream wraps a counter-based bit generator so that (seed, stream) pairs
+give reproducible, independent streams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .bases import GenTBase, NormalBase, StudentTBase, _check_shape
+from .bases import GenTBase, _check_shape
 from .errors import CapabilityError, DomainError, NumericError
-from .families import DistributionSpec, bsgt, bsn, bsstd, two_piece_second_moment
+from .families import DistributionSpec, bsgt, bsn, two_piece_second_moment
 
 __all__ = [
     "RngStream",
-    "AugmentedDraw",
     "sample_two_piece",
     "sample_quadratic_tilt",
     "sample_bsn",
-    "sample_bsstd",
     "sample_skewed_uniform_normal",
     "sample_gen_gamma",
     "sample_bsgt",
@@ -85,16 +82,6 @@ def _gen(rng) -> np.random.Generator:
     raise DomainError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
-@dataclass(frozen=True)
-class AugmentedDraw:
-    """A draw together with the mixing variables of the hierarchy that produced it."""
-
-    x: np.ndarray
-    lam: np.ndarray | None = None
-    u: np.ndarray | None = None
-    s: np.ndarray | None = None
-
-
 def _count(size) -> int:
     """Number of draws for a ``size`` argument; None means one scalar draw."""
     if size is None:
@@ -105,12 +92,8 @@ def _count(size) -> int:
 
 
 def _out(values, size):
-    """The draws as arrays, or for ``size=None`` each one's single entry as a float."""
-    if size is not None:
-        return values
-    if isinstance(values, AugmentedDraw):
-        return AugmentedDraw(*(None if v is None else float(v[0]) for v in astuple(values)))
-    return float(values[0])
+    """The draws as an array, or for ``size=None`` its single entry as a float."""
+    return values if size is not None else float(values[0])
 
 
 def _two_piece_signs(gamma: float, magnitude: np.ndarray, tilted: bool, gen) -> np.ndarray:
@@ -126,27 +109,6 @@ def _two_piece_signs(gamma: float, magnitude: np.ndarray, tilted: bool, gen) -> 
     return np.where(right, gamma * magnitude, -magnitude / gamma)
 
 
-def _finish_heavy_tail(x, latent, tilt, exponents, gen) -> np.ndarray:
-    """The heavy-tailed draws ``x``, those built with 1.0 for a latent that
-    underflowed to 0.0 rescaled by latent**-0.5 in logs.
-
-    Near 0 a latent L = (c*G)**e, G ~ Gamma(a), has density proportional to
-    l**(a/e - 1), so given L < 2**-1075 it is 2**-1075 * V**(e/a), V uniform;
-    ``exponents`` holds e/a of the (plain, tilted) components.  Only calls
-    that hit an underflow draw these uniforms, after all the others.  A draw
-    that lies past the float range raises NumericError, which names how many
-    do: near nu = 2 or p*q = 2 the x^2-weighted component's tail falls so
-    slowly that a share of its draws can.
-    """
-    low = latent == 0.0
-    if low.any():
-        e = np.where(tilt[low], exponents[1], exponents[0])
-        log_latent = _LOG_UNDERFLOW + e * np.log(gen.random(e.size))
-        with np.errstate(divide="ignore", over="ignore"):
-            x[low] = np.copysign(np.exp(np.log(np.abs(x[low])) - 0.5 * log_latent), x[low])
-    return _finite(x)
-
-
 def _finite(x):
     """The draws ``x``, or NumericError naming how many lie past the float range."""
     beyond = np.size(x) - np.count_nonzero(np.isfinite(x))
@@ -155,20 +117,19 @@ def _finite(x):
     return x
 
 
-def _compose(alpha: float, gamma: float, b: float, gen, n: int, magnitudes):
-    """n draws of a family member and the mask of those from its x^2-weighted component.
+def _compose(alpha: float, gamma: float, b: float, gen, n: int, magnitudes) -> np.ndarray:
+    """n draws of a family member.
 
     A draw is the plain two-piece law with probability 1/(1 + alpha*b) and
-    its x^2-weighted version otherwise.  ``magnitudes(k, mask, tilted)``
-    draws the k half-line magnitudes of one component, filling any latent
-    arrays at ``mask``; each component draws its latents, then its
+    its x^2-weighted version otherwise.  ``magnitudes(k, tilted)`` draws the
+    k half-line magnitudes of one component; each component draws its
     magnitudes, then its sign uniforms.
     """
     tilt = gen.random(n) < alpha * b / (1.0 + alpha * b)
     x = np.empty(n)
     for tilted, mask in ((False, ~tilt), (True, tilt)):
-        x[mask] = _two_piece_signs(gamma, magnitudes(int(mask.sum()), mask, tilted), tilted, gen)
-    return x, tilt
+        x[mask] = _two_piece_signs(gamma, magnitudes(int(mask.sum()), tilted), tilted, gen)
+    return x
 
 
 def sample_two_piece(gamma: float, base, rng, size: int | None = None):
@@ -210,58 +171,35 @@ def sample_bsn(alpha: float, gamma: float, rng, size: int | None = None, path: s
     gen = _gen(rng)
     n = _count(size)
 
-    def uniform_layer(k, mask, tilted):
+    def uniform_layer(k, tilted):
         radius = np.sqrt(gen.chisquare(5 if tilted else 3, k))
         v = gen.random(k)
         return radius * (v ** (1.0 / 3.0) if tilted else v)
 
-    def direct_layer(k, mask, tilted):
+    def direct_layer(k, tilted):
         return (spec.base.sample_abs_tilted if tilted else spec.base.sample_abs)(gen, k)
 
     magnitudes = uniform_layer if path == "uniform" else direct_layer
-    return _out(_compose(alpha, gamma, spec.b, gen, n, magnitudes)[0], size)
+    return _out(_compose(alpha, gamma, spec.b, gen, n, magnitudes), size)
 
 
-def sample_bsstd(alpha: float, gamma: float, nu: float, rng, size: int | None = None) -> AugmentedDraw:
-    """Draw from the bimodal skewed standardized Student-t via its gamma mixture.
-
-    Returns the precision-like mixing variable lambda alongside x; the joint
-    law of (x, lambda) is the normal scale mixture, under which lambda given x
-    is Gamma((nu + 1)/2, rate (nu - 2 + x^2 phi^(-sign(x)))/2), phi = gamma^2.
-    """
-    spec = bsstd(alpha, gamma, nu)  # validates
-    gen = _gen(rng)
-    n = _count(size)
-    base, rate = NormalBase(), 0.5 * (nu - 2.0)
-    lam = np.empty(n)
-
-    def normal_layer(k, mask, tilted):
-        # size-biased mixing law for the x^2-weighted component
-        lam[mask] = gen.gamma(0.5 * nu - 1.0 if tilted else 0.5 * nu, 1.0 / rate, k)
-        return (base.sample_abs_tilted if tilted else base.sample_abs)(gen, k)
-
-    x, tilt = _compose(alpha, gamma, spec.b, gen, n, normal_layer)
-    # near nu = 2 the tilted lam can underflow; 1.0 stands in for it until restored
-    x = x / np.sqrt(np.where(lam > 0.0, lam, 1.0))
-    x = _finish_heavy_tail(x, lam, tilt, (2.0 / nu, 2.0 / (nu - 2.0)), gen)
-    return _out(AugmentedDraw(x=x, lam=lam), size)
-
-
-def sample_skewed_uniform_normal(gamma: float, lam: float, rng, size: int | None = None) -> AugmentedDraw:
+def sample_skewed_uniform_normal(gamma: float, lam: float, rng, size: int | None = None):
     """Draw the two-piece normal with scale lambda^(-1/2) as a uniform scale mixture.
 
     Conditional on U ~ Gamma(3/2, rate 1/2) the draw is uniform on
     (0, a*gamma) with probability gamma^2/(1+gamma^2) and uniform on
-    (-a/gamma, 0) otherwise, where a = sqrt(u/lambda).
+    (-a/gamma, 0) otherwise, where a = sqrt(u/lambda).  lambda must be finite
+    and positive; a draw past the float range raises NumericError.
     """
     two_piece_second_moment(gamma)
-    if not lam > 0:
-        raise DomainError(f"precision must be positive, got lambda={lam}")
+    if not (lam > 0 and np.isfinite(lam)):
+        raise DomainError(f"precision must be finite and positive, got lambda={lam}")
     gen = _gen(rng)
     n = _count(size)
     u = gen.chisquare(3, n)  # Gamma(3/2, rate 1/2)
-    x = _two_piece_signs(gamma, np.sqrt(u / lam), False, gen) * gen.random(n)
-    return _out(AugmentedDraw(x=x, u=u), size)
+    with np.errstate(over="ignore"):
+        x = _two_piece_signs(gamma, np.sqrt(u / lam), False, gen) * gen.random(n)
+    return _out(_finite(x), size)
 
 
 def sample_gen_gamma(p: float, q: float, rng, size: int | None = None):
@@ -272,6 +210,46 @@ def sample_gen_gamma(p: float, q: float, rng, size: int | None = None):
     return _out(gen.gamma(q, 1.0, n) ** (2.0 / p), size)
 
 
+def _gen_t_draws(spec: DistributionSpec, gen, n: int, path: str = "gg") -> np.ndarray:
+    """n draws of a generalized-t member, the Student-t included, before the
+    float-range check: a draw past it is inf.
+
+    Per component a draw is delta (q h / Y)^(1/p) w, with p, q and delta read
+    off the spec's base, Y ~ Gamma(q, 1) (Gamma(q - 2/p, 1), the size-biased
+    mixing law, on the x^2-weighted component; q - 2/p > 0 as p*q > 2) and, for
+    r = 1 (3 when weighted), h ~ Gamma(r/p, 1) and w = 1 on the ``"gg"`` path,
+    or the uniform layer's h ~ Gamma(1 + r/p, 1) and w = v (v^(1/3) when
+    weighted), v uniform, on ``"uniform-gg"``.  It is formed in logs, so no
+    intermediate overflows.  Near 0, Y ~ Gamma(a, 1) has density proportional
+    to y^(a - 1), so given Y < 2^-1075, where it rounds to 0, Y is
+    2^-1075 V^(1/a), V uniform; only a component with such a Y draws its V,
+    right after its Y.  Near nu = 2 or p*q = 2 the weighted component's
+    tail falls so slowly that a share of its draws lie past the float range.
+    """
+    p, q, delta = spec.base.p, spec.base.q, spec.base.delta
+    log_q = math.log(q)
+
+    def gt_layer(k, tilted):
+        shape = q - 2.0 / p if tilted else q
+        y = gen.gamma(shape, 1.0, k)
+        low = y == 0.0
+        with np.errstate(divide="ignore"):
+            log_y = np.log(y)
+        if low.any():
+            log_y[low] = _LOG_UNDERFLOW + np.log(gen.random(np.count_nonzero(low))) / shape
+        r = 3.0 if tilted else 1.0
+        if path == "gg":
+            h, w = gen.gamma(r / p, 1.0, k), 1.0
+        else:
+            # uniform layer: |x| spread below the envelope radius, x^2-weighted when tilted
+            h, v = gen.gamma(1.0 + r / p, 1.0, k), gen.random(k)
+            w = v ** (1.0 / 3.0) if tilted else v
+        with np.errstate(divide="ignore", over="ignore"):
+            return delta * np.exp((log_q + np.log(h) - log_y) / p) * w
+
+    return _compose(spec.alpha, spec.gamma, spec.b, gen, n, gt_layer)
+
+
 def sample_bsgt(
     alpha: float,
     gamma: float,
@@ -280,73 +258,32 @@ def sample_bsgt(
     rng,
     size: int | None = None,
     path: str = "gg",
-) -> AugmentedDraw:
+):
     """Draw from the bimodal skewed standardized generalized-t.
 
     Two equivalent hierarchies are available: ``path="gg"`` mixes an
     exponential-power conditional over a generalized-gamma scale, and
     ``path="uniform-gg"`` adds the uniform layer underneath the
-    exponential-power conditional.  Both are exact.  The returned ``s`` is
-    inf where S = Y^(2/p) passes the float range; those draws, and every
-    draw once (q/2)^(1/p) does, are built without S.
+    exponential-power conditional.  Both are exact and both are drawn by
+    `_gen_t_draws`.  A draw past the float range raises NumericError.
     """
     if path not in ("gg", "uniform-gg"):
         raise DomainError(f"path must be 'gg' or 'uniform-gg', got {path!r}")
     spec = bsgt(alpha, gamma, p, q)  # validates
-    gen = _gen(rng)
-    n = _count(size)
-    s = np.empty(n)
-    u_out = np.empty(n) if path == "uniform-gg" else None
-    delta = spec.base.delta
-    try:
-        kernel = (0.5 * q) ** (1.0 / p) * delta
-    except OverflowError:  # every draw takes the ratio form
-        kernel = math.inf
-
-    def gt_layer(k, mask, tilted):
-        # size-biased mixing law for the x^2-weighted component; q - 2/p > 0 as p*q > 2
-        y = gen.gamma(q - 2.0 / p if tilted else q, 1.0, k)
-        with np.errstate(over="ignore"):
-            s[mask] = s_k = y ** (2.0 / p)
-        # exponential-power kernel scale that makes the S-mixture a unit-variance
-        # generalized-t; 1.0 stands in for an s that underflowed near p*q = 2
-        # (restored later) and where s or the kernel overflowed (ratio form below)
-        far = (s_k == np.inf) | (kernel == math.inf)
-        held = (s_k > 0.0) & ~far
-        scale = (1.0 if kernel == math.inf else kernel) / np.sqrt(np.where(held, s_k, 1.0))
-        r = 3.0 if tilted else 1.0
-        if path == "gg":
-            g = gen.gamma(r / p, 2.0, k)
-            x = scale * g ** (1.0 / p)
-            h, w = 0.5 * g[far], 1.0
-        else:
-            # uniform layer: |x| spread below the envelope radius, x^2-weighted when tilted
-            u_out[mask] = u = gen.gamma(1.0 + r / p, 1.0, k)
-            v = gen.random(k)
-            w = v ** (1.0 / 3.0) if tilted else v
-            x = 2.0 ** (1.0 / p) * scale * u ** (1.0 / p) * w
-            h, w = u[far], w[far]
-        # the ratio form delta (q h / Y)^(1/p), as GenTBase.sample_abs draws it,
-        # forms neither s nor (q/2)^(1/p)
-        x[far] = delta * ((q / y[far]) * h) ** (1.0 / p) * w
-        return x
-
-    x, tilt = _compose(alpha, gamma, spec.b, gen, n, gt_layer)
-    x = _finish_heavy_tail(x, s, tilt, (2.0 / (p * q), 2.0 / (p * q - 2.0)), gen)
-    return _out(AugmentedDraw(x=x, s=s, u=u_out), size)
+    return _out(_finite(_gen_t_draws(spec, _gen(rng), _count(size), path)), size)
 
 
 def sample(spec: DistributionSpec, n: int | None, rng):
     """n draws from any family member, on the loc/scale of the spec (one float for n=None).
 
-    A draw past the float range, before or after the loc/scale, raises NumericError.
+    Every generalized-t member, the Student-t at p = 2 included, is drawn by
+    `_gen_t_draws`, the normal by `sample_bsn`.  A draw past the float range,
+    before or after the loc/scale, raises NumericError.
     """
-    alpha, gamma, base = spec.alpha, spec.gamma, spec.base
-    if isinstance(base, StudentTBase):  # a GenTBase too, so it is tested first
-        z = sample_bsstd(alpha, gamma, base.nu, rng, n).x
-    elif isinstance(base, GenTBase):
-        z = sample_bsgt(alpha, gamma, base.p, base.q, rng, n).x
+    gen, size = _gen(rng), _count(n)
+    if isinstance(spec.base, GenTBase):
+        z = _gen_t_draws(spec, gen, size)
     else:
-        z = sample_bsn(alpha, gamma, rng, n)
+        z = sample_bsn(spec.alpha, spec.gamma, gen, size)
     with np.errstate(over="ignore"):
-        return _finite(spec.loc + spec.scale * z)
+        return _out(_finite(spec.loc + spec.scale * z), n)
