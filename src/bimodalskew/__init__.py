@@ -2,9 +2,11 @@
 
 The construction combines two-piece skewing with a quadratic tilt, giving
 densities that can be simultaneously skewed and bimodal.  The package covers
-density/CDF/moment evaluation (`families`), exact samplers that return
-draws only and take every heavy-tailed member, the Student-t as the
-generalized-t at p = 2, through one scale-mixture hierarchy (`sampling`),
+density/CDF/moment evaluation (`families`), exact draws through one public
+entry point, `sample` with a reproducible `RngStream`, which takes every
+heavy-tailed member, the Student-t as the generalized-t at p = 2, through one
+scale-mixture hierarchy; the paper's other hierarchies are private helpers
+that the oracle's sampler gates check (`sampling`),
 Bayesian fitting by adaptive Metropolis-within-Gibbs on each base's own log
 density, with posterior precision means as outlier scores (`inference`), an
 independent numeric validation suite (`oracle`), and a CLI (`bimodalskew`).
@@ -30,16 +32,7 @@ from .families import (
     skew_moment,
     two_piece_second_moment,
 )
-from .sampling import (
-    RngStream,
-    sample,
-    sample_bsgt,
-    sample_bsn,
-    sample_gen_gamma,
-    sample_quadratic_tilt,
-    sample_skewed_uniform_normal,
-    sample_two_piece,
-)
+from .sampling import RngStream, sample
 
 __version__ = "0.1.0"
 
@@ -104,12 +97,6 @@ __all__ = [
     "run_checks",
     "run_mcmc",
     "sample",
-    "sample_bsgt",
-    "sample_bsn",
-    "sample_gen_gamma",
-    "sample_quadratic_tilt",
-    "sample_skewed_uniform_normal",
-    "sample_two_piece",
     "skew_moment",
     "two_piece_second_moment",
     "__version__",

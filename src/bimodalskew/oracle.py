@@ -42,13 +42,13 @@ from .families import (
 )
 from .sampling import (
     RngStream,
+    _finite,
+    _gen_gamma,
+    _gen_t_draws,
+    _two_piece,
+    _uniform_normal_draws,
+    _uniform_two_piece_normal,
     sample,
-    sample_bsgt,
-    sample_bsn,
-    sample_gen_gamma,
-    sample_quadratic_tilt,
-    sample_skewed_uniform_normal,
-    sample_two_piece,
 )
 
 __all__ = [
@@ -566,7 +566,7 @@ def ks_distance(sample_values, spec: DistributionSpec) -> float:
 def _quadratic_tilt_cdf(xs: np.ndarray, gamma: float, base) -> np.ndarray:
     """CDF of x^2 f_gamma(x) / b(gamma), f_gamma the two-piece density on ``base``.
 
-    It is the density `sample_quadratic_tilt` draws from; on each half-line it
+    It is the law of `sampling._two_piece`'s x^2-weighted draws; on each half-line it
     is the base's r = 2 partial moment, stretched by gamma on the right and
     1/gamma on the left.
     """
@@ -679,7 +679,7 @@ def _suite(seed: int, n: int) -> tuple[list[_Case], list[tuple]]:
         return group
 
     def rng(stream):
-        return RngStream(seed, stream)
+        return RngStream(seed, stream).generator
 
     # normalization over the full parameter grid, every spec in one shared integral
     for a in _GRID_ALPHAS:
@@ -902,70 +902,59 @@ def _suite(seed: int, n: int) -> tuple[list[_Case], list[tuple]]:
         _Case("modes/two-piece-peak alpha=0 gamma=2", two_piece_peak, 1e-6),
     )
 
-    # sampler goodness-of-fit gates, one task each
+    # sampler goodness-of-fit gates, one task each: a family member through
+    # `sample`, every other hierarchy through its private helper
     gate = 1.63 / math.sqrt(n)
 
+    def member_ks(spec, stream):
+        return ks_distance(sample(spec, n, rng(stream)), spec)
+
     def quadratic_tilt_ks():
-        xs = np.sort(sample_quadratic_tilt(2.0, NormalBase(), rng(3), n))
+        xs = np.sort(_two_piece(2.0, NormalBase(), rng(3), n, tilted=True))
         return _ks_sorted(xs, lambda x: _quadratic_tilt_cdf(x, 2.0, NormalBase()))
 
     def gen_gamma_ks():
         # s^(p/2) of a generalized-gamma draw is Gamma(q, 1)
-        s = sample_gen_gamma(1.7, 2.0, rng(8), n)
+        s = _gen_gamma(1.7, 2.0, rng(8), n)
         return _ks_sorted(np.sort(s ** (1.7 / 2.0)), partial(gammainc, 2.0))
+
+    def bsgt_uniform_ks():
+        spec = bsgt(1.0, 0.8, 2.3, 2.0)
+        return ks_distance(_finite(_gen_t_draws(spec, rng(10), n, "uniform-gg")), spec)
 
     # each gate's cost is its milliseconds at 1e5 draws
     for label, cost, run in (
         (
             "two-piece gamma=2",
             6.0,
-            lambda: ks_distance(sample_two_piece(2.0, NormalBase(), rng(1), n), bsn(0.0, 2.0)),
+            lambda: ks_distance(_two_piece(2.0, NormalBase(), rng(1), n), bsn(0.0, 2.0)),
         ),
         (
             "two-piece-student gamma=0.8 nu=5",
             12.0,
             lambda: ks_distance(
-                sample_two_piece(0.8, StudentTBase(5.0), rng(2), n), bsstd(0.0, 0.8, 5.0)
+                _two_piece(0.8, StudentTBase(5.0), rng(2), n), bsstd(0.0, 0.8, 5.0)
             ),
         ),
         ("quadratic-tilt gamma=2", 7.0, quadratic_tilt_ks),
-        ("bsn alpha=1 gamma=1.5", 12.0, lambda: ks_distance(sample_bsn(1.0, 1.5, rng(4), n), bsn(1.0, 1.5))),
+        ("bsn alpha=1 gamma=1.5", 12.0, lambda: member_ks(bsn(1.0, 1.5), 4)),
         (
             "bsn-uniform alpha=1 gamma=1.5",
             14.0,
-            lambda: ks_distance(sample_bsn(1.0, 1.5, rng(5), n, path="uniform"), bsn(1.0, 1.5)),
+            lambda: ks_distance(_uniform_normal_draws(bsn(1.0, 1.5), rng(5), n), bsn(1.0, 1.5)),
         ),
         (
             "uniform-normal gamma=2 lambda=2.5",
             10.0,
             lambda: ks_distance(
-                sample_skewed_uniform_normal(2.0, 2.5, rng(6), n), bsn(0.0, 2.0, scale=2.5**-0.5)
+                _uniform_two_piece_normal(2.0, 2.5, rng(6), n), bsn(0.0, 2.0, scale=2.5**-0.5)
             ),
         ),
-        (
-            "bsstd alpha=1 gamma=1.5 nu=4",
-            18.0,
-            lambda: ks_distance(sample(bsstd(1.0, 1.5, 4.0), n, rng(7)), bsstd(1.0, 1.5, 4.0)),
-        ),
+        ("bsstd alpha=1 gamma=1.5 nu=4", 18.0, lambda: member_ks(bsstd(1.0, 1.5, 4.0), 7)),
         ("gen-gamma p=1.7 q=2", 7.0, gen_gamma_ks),
-        (
-            "bsgt p=1.7 q=2 alpha=1 gamma=1.5",
-            29.0,
-            lambda: ks_distance(sample_bsgt(1.0, 1.5, 1.7, 2.0, rng(9), n), bsgt(1.0, 1.5, 1.7, 2.0)),
-        ),
-        (
-            "bsgt-uniform p=2.3 q=2 alpha=1 gamma=0.8",
-            33.0,
-            lambda: ks_distance(
-                sample_bsgt(1.0, 0.8, 2.3, 2.0, rng(10), n, path="uniform-gg"),
-                bsgt(1.0, 0.8, 2.3, 2.0),
-            ),
-        ),
-        (
-            "bsgt p=2.3 q=2 alpha=1 gamma=1.5",
-            20.0,
-            lambda: ks_distance(sample_bsgt(1.0, 1.5, 2.3, 2.0, rng(11), n), bsgt(1.0, 1.5, 2.3, 2.0)),
-        ),
+        ("bsgt p=1.7 q=2 alpha=1 gamma=1.5", 29.0, lambda: member_ks(bsgt(1.0, 1.5, 1.7, 2.0), 9)),
+        ("bsgt-uniform p=2.3 q=2 alpha=1 gamma=0.8", 33.0, bsgt_uniform_ks),
+        ("bsgt p=2.3 q=2 alpha=1 gamma=1.5", 20.0, lambda: member_ks(bsgt(1.0, 1.5, 2.3, 2.0), 11)),
     ):
         gates.append((add([], _Case(f"sampler/{label}", run, gate)), None, cost * n / 1e5))
     return cases, [

@@ -1,7 +1,9 @@
-"""Exact samplers for the bimodal skewed families.
+"""Exact draws from the bimodal skewed families.
 
-All samplers are pure composition: a draw picks the plain two-piece component
-with probability 1/(1 + alpha*b) or the quadratically weighted component with
+`sample(spec, n, rng)` is the public draw, and `RngStream` wraps a
+counter-based bit generator so that (seed, stream) pairs give reproducible,
+independent streams.  A draw picks the plain two-piece component with
+probability 1/(1 + alpha*b) or the quadratically weighted component with
 probability alpha*b/(1 + alpha*b), then draws that component exactly.  No
 rejection loops anywhere.
 
@@ -22,9 +24,12 @@ density), which stays in the same parametric family:
 * uniform layer under the exponential power: plain U ~ Gamma(1 + 1/p, 1);
   tilted U ~ Gamma(1 + 3/p, 1), with the same cube-root inversion.
 
-The samplers return draws only.  Everything is driven by numpy Generators;
-RngStream wraps a counter-based bit generator so that (seed, stream) pairs
-give reproducible, independent streams.
+`sample` draws the normal members from the normal base and every
+generalized-t member through its generalized-gamma layer.  The paper's other
+representations (the two-piece and x^2-weighted components on their own, the
+uniform layers, the generalized gamma) are private helpers that take a numpy
+Generator and an exact count; the oracle's ``sampler/`` gates check each of
+them against a closed form.  Every draw is checked against the float range.
 """
 
 from __future__ import annotations
@@ -33,20 +38,11 @@ import math
 
 import numpy as np
 
-from .bases import GenTBase, _check_shape
-from .errors import CapabilityError, DomainError, NumericError
-from .families import DistributionSpec, bsgt, bsn, two_piece_second_moment
+from .bases import GenTBase
+from .errors import DomainError, NumericError
+from .families import DistributionSpec
 
-__all__ = [
-    "RngStream",
-    "sample_two_piece",
-    "sample_quadratic_tilt",
-    "sample_bsn",
-    "sample_skewed_uniform_normal",
-    "sample_gen_gamma",
-    "sample_bsgt",
-    "sample",
-]
+__all__ = ["RngStream", "sample"]
 
 # a positive double below 2**-1075 rounds to 0.0
 _LOG_UNDERFLOW = -1075.0 * math.log(2.0)
@@ -91,11 +87,6 @@ def _count(size) -> int:
     return int(size)
 
 
-def _out(values, size):
-    """The draws as an array, or for ``size=None`` its single entry as a float."""
-    return values if size is not None else float(values[0])
-
-
 def _two_piece_signs(gamma: float, magnitude: np.ndarray, tilted: bool, gen) -> np.ndarray:
     """Two-piece draws from half-line magnitudes m: gamma*m at mass gamma^2:1
     (gamma^6:1 when tilted), else -m/gamma."""
@@ -117,97 +108,60 @@ def _finite(x):
     return x
 
 
-def _compose(alpha: float, gamma: float, b: float, gen, n: int, magnitudes) -> np.ndarray:
-    """n draws of a family member.
+def _compose(spec: DistributionSpec, gen, n: int, magnitudes) -> np.ndarray:
+    """n draws of a family member, on its standard loc/scale.
 
     A draw is the plain two-piece law with probability 1/(1 + alpha*b) and
     its x^2-weighted version otherwise.  ``magnitudes(k, tilted)`` draws the
     k half-line magnitudes of one component; each component draws its
     magnitudes, then its sign uniforms.
     """
-    tilt = gen.random(n) < alpha * b / (1.0 + alpha * b)
+    tilt = gen.random(n) < spec.alpha * spec.b / (1.0 + spec.alpha * spec.b)
     x = np.empty(n)
     for tilted, mask in ((False, ~tilt), (True, tilt)):
-        x[mask] = _two_piece_signs(gamma, magnitudes(int(mask.sum()), tilted), tilted, gen)
+        x[mask] = _two_piece_signs(spec.gamma, magnitudes(int(mask.sum()), tilted), tilted, gen)
     return x
 
 
-def sample_two_piece(gamma: float, base, rng, size: int | None = None):
-    """Draw from the two-piece skewed version of a symmetric base density."""
-    two_piece_second_moment(gamma)  # validates gamma
-    gen = _gen(rng)
-    n = _count(size)
-    return _out(_two_piece_signs(gamma, base.sample_abs(gen, n), False, gen), size)
+def _two_piece(gamma: float, base, gen, n: int, tilted: bool = False) -> np.ndarray:
+    """n draws of the two-piece law on a symmetric base, or with ``tilted`` of
+    its x^2-weighted version, which needs the base's closed-form x^2-weighted
+    half-line sampler (the normal's)."""
+    magnitude = (base.sample_abs_tilted if tilted else base.sample_abs)(gen, n)
+    return _finite(_two_piece_signs(gamma, magnitude, tilted, gen))
 
 
-def sample_quadratic_tilt(gamma: float, base, rng, size: int | None = None):
-    """Draw from the density proportional to x^2 times the two-piece density.
-
-    Only bases with a closed-form x^2-weighted half-line sampler support this
-    (the normal); others raise CapabilityError.
-    """
-    two_piece_second_moment(gamma)
-    if not hasattr(base, "sample_abs_tilted"):
-        raise CapabilityError(
-            f"{type(base).__name__} has no closed-form sampler for its z^2-weighted half "
-            "density; draw the family through its scale-mixture hierarchy instead"
-        )
-    gen = _gen(rng)
-    n = _count(size)
-    return _out(_two_piece_signs(gamma, base.sample_abs_tilted(gen, n), True, gen), size)
-
-
-def sample_bsn(alpha: float, gamma: float, rng, size: int | None = None, path: str = "direct"):
-    """Draw from the bimodal skew normal by two-component composition.
-
-    ``path="direct"`` draws the component magnitudes from the normal base;
-    ``path="uniform"`` draws them through the uniform scale-mixture layer
-    (chi-square(3) radii, chi-square(5) on the tilted component).  Both are
-    exact.
-    """
-    spec = bsn(alpha, gamma)  # validates
-    if path not in ("direct", "uniform"):
-        raise DomainError(f"path must be 'direct' or 'uniform', got {path!r}")
-    gen = _gen(rng)
-    n = _count(size)
+def _uniform_normal_draws(spec: DistributionSpec, gen, n: int) -> np.ndarray:
+    """n draws of a normal member through the uniform layer: the radius is
+    chi(3) (chi(5) when x^2-weighted) and the magnitude is the radius times v
+    (v^(1/3) when weighted), v uniform."""
 
     def uniform_layer(k, tilted):
         radius = np.sqrt(gen.chisquare(5 if tilted else 3, k))
         v = gen.random(k)
         return radius * (v ** (1.0 / 3.0) if tilted else v)
 
-    def direct_layer(k, tilted):
-        return (spec.base.sample_abs_tilted if tilted else spec.base.sample_abs)(gen, k)
-
-    magnitudes = uniform_layer if path == "uniform" else direct_layer
-    return _out(_compose(alpha, gamma, spec.b, gen, n, magnitudes), size)
+    return _finite(_compose(spec, gen, n, uniform_layer))
 
 
-def sample_skewed_uniform_normal(gamma: float, lam: float, rng, size: int | None = None):
-    """Draw the two-piece normal with scale lambda^(-1/2) as a uniform scale mixture.
+def _uniform_two_piece_normal(gamma: float, lam: float, gen, n: int) -> np.ndarray:
+    """n draws of the two-piece normal with scale lambda^(-1/2) as a uniform scale mixture.
 
     Conditional on U ~ Gamma(3/2, rate 1/2) the draw is uniform on
     (0, a*gamma) with probability gamma^2/(1+gamma^2) and uniform on
-    (-a/gamma, 0) otherwise, where a = sqrt(u/lambda).  lambda must be finite
-    and positive; a draw past the float range raises NumericError.
+    (-a/gamma, 0) otherwise, where a = sqrt(u/lambda).
     """
-    two_piece_second_moment(gamma)
-    if not (lam > 0 and np.isfinite(lam)):
-        raise DomainError(f"precision must be finite and positive, got lambda={lam}")
-    gen = _gen(rng)
-    n = _count(size)
     u = gen.chisquare(3, n)  # Gamma(3/2, rate 1/2)
     with np.errstate(over="ignore"):
         x = _two_piece_signs(gamma, np.sqrt(u / lam), False, gen) * gen.random(n)
-    return _out(_finite(x), size)
+    return _finite(x)
 
 
-def sample_gen_gamma(p: float, q: float, rng, size: int | None = None):
-    """Draw S with density p/(2 Gamma(q)) s^(pq/2 - 1) exp(-s^(p/2)), via S = Y^(2/p), Y ~ Gamma(q, 1)."""
-    _check_shape(p, q)
-    gen = _gen(rng)
-    n = _count(size)
-    return _out(gen.gamma(q, 1.0, n) ** (2.0 / p), size)
+def _gen_gamma(p: float, q: float, gen, n: int) -> np.ndarray:
+    """n generalized-gamma draws: S with density p/(2 Gamma(q)) s^(pq/2 - 1)
+    exp(-s^(p/2)), as S = Y^(2/p), Y ~ Gamma(q, 1)."""
+    with np.errstate(over="ignore"):
+        return _finite(gen.gamma(q, 1.0, n) ** (2.0 / p))
 
 
 def _gen_t_draws(spec: DistributionSpec, gen, n: int, path: str = "gg") -> np.ndarray:
@@ -247,43 +201,25 @@ def _gen_t_draws(spec: DistributionSpec, gen, n: int, path: str = "gg") -> np.nd
         with np.errstate(divide="ignore", over="ignore"):
             return delta * np.exp((log_q + np.log(h) - log_y) / p) * w
 
-    return _compose(spec.alpha, spec.gamma, spec.b, gen, n, gt_layer)
-
-
-def sample_bsgt(
-    alpha: float,
-    gamma: float,
-    p: float,
-    q: float,
-    rng,
-    size: int | None = None,
-    path: str = "gg",
-):
-    """Draw from the bimodal skewed standardized generalized-t.
-
-    Two equivalent hierarchies are available: ``path="gg"`` mixes an
-    exponential-power conditional over a generalized-gamma scale, and
-    ``path="uniform-gg"`` adds the uniform layer underneath the
-    exponential-power conditional.  Both are exact and both are drawn by
-    `_gen_t_draws`.  A draw past the float range raises NumericError.
-    """
-    if path not in ("gg", "uniform-gg"):
-        raise DomainError(f"path must be 'gg' or 'uniform-gg', got {path!r}")
-    spec = bsgt(alpha, gamma, p, q)  # validates
-    return _out(_finite(_gen_t_draws(spec, _gen(rng), _count(size), path)), size)
+    return _compose(spec, gen, n, gt_layer)
 
 
 def sample(spec: DistributionSpec, n: int | None, rng):
     """n draws from any family member, on the loc/scale of the spec (one float for n=None).
 
-    Every generalized-t member, the Student-t at p = 2 included, is drawn by
-    `_gen_t_draws`, the normal by `sample_bsn`.  A draw past the float range,
+    ``rng`` is an `RngStream` or a numpy Generator.  Every generalized-t
+    member, the Student-t at p = 2 included, is drawn by `_gen_t_draws`, the
+    normal from its base's half-line samplers.  A draw past the float range,
     before or after the loc/scale, raises NumericError.
     """
     gen, size = _gen(rng), _count(n)
-    if isinstance(spec.base, GenTBase):
+    base = spec.base
+    if isinstance(base, GenTBase):
         z = _gen_t_draws(spec, gen, size)
     else:
-        z = sample_bsn(spec.alpha, spec.gamma, gen, size)
+        z = _compose(
+            spec, gen, size, lambda k, tilted: (base.sample_abs_tilted if tilted else base.sample_abs)(gen, k)
+        )
     with np.errstate(over="ignore"):
-        return _out(_finite(spec.loc + spec.scale * z), n)
+        x = _finite(spec.loc + spec.scale * z)
+    return x if n is not None else float(x[0])

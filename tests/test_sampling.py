@@ -1,4 +1,7 @@
-"""Exact samplers: determinism, distributional gates, the heavy-tail draw's reduction and range.
+"""Exact draws: determinism, distributional gates, the heavy-tail draw's reduction and range.
+
+`sample` is the public draw; the other hierarchies are the private helpers
+that the oracle's sampler gates check, and they are tested here the same way.
 
 Gate style: one-sample Kolmogorov-Smirnov distance against the closed-form
 cdf below the asymptotic 1% critical value 1.63/sqrt(n), or a two-sample
@@ -13,31 +16,36 @@ import pytest
 from scipy import stats
 
 from bimodalskew.bases import GenTBase, NormalBase, StudentTBase
-from bimodalskew.errors import CapabilityError, DomainError, NumericError
+from bimodalskew.errors import DomainError, NumericError
 from bimodalskew.families import DistributionSpec, bsgt, bsn, bsstd, full_moment
 from bimodalskew.oracle import ks_distance
 from bimodalskew.sampling import (
     RngStream,
+    _finite,
+    _gen_gamma,
     _gen_t_draws,
+    _two_piece,
+    _uniform_normal_draws,
+    _uniform_two_piece_normal,
     sample,
-    sample_bsgt,
-    sample_bsn,
-    sample_gen_gamma,
-    sample_quadratic_tilt,
-    sample_skewed_uniform_normal,
-    sample_two_piece,
 )
 
 N = 20_000
 KS_GATE = 1.63 / np.sqrt(N)
 
-# The first 8 of 64 draws of every entry point and path at RngStream(2024, k)
-# for the k-th entry.  Any change to the order in which a sampler consumes
-# its stream changes these values.
+
+def uniform_gg(spec, rng, n):
+    """n draws of a generalized-t member through the uniform layer under the exponential power."""
+    return _finite(_gen_t_draws(spec, rng.generator, n, "uniform-gg"))
+
+
+# The first 8 of 64 draws of every hierarchy at RngStream(2024, k) for the
+# k-th entry.  Any change to the order in which a sampler consumes its
+# stream changes these values.
 RECORDED_DRAWS = [
     (
         "two_piece-normal",
-        lambda rng: sample_two_piece(1.5, NormalBase(), rng, 64),
+        lambda rng: _two_piece(1.5, NormalBase(), rng.generator, 64),
         {
             "x": [
                 0.05511188070589824, -0.39259028734536466, 2.0421054886795083, -1.0319248012699649,
@@ -47,7 +55,7 @@ RECORDED_DRAWS = [
     ),
     (
         "two_piece-student",
-        lambda rng: sample_two_piece(0.8, StudentTBase(5.0), rng, 64),
+        lambda rng: _two_piece(0.8, StudentTBase(5.0), rng.generator, 64),
         {
             "x": [
                 -0.09911407428881083, -2.0010016399949384, -1.1697861411059471, -2.273064694974828,
@@ -57,7 +65,7 @@ RECORDED_DRAWS = [
     ),
     (
         "two_piece-gent",
-        lambda rng: sample_two_piece(1.3, GenTBase(1.7, 2.0), rng, 64),
+        lambda rng: _two_piece(1.3, GenTBase(1.7, 2.0), rng.generator, 64),
         {
             "x": [
                 -0.28222884240772794, -0.32667054298900156, 5.2618053833677605, 1.0136101798592536,
@@ -67,7 +75,7 @@ RECORDED_DRAWS = [
     ),
     (
         "quadratic_tilt",
-        lambda rng: sample_quadratic_tilt(2.0, NormalBase(), rng, 64),
+        lambda rng: _two_piece(2.0, NormalBase(), rng.generator, 64, tilted=True),
         {
             "x": [
                 4.576765269566001, 1.81150820106556, 5.691340516718405, 2.8152331799546326,
@@ -77,7 +85,7 @@ RECORDED_DRAWS = [
     ),
     (
         "bsn-direct",
-        lambda rng: sample_bsn(1.0, 1.5, rng, 64),
+        lambda rng: sample(bsn(1.0, 1.5), 64, rng),
         {
             "x": [
                 1.425166423672032, 3.038972104838777, 2.091443902911047, 0.09783990764489121,
@@ -87,7 +95,7 @@ RECORDED_DRAWS = [
     ),
     (
         "bsn-uniform",
-        lambda rng: sample_bsn(1.0, 1.5, rng, 64, path="uniform"),
+        lambda rng: _uniform_normal_draws(bsn(1.0, 1.5), rng.generator, 64),
         {
             "x": [
                 1.5945683400373607, -0.333142112238267, -0.09785333186473284, 2.00758533316782,
@@ -107,7 +115,7 @@ RECORDED_DRAWS = [
     ),
     (
         "skewed_uniform_normal",
-        lambda rng: sample_skewed_uniform_normal(2.0, 2.5, rng, 64),
+        lambda rng: _uniform_two_piece_normal(2.0, 2.5, rng.generator, 64),
         {
             "x": [
                 1.0902412272518496, 1.6939150622188366, 0.8291463873669294, 0.4237311291859903,
@@ -117,7 +125,7 @@ RECORDED_DRAWS = [
     ),
     (
         "gen_gamma",
-        lambda rng: sample_gen_gamma(1.7, 2.0, rng, 64),
+        lambda rng: _gen_gamma(1.7, 2.0, rng.generator, 64),
         {
             "x": [
                 1.4431753580543991, 4.1330603830909505, 0.22584134954827437, 1.2332528318197595,
@@ -127,7 +135,7 @@ RECORDED_DRAWS = [
     ),
     (
         "bsgt-gg",
-        lambda rng: sample_bsgt(1.0, 1.5, 1.7, 2.0, rng, 64),
+        lambda rng: sample(bsgt(1.0, 1.5, 1.7, 2.0), 64, rng),
         {
             "x": [
                 7.8750502521219605, -0.23527734022596328, 1.6039548571292306, 1.0063712761485635,
@@ -137,7 +145,7 @@ RECORDED_DRAWS = [
     ),
     (
         "bsgt-uniform-gg",
-        lambda rng: sample_bsgt(1.0, 0.8, 2.3, 2.0, rng, 64, path="uniform-gg"),
+        lambda rng: uniform_gg(bsgt(1.0, 0.8, 2.3, 2.0), rng, 64),
         {
             "x": [
                 -0.9616849689804527, -2.2529219199857367, -0.20391396234161963, -1.1196394726570054,
@@ -190,11 +198,11 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_samplers_are_reproducible(self):
-        x1 = sample_bsn(1.0, 1.5, RngStream(11, 2), size=50)
-        x2 = sample_bsn(1.0, 1.5, RngStream(11, 2), size=50)
+        x1 = sample(bsn(1.0, 1.5), 50, RngStream(11, 2))
+        x2 = sample(bsn(1.0, 1.5), 50, RngStream(11, 2))
         np.testing.assert_array_equal(x1, x2)
-        d1 = sample_bsgt(1.0, 0.8, 2.3, 2.0, RngStream(11, 4), size=50)
-        d2 = sample_bsgt(1.0, 0.8, 2.3, 2.0, RngStream(11, 4), size=50)
+        d1 = uniform_gg(bsgt(1.0, 0.8, 2.3, 2.0), RngStream(11, 4), 50)
+        d2 = uniform_gg(bsgt(1.0, 0.8, 2.3, 2.0), RngStream(11, 4), 50)
         np.testing.assert_array_equal(d1, d2)
 
     def test_draws_match_recorded_values(self):
@@ -222,25 +230,25 @@ class TestDistributionGates:
 
     def test_two_piece_mass_split(self):
         gamma = 2.0
-        x = sample_two_piece(gamma, NormalBase(), RngStream(5, 0), size=N)
+        x = _two_piece(gamma, NormalBase(), RngStream(5, 0).generator, N)
         prop = float(np.mean(x >= 0))
         want = gamma**2 / (1.0 + gamma**2)
         se = np.sqrt(want * (1.0 - want) / N)
         assert abs(prop - want) < 4.0 * se
 
     def test_two_piece_student_gate(self):
-        x = sample_two_piece(0.8, StudentTBase(5.0), RngStream(5, 1), size=N)
+        x = _two_piece(0.8, StudentTBase(5.0), RngStream(5, 1).generator, N)
         assert ks_distance(x, bsstd(0.0, 0.8, 5.0)) < KS_GATE
 
     def test_quadratic_tilt_gate(self):
         # the tilted symmetric law at alpha -> infinity: density x^2 f(x) / m2
-        x = sample_quadratic_tilt(1.0, NormalBase(), RngStream(5, 2), size=N)
+        x = _two_piece(1.0, NormalBase(), RngStream(5, 2).generator, N, tilted=True)
         d = stats.kstest(x, lambda t: stats.norm.cdf(t) - t * stats.norm.pdf(t)).statistic
         assert d < KS_GATE
 
     def test_uniform_path_agrees_with_direct(self):
-        direct = sample_bsn(1.0, 1.5, RngStream(6, 0), size=N, path="direct")
-        via_u = sample_bsn(1.0, 1.5, RngStream(6, 1), size=N, path="uniform")
+        direct = sample(bsn(1.0, 1.5), N, RngStream(6, 0))
+        via_u = _uniform_normal_draws(bsn(1.0, 1.5), RngStream(6, 1).generator, N)
         assert stats.ks_2samp(direct, via_u).pvalue > 0.01
 
     def test_gate_for_uniform_normal_marginal(self):
@@ -248,17 +256,17 @@ class TestDistributionGates:
         # the compound must land exactly on the two-piece normal at scale
         # 1/sqrt(lambda)
         gamma, lam = 2.0, 2.5
-        x = sample_skewed_uniform_normal(gamma, lam, RngStream(8, 3), size=N)
+        x = _uniform_two_piece_normal(gamma, lam, RngStream(8, 3).generator, N)
         assert ks_distance(x, bsn(0.0, gamma, 0.0, lam**-0.5)) < KS_GATE
 
     def test_gen_gamma_power_is_gamma(self):
         p, q = 1.7, 2.0
-        s = sample_gen_gamma(p, q, RngStream(6, 2), size=N)
+        s = _gen_gamma(p, q, RngStream(6, 2).generator, N)
         assert stats.kstest(s ** (p / 2.0), stats.gamma(q).cdf).statistic < KS_GATE
 
     def test_gg_and_uniform_paths_agree(self):
-        a = sample_bsgt(1.0, 0.8, 2.3, 2.0, RngStream(6, 3), size=N, path="gg")
-        b = sample_bsgt(1.0, 0.8, 2.3, 2.0, RngStream(6, 4), size=N, path="uniform-gg")
+        a = sample(bsgt(1.0, 0.8, 2.3, 2.0), N, RngStream(6, 3))
+        b = uniform_gg(bsgt(1.0, 0.8, 2.3, 2.0), RngStream(6, 4), N)
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -279,7 +287,7 @@ class TestNearBoundaryTails:
         for x in (
             sample(bsstd(1.0, 1.0, 2.02), 100_000, RngStream(seed, 0)),
             sample(bsgt(1.0, 1.0, 2.0, 1.01), 100_000, RngStream(seed, 0)),
-            sample_bsgt(1.0, 1.0, 2.0, 1.01, RngStream(seed, 0), 100_000, path="uniform-gg"),
+            uniform_gg(bsgt(1.0, 1.0, 2.0, 1.01), RngStream(seed, 0), 100_000),
         ):
             assert np.all(np.isfinite(x))
 
@@ -315,10 +323,14 @@ class TestNearBoundaryTails:
     def test_huge_q_draws_pass_the_gate(self, p, q, path):
         # S = Y^(2/p), and in the last case (q/2)^(1/p) too, pass the float
         # range; the draws were all 0, or the power raised OverflowError
+        spec = bsgt(1.0, 1.5, p, q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = sample_bsgt(1.0, 1.5, p, q, RngStream(0, 0), N, path=path)
-        assert ks_distance(x, bsgt(1.0, 1.5, p, q)) < KS_GATE
+            if path == "gg":
+                x = sample(spec, N, RngStream(0, 0))
+            else:
+                x = uniform_gg(spec, RngStream(0, 0), N)
+        assert ks_distance(x, spec) < KS_GATE
 
     def test_uniform_normal_past_the_float_range_raises(self):
         # at lambda = 1e-320 the radius sqrt(u / lambda) overflows: numpy
@@ -326,7 +338,15 @@ class TestNearBoundaryTails:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="^50 of 50 draws lie past the float range"):
-                sample_skewed_uniform_normal(2.0, 1e-320, RngStream(0, 0), 50)
+                _uniform_two_piece_normal(2.0, 1e-320, RngStream(0, 0).generator, 50)
+
+    def test_gen_gamma_past_the_float_range_raises(self):
+        # at p = 0.05, q = 2e11 the power Y^(2/p) = Y^40 overflows: numpy
+        # warned and every draw came back as inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^5 of 5 draws lie past the float range"):
+                _gen_gamma(0.05, 2e11, RngStream(0).generator, 5)
 
     def test_tail_beyond_the_old_cap(self):
         # P(|x| > t) for the tilted component is the small-ball probability
@@ -368,71 +388,50 @@ class TestStudentTReduction:
         assert counts[0] == counts[1]
 
 
-class TestValidation:
-    def test_unknown_path_rejected(self):
-        with pytest.raises(DomainError):
-            sample_bsn(1.0, 1.5, RngStream(0), size=5, path="bogus")
-        with pytest.raises(DomainError):
-            sample_bsgt(1.0, 1.5, 2.3, 2.0, RngStream(0), size=5, path="bogus")
+FAMILIES = pytest.mark.parametrize(
+    "spec", [bsn(1.0, 1.5), bsstd(1.0, 1.5, 4.0), bsgt(1.0, 1.5, 1.7, 2.0)], ids=["bsn", "bsstd", "bsgt"]
+)
 
+
+class TestValidation:
     @pytest.mark.parametrize(
         "draw",
         [
             lambda rng: sample(bsstd(1.0, 1.0, float("inf")), 5, rng),
-            lambda rng: sample_bsgt(1.0, 1.0, float("nan"), 2.0, rng, size=5),
-            lambda rng: sample_gen_gamma(float("nan"), 2.0, rng, size=5),
+            lambda rng: sample(bsstd(1.0, 1.0, float("nan")), 5, rng),
+            lambda rng: sample(bsgt(1.0, 1.0, float("nan"), 2.0), 5, rng),
+            lambda rng: sample(bsgt(1.0, 1.0, 1.7, float("inf")), 5, rng),
         ],
-        ids=["bsstd-nu-inf", "bsgt-p-nan", "gen-gamma-p-nan"],
+        ids=["bsstd-nu-inf", "bsstd-nu-nan", "bsgt-p-nan", "bsgt-q-inf"],
     )
     def test_non_finite_tail_parameters_rejected(self, draw):
         with pytest.raises(DomainError):
             draw(RngStream(0))
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
-    def test_uniform_normal_precision_must_be_finite_and_positive(self, lam):
-        # at lambda = inf every draw used to be 0, silently, where the
-        # matching bsn(0, gamma, scale=inf**-0.5) raises
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError):
-                sample_skewed_uniform_normal(2.0, lam, RngStream(0), 5)
+    @FAMILIES
+    def test_scalar_draws(self, spec):
+        assert isinstance(sample(spec, None, RngStream(9, 0)), float)
 
-    def test_scalar_draws(self):
-        assert isinstance(sample(bsstd(1.0, 1.5, 4.0), None, RngStream(9, 0)), float)
-        assert isinstance(sample_bsn(1.0, 1.5, RngStream(9, 1)), float)
-
-    def test_bad_sizes_rejected(self):
-        with pytest.raises(DomainError):
-            sample(bsn(1.0, 1.5), 0, RngStream(0))
-        with pytest.raises(DomainError):
-            sample(bsn(1.0, 1.5), -3, RngStream(0))
-
-    @pytest.mark.parametrize(
-        "draw",
-        [
-            lambda rng, size: sample_two_piece(1.5, NormalBase(), rng, size),
-            lambda rng, size: sample_quadratic_tilt(1.5, NormalBase(), rng, size),
-            lambda rng, size: sample_bsn(1.0, 1.5, rng, size),
-            lambda rng, size: sample_bsn(1.0, 1.5, rng, size, path="uniform"),
-            lambda rng, size: sample(bsstd(1.0, 1.5, 4.0), size, rng),
-            lambda rng, size: sample_skewed_uniform_normal(2.0, 2.5, rng, size),
-            lambda rng, size: sample_gen_gamma(1.7, 2.0, rng, size),
-            lambda rng, size: sample_bsgt(1.0, 1.5, 1.7, 2.0, rng, size),
-            lambda rng, size: sample_bsgt(1.0, 1.5, 1.7, 2.0, rng, size, path="uniform-gg"),
-            lambda rng, size: sample(bsgt(1.0, 1.5, 1.7, 2.0), size, rng),
-        ],
-        ids=[
-            "two_piece", "quadratic_tilt", "bsn", "bsn-uniform", "bsstd",
-            "skewed_uniform_normal", "gen_gamma", "bsgt", "bsgt-uniform-gg", "sample",
-        ],
-    )
-    def test_size_must_be_a_positive_integer(self, draw):
+    @FAMILIES
+    @pytest.mark.parametrize("n", [0, -3, True, 2.5])
+    def test_bad_sizes_rejected(self, spec, n):
         # a fractional size used to be truncated, a negative one raised
         # numpy's ValueError, 0 gave an empty array and True one draw
-        for size in (0, -3, 2.7, True, np.float64(5.0), "5"):
+        with pytest.raises(DomainError):
+            sample(spec, n, RngStream(0))
+
+    @FAMILIES
+    @pytest.mark.parametrize("rng", [None, 7])
+    def test_bad_rngs_rejected(self, spec, rng):
+        with pytest.raises(DomainError):
+            sample(spec, 5, rng)
+
+    @FAMILIES
+    def test_size_must_be_a_positive_integer(self, spec):
+        for size in (2.7, np.float64(5.0), "5"):
             with pytest.raises(DomainError):
-                draw(RngStream(0), size)
-        assert draw(RngStream(0), np.int64(3)).size == 3
+                sample(spec, size, RngStream(0))
+        assert sample(spec, np.int64(3), RngStream(0)).size == 3
 
     @pytest.mark.parametrize("gamma", [1e52, 1e100, 1e153])
     def test_extreme_skewness_draws_from_the_heavy_side(self, gamma):
@@ -446,7 +445,3 @@ class TestValidation:
         # untilted, every draw is gamma times its gamma = 1 magnitude
         plain = np.abs(sample(bsn(0.0, 1.0), 50, RngStream(1)))
         assert np.array_equal(sample(bsn(0.0, gamma), 50, RngStream(1)), gamma * plain)
-
-    def test_quadratic_tilt_needs_a_closed_form_tilted_sampler(self):
-        with pytest.raises(CapabilityError):
-            sample_quadratic_tilt(1.0, StudentTBase(5.0), RngStream(0), size=5)
