@@ -136,7 +136,7 @@ def _log_gamma_ratio(x: float, a: float) -> float:
 
 
 def _gt_log_abs_moment(r: int, p: float, q: float) -> float:
-    """log E|Z|^r of the unit-scale generalized-t, for 0 < r < p*q.
+    """log E|Z|^r of the unit-scale generalized-t, for r > 0 and r/p < q.
 
     E|Z|^r = q^a Gamma((r + 1)/p) Gamma(x) / (Gamma(1/p) Gamma(x + a)) with
     a = r/p and x = q - a.  Where `_gamma_ratio_series` holds, the factor
@@ -159,11 +159,11 @@ def gt_variance(p: float, q: float) -> float:
 
     The density is f(x) = p / (2 q^(1/p) B(1/p, q)) * (1 + |x|^p / q)^-(q + 1/p)
     and the variance is q^(2/p) * Gamma(3/p) Gamma(q - 2/p) / (Gamma(1/p) Gamma(q)),
-    finite only for p*q > 2.
+    finite only for q > 2/p.
     """
     _check_shape(p, q)
-    if p * q <= 2:
-        raise DomainError(f"generalized-t variance needs p*q > 2, got p*q={p * q}")
+    if not 2.0 / p < q:
+        raise DomainError(f"generalized-t variance needs q > 2/p, got p={p}, q={q}")
     log_var = _gt_log_abs_moment(2, p, q)
     with np.errstate(over="ignore", under="ignore"):
         var = float(np.exp(log_var))
@@ -229,7 +229,7 @@ class NormalBase:
 
 @dataclass(frozen=True)
 class GenTBase:
-    """Generalized-t rescaled to unit variance; requires finite p > 0, q > 0 and p*q > 2.
+    """Generalized-t rescaled to unit variance; requires finite p > 0 and q > 2/p.
 
     Its density is proportional to (1 + |z|^p / c)^-(q + 1/p).  The derived
     ``delta`` is the standardizing scale `gt_standard_scale(p, q)`, and the
@@ -303,13 +303,14 @@ class GenTBase:
         return self._log_norm - (q + 1.0 / p) * np.logaddexp(0.0, y)
 
     def moment_exists(self, r: int) -> bool:
-        return _validate_order(r) < self.p * self.q
+        # the sign of q - r/p, which the moment's Gamma takes; p*q can round above r where q - r/p is 0
+        return _validate_order(r) / self.p < self.q
 
     def abs_moment(self, r: int) -> float:
         r = _validate_order(r)
         p, q = self.p, self.q
-        if r >= p * q:
-            raise ExistenceError(f"E|Z|^{r} diverges for p={p}, q={q} (needs r < p*q)")
+        if not self.moment_exists(r):
+            raise ExistenceError(f"E|Z|^{r} diverges for p={p}, q={q} (needs r/p < q)")
         if r == 0:
             return 1.0
         return float(np.exp(r * np.log(self.delta) + _gt_log_abs_moment(r, p, q)))

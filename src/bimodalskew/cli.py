@@ -311,9 +311,10 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--thin", type=int, default=5)
     sp.add_argument("--chains", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--prior-a-phi", type=float, default=2.0)
-    sp.add_argument("--prior-b-phi", type=float, default=0.5)
-    sp.add_argument("--prior-beta-nu", type=float, default=0.1)
+    sp.add_argument("--prior-a-phi", type=float, default=2.0, help="shape of phi's Gamma prior (default %(default)s)")
+    sp.add_argument("--prior-b-phi", type=float, default=0.5, help="rate of phi's Gamma prior (default %(default)s)")
+    sp.add_argument("--prior-beta-nu", type=float, default=0.1,
+                    help="rate of the Exponential prior on nu - 2, bsstd (default %(default)s)")
     sp.add_argument("--enable-extensions", action="store_true")
     sp.add_argument("--save-chains", default=None, help="write thinned draws as JSON lines")
     sp.add_argument("--format", choices=("json", "csv"), default="json")

@@ -1,8 +1,8 @@
 """Bayesian fitting of the standardized bimodal skewed families.
 
 The skewness is parameterized through phi = gamma^2 with a Gamma(a, b) prior,
-the tilt alpha gets a Gamma prior with mass at small values, and for the
-Student-t family the degrees of freedom carry a shifted exponential prior
+the tilt alpha has the fixed prior Exponential(0.1), and for the Student-t
+family the degrees of freedom carry a shifted exponential prior
 p(nu) = beta * exp(-beta (nu - 2)) on nu > 2.  One sweep serves every model:
 phi, then alpha, then each shape block of the base (nu for bsstd, p and
 q - 2/p for bsgt), each by adaptive random-walk Metropolis on a log scale.
@@ -58,6 +58,8 @@ _ALPHA_SHIFT = 1e-12
 _SCALE_BOUNDS = (1e-4, 1e2)
 _TARGET_ACCEPT = 0.44  # the acceptance rate Robbins-Monro steers each block's scale toward
 _INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
+_ALPHA_RATE = 0.1  # alpha ~ Exponential(_ALPHA_RATE), whose log density is log(rate) - rate * alpha
+_ALPHA_LOG_RATE = math.log(_ALPHA_RATE)
 # A block reads its target at its proposal and then at the value it holds,
 # which the previous block's update read last; so a memo of a sampler's last
 # three arguments serves every held value without a second pass.
@@ -66,25 +68,17 @@ _memo = functools.lru_cache(maxsize=3)
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """Hyperparameters; all Gamma distributions are rate-parameterized."""
+    """The settable hyperparameters: phi ~ Gamma(a_phi, rate b_phi) and nu - 2 ~ Exponential(beta_nu)."""
 
     a_phi: float = 2.0
     b_phi: float = 0.5
-    a_alpha: float = 1.0
-    b_alpha: float = 0.1
     beta_nu: float = 0.1
 
     def __post_init__(self):
-        for name in ("a_phi", "b_phi", "a_alpha", "b_alpha", "beta_nu"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"prior hyperparameter {name} must be positive")
-
-    @functools.cached_property
-    def _alpha_log_norm(self) -> float:
-        """Log normalizer a log b - log Gamma(a) of the alpha prior, computed once."""
-        from scipy.special import gammaln
-
-        return self.a_alpha * math.log(self.b_alpha) - gammaln(self.a_alpha)
+        for name in ("a_phi", "b_phi", "beta_nu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):  # an infinite one leaves a silently stuck chain
+                raise DomainError(f"prior hyperparameter {name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -151,17 +145,6 @@ def _check_data(data) -> np.ndarray:
     return x
 
 
-def _log_prior_alpha(alpha: float, priors: PriorConfig) -> float:
-    if alpha < 0:
-        return -np.inf
-    a, b = priors.a_alpha, priors.b_alpha
-    if alpha == 0.0:
-        edge = 0.0 if a == 1.0 else (-np.inf if a > 1.0 else np.inf)
-    else:
-        edge = (a - 1.0) * math.log(alpha)
-    return priors._alpha_log_norm + edge - b * alpha
-
-
 # One kernel per block.  The sampler calls them with the per-data-set
 # invariants (x^2, the sign mask) computed once.
 
@@ -181,11 +164,11 @@ def _lc_phi(phi: float, alpha: float, n: int, base_term, priors: PriorConfig) ->
     )
 
 
-def _lc_alpha(alpha: float, phi: float, n: int, tilt_sum, priors: PriorConfig) -> float:
+def _lc_alpha(alpha: float, phi: float, n: int, tilt_sum) -> float:
     """alpha's conditional, given ``tilt_sum(alpha)``, the sum of log1p(alpha x^2) over the data."""
     if alpha < 0:
         return -np.inf
-    return -n * np.log1p(alpha * _b_phi(phi)) + tilt_sum(alpha) + _log_prior_alpha(alpha, priors)
+    return -n * np.log1p(alpha * _b_phi(phi)) + tilt_sum(alpha) + (_ALPHA_LOG_RATE - _ALPHA_RATE * alpha)
 
 
 # Each model's base, as a constructor from its shape values (None for the
@@ -382,7 +365,7 @@ class MetropolisWithinGibbs:
         self._update_block("phi", lambda phi: _lc_phi(phi, alpha, n, self._base_term, priors), rate)
         phi = st["phi"]
         # the tilt is the only alpha term of any unit-variance base
-        self._update_block("alpha", lambda a: _lc_alpha(a, phi, n, self._tilt_sum, priors), rate)
+        self._update_block("alpha", lambda a: _lc_alpha(a, phi, n, self._tilt_sum), rate)
         for name, (_, floor, log_prior) in self._shapes.items():
             self._update_block(
                 name,

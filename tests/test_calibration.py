@@ -19,7 +19,7 @@ import pytest
 from scipy import stats
 
 from bimodalskew import _workers, families
-from bimodalskew.inference import McmcConfig, PriorConfig, run_mcmc
+from bimodalskew.inference import _ALPHA_RATE, McmcConfig, PriorConfig, run_mcmc
 from bimodalskew.sampling import RngStream, sample
 
 LEVEL = 1e-3
@@ -35,7 +35,8 @@ def draw_truth(model: str, gen: np.random.Generator) -> dict[str, float]:
     priors = PriorConfig()
     truth = {
         "phi": gen.gamma(priors.a_phi, 1.0 / priors.b_phi),
-        "alpha": gen.gamma(priors.a_alpha, 1.0 / priors.b_alpha),
+        # Exponential(rate), drawn as Gamma(1, 1/rate) so the data stay as they were
+        "alpha": gen.gamma(1.0, 1.0 / _ALPHA_RATE),
     }
     if model == "bsstd":
         truth["nu"] = 2.0 + gen.exponential(1.0 / priors.beta_nu)

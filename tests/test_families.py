@@ -1025,6 +1025,24 @@ class TestMoments:
         assert rep[0].exists and rep[0].full is not None
         assert not rep[1].exists and rep[1].full is None
 
+    # p*q rounds to 3.0000000000000004 while q - 3/p, the argument of the
+    # moment's Gamma, is exactly 0: once reported as existing, inf and NaN
+    P_EDGE = 2.8999748958312104
+
+    def test_order_at_the_boundary_does_not_exist(self):
+        spec = bsgt(0.0, 1.0, self.P_EDGE, 3.0 / self.P_EDGE)
+        rep = moment_report(spec)[2]
+        assert not rep.exists and (rep.base_abs, rep.skew, rep.full) == (None, None, None)
+        with pytest.raises(ExistenceError):
+            spec.base.abs_moment(3)
+
+    def test_tilt_at_the_boundary_raises(self):
+        p = 1.1682457131811113  # once gave a first full moment of NaN
+        spec = bsgt(14.903310349297868, 1.0, p, 3.0 / p)
+        assert not moment_exists(spec, 1)
+        with pytest.raises(ExistenceError):
+            full_moment(spec, 1)
+
     def test_odd_moments_vanish_when_symmetric(self):
         for spec in (bsn(1.0, 1.0), bsstd(2.0, 1.0, 8.0)):
             assert full_moment(spec, 1) == pytest.approx(0.0, abs=1e-14)

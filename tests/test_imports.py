@@ -2,11 +2,12 @@
 
 Importing the package costs numpy and the package's own modules, no scipy
 module at all: the normal density and the three samplers need none, so
-``pdf`` and ``sample`` of ``bsn`` and ``sample`` of ``bsstd`` run on numpy
-alone. ``scipy.special`` loads on the first call that needs it (the
-Student-t and generalized-t densities, ``cdf``, ``cdf_values``, ``quantile``,
-the moments, ``fit``). The oracle imports it at module level and loads on
-first use of ``run_checks``, ``integrate`` or ``OracleResult``, so ``check``
+``pdf`` and ``sample`` of ``bsn``, ``sample`` of ``bsstd`` and a ``bsn``
+``fit`` run on numpy alone. ``scipy.special`` loads on the first call that
+needs it (the Student-t and generalized-t densities, and so their fits,
+``cdf``, ``cdf_values``, ``quantile``, the moments). The oracle imports it at
+module level and loads on first use of ``run_checks``, ``integrate`` or
+``OracleResult``, so ``check``
 loads it before forking its workers, and a full ``check`` runs on the oracle,
 numpy and ``scipy.special`` alone; ``scipy.integrate`` and ``scipy.optimize``
 load on the first ``quantile``, and nothing in the package
@@ -84,9 +85,8 @@ def test_commands_without_checks_load_no_heavy_module(command, tmp_path):
         "sample-bsstd": ["sample", "--model", "bsstd", "--nu", "5", *out],
         "fit": ["fit", "--model", "bsn", "--in", str(data), "--iters", "300", "--burnin", "100"],
     }[command]
-    # the normal density and the samplers run on numpy alone; the alpha
-    # prior's normalizer loads scipy.special into a fit
-    heavy = HEAVY if command == "fit" else NO_SCIPY
+    # the normal density, the samplers and a bsn fit run on numpy alone
+    heavy = ("scipy",) + HEAVY if command == "fit" else NO_SCIPY
     assert heavy_loaded(run_cli(*argv), heavy)["end"] == []
 
 

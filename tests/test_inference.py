@@ -1,5 +1,6 @@
 """Fitter machinery: precision conditional, block targets, adaptation, chain output."""
 
+import dataclasses
 import gc
 import math
 import os
@@ -95,7 +96,7 @@ class TestShapeBlocks:
     }
     PRIORS = {
         "phi": stats.gamma(PRIORS.a_phi, scale=1.0 / PRIORS.b_phi).logpdf,
-        "alpha": stats.gamma(PRIORS.a_alpha, scale=1.0 / PRIORS.b_alpha).logpdf,
+        "alpha": stats.expon(scale=1.0 / inference._ALPHA_RATE).logpdf,
         "nu": stats.expon(loc=2.0, scale=1.0 / PRIORS.beta_nu).logpdf,
         "p": stats.gamma(2.0, scale=1.0).logpdf,
         "q_tilt": stats.gamma(2.0, scale=2.0).logpdf,
@@ -352,6 +353,17 @@ class TestRunMcmc:
             run_mcmc(np.array([1.0]), model="bsn", config=self.CFG)  # too few points
         with pytest.raises(DomainError):
             run_mcmc(np.array([np.nan, 1.0, 2.0, -1.0]), model="bsn", config=self.CFG)
+
+    @pytest.mark.parametrize("name", ["a_phi", "b_phi", "beta_nu"])
+    def test_infinite_prior_hyperparameters_raise(self, name):
+        # an infinite one pins its block: phi or nu never moves, and nothing warns
+        with pytest.raises(DomainError, match=name):
+            PriorConfig(**{name: math.inf})
+
+    def test_alpha_prior_is_not_settable(self):
+        assert [f.name for f in dataclasses.fields(PriorConfig)] == ["a_phi", "b_phi", "beta_nu"]
+        with pytest.raises(TypeError):
+            PriorConfig(a_alpha=2.0)
 
     # (1e154)^2 is finite, but two of them sum past the range
     FAR = ([2e154], [-1e300], [1e154, -1e154])
