@@ -44,7 +44,6 @@ _INFERENCE_NAMES = frozenset(
         "Chain",
         "McmcConfig",
         "MetropolisWithinGibbs",
-        "PriorConfig",
         "effective_sample_size",
         "posterior_summary",
         "run_mcmc",
@@ -76,7 +75,6 @@ __all__ = [
     "NormalBase",
     "NumericError",
     "OracleResult",
-    "PriorConfig",
     "RngStream",
     "StudentTBase",
     "bsgt",

@@ -25,7 +25,7 @@ SCHEMA = "bimodal-skew/1"
 _CHUNK = 65536  # draws formatted per write by `sample`
 
 
-def _add_model_flags(sp: argparse.ArgumentParser, loc_scale: bool) -> None:
+def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--model", required=True, choices=("bsn", "bsstd", "bsgt"))
     sp.add_argument("--alpha", type=float, default=0.0)
     skew = sp.add_mutually_exclusive_group()
@@ -34,9 +34,8 @@ def _add_model_flags(sp: argparse.ArgumentParser, loc_scale: bool) -> None:
     sp.add_argument("--nu", type=float, default=None, help="degrees of freedom (bsstd)")
     sp.add_argument("--p", type=float, default=None, help="tail shape (bsgt)")
     sp.add_argument("--q", type=float, default=None, help="tail weight (bsgt)")
-    if loc_scale:
-        sp.add_argument("--mu", type=float, default=0.0, help="location")
-        sp.add_argument("--sigma", type=float, default=1.0, help="scale")
+    sp.add_argument("--mu", type=float, default=0.0, help="location")
+    sp.add_argument("--sigma", type=float, default=1.0, help="scale")
 
 
 def _build_spec(args: argparse.Namespace) -> DistributionSpec:
@@ -46,17 +45,15 @@ def _build_spec(args: argparse.Namespace) -> DistributionSpec:
         gamma = math.sqrt(args.phi)
     else:
         gamma = 1.0 if args.gamma is None else args.gamma
-    loc = getattr(args, "mu", 0.0)
-    scale = getattr(args, "sigma", 1.0)
     if args.model == "bsn":
-        return bsn(args.alpha, gamma, loc=loc, scale=scale)
+        return bsn(args.alpha, gamma, loc=args.mu, scale=args.sigma)
     if args.model == "bsstd":
         if args.nu is None:
             raise DomainError("--model bsstd requires --nu")
-        return bsstd(args.alpha, gamma, args.nu, loc=loc, scale=scale)
+        return bsstd(args.alpha, gamma, args.nu, loc=args.mu, scale=args.sigma)
     if args.p is None or args.q is None:
         raise DomainError("--model bsgt requires --p and --q")
-    return bsgt(args.alpha, gamma, args.p, args.q, loc=loc, scale=scale)
+    return bsgt(args.alpha, gamma, args.p, args.q, loc=args.mu, scale=args.sigma)
 
 
 def _spec_params(spec: DistributionSpec) -> dict:
@@ -94,10 +91,7 @@ def cmd_pdf(args: argparse.Namespace) -> int:
             raise DomainError(f"--compare expects comma-separated numbers: {exc}") from None
         if not alphas:
             raise DomainError("--compare got an empty list")
-        curves = {}
-        for a in alphas:
-            variant = argparse.Namespace(**{**vars(args), "alpha": a, "compare": None})
-            curves[f"alpha={a:g}"] = pdf(_build_spec(variant), xs)
+        curves = {f"alpha={a:g}": pdf(dataclasses.replace(spec, alpha=a), xs) for a in alphas}
     else:
         curves = {"pdf": pdf(spec, xs)}
 
@@ -208,21 +202,15 @@ def _read_first_numeric_column(path: str) -> np.ndarray:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    from .inference import McmcConfig, PriorConfig, posterior_summary, run_mcmc
+    from .inference import McmcConfig, posterior_summary, run_mcmc
 
     data = _read_first_numeric_column(args.in_)
-    priors = PriorConfig(a_phi=args.prior_a_phi, b_phi=args.prior_b_phi, beta_nu=args.prior_beta_nu)
     config = McmcConfig(
         iterations=args.iters, burn_in=args.burnin, thin=args.thin, chains=args.chains
     )
     t0 = time.perf_counter()
     chains = run_mcmc(
-        data,
-        model=args.model,
-        priors=priors,
-        config=config,
-        seed=args.seed,
-        enable_extensions=args.enable_extensions,
+        data, model=args.model, config=config, seed=args.seed, enable_extensions=args.enable_extensions
     )
     elapsed = time.perf_counter() - t0
     report = posterior_summary(chains)
@@ -287,7 +275,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("pdf", help="evaluate the density on a grid")
-    _add_model_flags(sp, loc_scale=True)
+    _add_model_flags(sp)
     sp.add_argument("--from", dest="from_", type=float, default=-4.0)
     sp.add_argument("--to", type=float, default=4.0)
     sp.add_argument("--points", type=int, default=201)
@@ -297,7 +285,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_pdf)
 
     sp = sub.add_parser("sample", help="draw variates to a file with a reproducibility sidecar")
-    _add_model_flags(sp, loc_scale=True)
+    _add_model_flags(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", required=True)
@@ -311,10 +299,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--thin", type=int, default=5)
     sp.add_argument("--chains", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--prior-a-phi", type=float, default=2.0, help="shape of phi's Gamma prior (default %(default)s)")
-    sp.add_argument("--prior-b-phi", type=float, default=0.5, help="rate of phi's Gamma prior (default %(default)s)")
-    sp.add_argument("--prior-beta-nu", type=float, default=0.1,
-                    help="rate of the Exponential prior on nu - 2, bsstd (default %(default)s)")
     sp.add_argument("--enable-extensions", action="store_true")
     sp.add_argument("--save-chains", default=None, help="write thinned draws as JSON lines")
     sp.add_argument("--format", choices=("json", "csv"), default="json")

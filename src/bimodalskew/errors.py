@@ -14,8 +14,8 @@ class CapabilityError(TypeError):
 
 
 class NumericError(RuntimeError):
-    """A numeric routine failed to reach its target tolerance.
+    """A numeric routine failed to reach its target tolerance, or a value lies past the float range.
 
-    The message always reports the tolerance that was achieved so callers can
-    decide whether the partial result is still usable.
+    A tolerance failure's message reports the tolerance that was achieved so
+    callers can decide whether the partial result is still usable.
     """

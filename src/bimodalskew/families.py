@@ -29,6 +29,7 @@ of the argument.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -324,6 +325,24 @@ def quantile(spec: DistributionSpec, u: float) -> float:
 # ---------- moments ----------
 
 
+def _in_float_range(moment):
+    """``moment`` that raises NumericError naming the order where its value is not finite."""
+
+    @functools.wraps(moment)
+    def checked(spec: DistributionSpec, r: int) -> float:
+        try:
+            with np.errstate(over="ignore"):  # the bases' exp of a log moment
+                value = moment(spec, r)
+        except OverflowError:  # a float ** past the range
+            value = math.inf
+        if not math.isfinite(value):
+            raise NumericError(f"the order-{r} moment lies beyond the float range")
+        return value
+
+    return checked
+
+
+@_in_float_range
 def skew_moment(spec: DistributionSpec, r: int) -> float:
     """r-th moment of the untilted two-piece density (standardized variable).
 
@@ -338,11 +357,13 @@ def skew_moment(spec: DistributionSpec, r: int) -> float:
 def _canonical_moment(spec: DistributionSpec, r: int) -> float:
     """E(Z^r | alpha, gamma) = (E(Z^r|gamma) + alpha E(Z^(r+2)|gamma)) / (1 + alpha b)."""
     alpha = spec.alpha
+    skew = skew_moment.__wrapped__  # unchecked: full_moment names the order it was asked
     if alpha == 0.0:
-        return skew_moment(spec, r)
-    return (skew_moment(spec, r) + alpha * skew_moment(spec, r + 2)) / (1.0 + alpha * spec.b)
+        return skew(spec, r)
+    return (skew(spec, r) + alpha * skew(spec, r + 2)) / (1.0 + alpha * spec.b)
 
 
+@_in_float_range
 def full_moment(spec: DistributionSpec, r: int) -> float:
     """r-th moment of the tilted two-piece density, including location and scale.
 

@@ -1,9 +1,9 @@
 """Bayesian fitting of the standardized bimodal skewed families.
 
-The skewness is parameterized through phi = gamma^2 with a Gamma(a, b) prior,
-the tilt alpha has the fixed prior Exponential(0.1), and for the Student-t
-family the degrees of freedom carry a shifted exponential prior
-p(nu) = beta * exp(-beta (nu - 2)) on nu > 2.  One sweep serves every model:
+The priors are fixed: the skewness, parameterized through phi = gamma^2, has
+the prior Gamma(2, rate 0.5), the tilt alpha has Exponential(0.1), and for the
+Student-t family the degrees of freedom carry the shifted exponential prior
+p(nu) = 0.1 exp(-0.1 (nu - 2)) on nu > 2.  One sweep serves every model:
 phi, then alpha, then each shape block of the base (nu for bsstd, p and
 q - 2/p for bsgt), each by adaptive random-walk Metropolis on a log scale.
 phi's and the shape blocks' targets take the base's log density summed over
@@ -43,7 +43,6 @@ from .errors import CapabilityError, DomainError
 from .sampling import RngStream, _gen
 
 __all__ = [
-    "PriorConfig",
     "McmcConfig",
     "Chain",
     "mh_block_update",
@@ -60,25 +59,12 @@ _TARGET_ACCEPT = 0.44  # the acceptance rate Robbins-Monro steers each block's s
 _INIT_SCALE = 0.5  # starting random-walk scale of every block, on the log scale
 _ALPHA_RATE = 0.1  # alpha ~ Exponential(_ALPHA_RATE), whose log density is log(rate) - rate * alpha
 _ALPHA_LOG_RATE = math.log(_ALPHA_RATE)
+_A_PHI, _B_PHI = 2.0, 0.5  # phi ~ Gamma(_A_PHI, rate _B_PHI)
+_BETA_NU = 0.1  # nu - 2 ~ Exponential(_BETA_NU)
 # A block reads its target at its proposal and then at the value it holds,
 # which the previous block's update read last; so a memo of a sampler's last
 # three arguments serves every held value without a second pass.
 _memo = functools.lru_cache(maxsize=3)
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    """The settable hyperparameters: phi ~ Gamma(a_phi, rate b_phi) and nu - 2 ~ Exponential(beta_nu)."""
-
-    a_phi: float = 2.0
-    b_phi: float = 0.5
-    beta_nu: float = 0.1
-
-    def __post_init__(self):
-        for name in ("a_phi", "b_phi", "beta_nu"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):  # an infinite one leaves a silently stuck chain
-                raise DomainError(f"prior hyperparameter {name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +113,6 @@ def _b_phi(phi: float) -> float:
 
 
 def _log_gamma(value: float, a: float, b: float) -> float:
-    if value <= 0:
-        return -np.inf
     return (a - 1.0) * math.log(value) - b * value
 
 
@@ -149,7 +133,7 @@ def _check_data(data) -> np.ndarray:
 # invariants (x^2, the sign mask) computed once.
 
 
-def _lc_phi(phi: float, alpha: float, n: int, base_term, priors: PriorConfig) -> float:
+def _lc_phi(phi: float, alpha: float, n: int, base_term) -> float:
     """phi's conditional: the tilt normalizer, the two-piece and prior terms,
     and ``base_term(phi)``, the base's log density summed over the data as
     the skewing stretches them (up to a constant), the only model-dependent term."""
@@ -157,10 +141,10 @@ def _lc_phi(phi: float, alpha: float, n: int, base_term, priors: PriorConfig) ->
         return -np.inf
     return (
         -n * np.log1p(alpha * _b_phi(phi))
-        + (priors.a_phi + 0.5 * n - 1.0) * math.log(phi)
+        + (_A_PHI + 0.5 * n - 1.0) * math.log(phi)
         - n * np.log1p(phi)
         + base_term(phi)
-        - priors.b_phi * phi
+        - _B_PHI * phi
     )
 
 
@@ -176,12 +160,12 @@ def _lc_alpha(alpha: float, phi: float, n: int, tilt_sum) -> float:
 # floor, log prior); a shape block's support lies above its floor.
 _MODELS = {
     "bsn": (None, {}),
-    "bsstd": (StudentTBase, {"nu": (6.0, 2.0, lambda nu, priors: -priors.beta_nu * nu)}),
+    "bsstd": (StudentTBase, {"nu": (6.0, 2.0, lambda nu: -_BETA_NU * nu)}),
     "bsgt": (
         lambda p, q_tilt: GenTBase(p, q_tilt + 2.0 / p),
         {
-            "p": (2.0, 0.0, lambda p, priors: _log_gamma(p, 2.0, 1.0)),
-            "q_tilt": (2.0, 0.0, lambda q_tilt, priors: _log_gamma(q_tilt, 2.0, 0.5)),
+            "p": (2.0, 0.0, lambda p: _log_gamma(p, 2.0, 1.0)),
+            "q_tilt": (2.0, 0.0, lambda q_tilt: _log_gamma(q_tilt, 2.0, 0.5)),
         },
     ),
 }
@@ -250,9 +234,9 @@ class MetropolisWithinGibbs:
     """Adaptive Metropolis-within-Gibbs sampler for one chain.
 
     ``model`` is "bsn" (normal base, blocks phi and alpha), "bsstd"
-    (Student-t base, adding nu under its shifted exponential prior) or the
-    experimental "bsgt" (generalized-t base, adding p and q - 2/p under
-    Gamma(2, 1) and Gamma(2, 0.5) priors).  Each sweep moves phi, then alpha,
+    (Student-t base, adding nu) or the experimental "bsgt" (generalized-t
+    base, adding p and q - 2/p under Gamma(2, 1) and Gamma(2, 0.5) priors).
+    Every prior is the module's fixed one.  Each sweep moves phi, then alpha,
     then the base's shape blocks on the base term at the stretched data;
     ``state`` holds the current value of every block.  "bsgt" must be opted
     into explicitly, because its p and q blocks trade tail weight and mix
@@ -264,7 +248,6 @@ class MetropolisWithinGibbs:
         self,
         data,
         model: str = "bsn",
-        priors: PriorConfig | None = None,
         config: McmcConfig | None = None,
         rng=None,
         init: dict[str, float] | None = None,
@@ -315,7 +298,6 @@ class MetropolisWithinGibbs:
 
         self._tilt_sum = _memo(tilt_sum)
         self.model = model
-        self.priors = priors or PriorConfig()
         self.config = config or McmcConfig()
         self.rng = rng if rng is not None else RngStream(0)
         self._gen = _gen(self.rng)
@@ -359,17 +341,17 @@ class MetropolisWithinGibbs:
             self._post_iterations += 1
         adapting = t <= self.config.burn_in
         rate = 1.0 / t**0.6 if adapting else None
-        st, n, priors = self.state, self.x.size, self.priors
+        st, n = self.state, self.x.size
 
         alpha = st["alpha"]
-        self._update_block("phi", lambda phi: _lc_phi(phi, alpha, n, self._base_term, priors), rate)
+        self._update_block("phi", lambda phi: _lc_phi(phi, alpha, n, self._base_term), rate)
         phi = st["phi"]
         # the tilt is the only alpha term of any unit-variance base
         self._update_block("alpha", lambda a: _lc_alpha(a, phi, n, self._tilt_sum), rate)
         for name, (_, floor, log_prior) in self._shapes.items():
             self._update_block(
                 name,
-                lambda v: self._base_term(phi, **{name: v}) + log_prior(v, priors) if v > floor else -np.inf,
+                lambda v: self._base_term(phi, **{name: v}) + log_prior(v) if v > floor else -np.inf,
                 rate,
             )
         if adapting:
@@ -426,7 +408,6 @@ class MetropolisWithinGibbs:
 def run_mcmc(
     data,
     model: str = "bsn",
-    priors: PriorConfig | None = None,
     config: McmcConfig | None = None,
     seed: int = 0,
     init: dict[str, float] | None = None,
@@ -449,7 +430,6 @@ def run_mcmc(
         MetropolisWithinGibbs(
             data,
             model=model,
-            priors=priors,
             config=config,
             rng=RngStream(seed, c),
             init=init,

@@ -19,7 +19,7 @@ import pytest
 from scipy import stats
 
 from bimodalskew import _workers, families
-from bimodalskew.inference import _ALPHA_RATE, McmcConfig, PriorConfig, run_mcmc
+from bimodalskew.inference import _A_PHI, _ALPHA_RATE, _B_PHI, _BETA_NU, McmcConfig, run_mcmc
 from bimodalskew.sampling import RngStream, sample
 
 LEVEL = 1e-3
@@ -32,14 +32,13 @@ BINS = 10
 
 def draw_truth(model: str, gen: np.random.Generator) -> dict[str, float]:
     """Parameters from the fitter's priors, named as the chain keeps them."""
-    priors = PriorConfig()
     truth = {
-        "phi": gen.gamma(priors.a_phi, 1.0 / priors.b_phi),
+        "phi": gen.gamma(_A_PHI, 1.0 / _B_PHI),
         # Exponential(rate), drawn as Gamma(1, 1/rate) so the data stay as they were
         "alpha": gen.gamma(1.0, 1.0 / _ALPHA_RATE),
     }
     if model == "bsstd":
-        truth["nu"] = 2.0 + gen.exponential(1.0 / priors.beta_nu)
+        truth["nu"] = 2.0 + gen.exponential(1.0 / _BETA_NU)
     if model == "bsgt":
         # Gamma(2, 1) on p and Gamma(2, 0.5) on q - 2/p; the chain keeps q
         p = gen.gamma(2.0, 1.0)

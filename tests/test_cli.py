@@ -261,11 +261,12 @@ class TestFit:
         assert code == 0
         assert {"p", "q"} <= set(json.loads(out)["parameters"])
 
-    def test_infinite_prior_hyperparameter_is_fatal(self, capsys, small_csv):
+    def test_prior_flags_are_unrecognized(self, capsys, small_csv):
+        # the priors are fixed
         code, _, err = run(capsys, "fit", "--model", "bsn", "--in", str(small_csv),
-                           "--prior-b-phi", "inf", *self.ARGS)
+                           "--prior-b-phi", "0.5", *self.ARGS)
         assert code == 2
-        assert err.startswith("error:") and "b_phi" in err
+        assert "unrecognized arguments: --prior-b-phi" in err
 
     def test_non_numeric_rows_are_fatal_with_line_numbers(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1043,6 +1043,24 @@ class TestMoments:
         with pytest.raises(ExistenceError):
             full_moment(spec, 1)
 
+    # (order, call): each once came back NaN or inf, raised a bare OverflowError or warned
+    PAST_THE_RANGE = {
+        "full-nan": (2, lambda: full_moment(bsn(3.0, 1.5, loc=-1e154, scale=1e154), 2)),
+        "report-nan": (2, lambda: moment_report(bsn(3.0, 1.5, loc=-1e154, scale=1e154), orders=(2,))),
+        "full-inf": (1, lambda: full_moment(bsn(3.0, 1.5, loc=1.7e308, scale=1e308), 1)),
+        "full-loc-power": (2, lambda: full_moment(bsn(0.0, 1.0, loc=1e200), 2)),
+        "skew-gamma-power": (200, lambda: skew_moment(bsn(0.0, 1e3), 200)),
+        "skew-base-exp": (400, lambda: skew_moment(bsn(0.0, 1.0), 400)),
+    }
+
+    @pytest.mark.parametrize("probe", list(PAST_THE_RANGE))
+    def test_moment_past_the_float_range_raises(self, probe):
+        order, call = self.PAST_THE_RANGE[probe]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"order-{order} moment"):
+                call()
+
     def test_odd_moments_vanish_when_symmetric(self):
         for spec in (bsn(1.0, 1.0), bsstd(2.0, 1.0, 8.0)):
             assert full_moment(spec, 1) == pytest.approx(0.0, abs=1e-14)

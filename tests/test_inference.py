@@ -1,6 +1,5 @@
 """Fitter machinery: precision conditional, block targets, adaptation, chain output."""
 
-import dataclasses
 import gc
 import math
 import os
@@ -15,7 +14,6 @@ from bimodalskew.families import bsgt, bsn, bsstd
 from bimodalskew.inference import (
     McmcConfig,
     MetropolisWithinGibbs,
-    PriorConfig,
     effective_sample_size,
     mh_block_update,
     posterior_summary,
@@ -24,11 +22,45 @@ from bimodalskew.inference import (
 from bimodalskew.oracle import _gamma_mixture, integrate
 from bimodalskew.sampling import RngStream, sample
 
-PRIORS = PriorConfig()
-
 
 def fixture_data(n=200, seed=17):
     return sample(bsn(3.0, 1.5), n, RngStream(seed, 0))
+
+
+# One short chain per model on fixture_data(): 400 sweeps, burn-in 100, thin 1,
+# seed 1, with each block's first and last retained value.  A change to the
+# fitter that keeps its arithmetic keeps these bits.
+RECORDED_CHAINS = [
+    ("bsn", {"phi": (2.446072831031732, 2.4598853029394445), "alpha": (1.7967654558668957, 1.2572996161052912)}),
+    (
+        "bsstd",
+        {
+            "phi": (2.2246140791319418, 2.4022917076524934),
+            "alpha": (1.8894607509362675, 1.0804740342865096),
+            "nu": (20.951098939580813, 39.344629737253776),
+        },
+    ),
+    (
+        "bsgt",
+        {
+            "phi": (2.0681326579277433, 2.380249892364808),
+            "alpha": (2.7155257160919994, 1.5243231922601934),
+            "p": (2.1615903091608932, 3.3471248153860347),
+            "q": (10.42313071967383, 2.4334398631196095),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("model,want", RECORDED_CHAINS, ids=[m for m, _ in RECORDED_CHAINS])
+def test_recorded_chains(model, want):
+    cfg = McmcConfig(iterations=400, burn_in=100, thin=1)
+    (chain,) = run_mcmc(fixture_data(), model=model, config=cfg, seed=1, enable_extensions=model == "bsgt")
+    assert list(chain.params) == list(want)
+    for name, (first, last) in want.items():
+        row = chain.params[name]
+        assert row.size == 300
+        np.testing.assert_allclose([row[0], row[-1]], [first, last], rtol=1e-12, err_msg=name)
 
 
 class TestPrecisionConditional:
@@ -95,9 +127,9 @@ class TestShapeBlocks:
         "q_tilt": np.linspace(0.2, 10.0, 20),
     }
     PRIORS = {
-        "phi": stats.gamma(PRIORS.a_phi, scale=1.0 / PRIORS.b_phi).logpdf,
+        "phi": stats.gamma(inference._A_PHI, scale=1.0 / inference._B_PHI).logpdf,
         "alpha": stats.expon(scale=1.0 / inference._ALPHA_RATE).logpdf,
-        "nu": stats.expon(loc=2.0, scale=1.0 / PRIORS.beta_nu).logpdf,
+        "nu": stats.expon(loc=2.0, scale=1.0 / inference._BETA_NU).logpdf,
         "p": stats.gamma(2.0, scale=1.0).logpdf,
         "q_tilt": stats.gamma(2.0, scale=2.0).logpdf,
     }
@@ -348,22 +380,9 @@ class TestRunMcmc:
         with pytest.raises(DomainError):
             McmcConfig(thin=0)
         with pytest.raises(DomainError):
-            PriorConfig(a_phi=0.0)
-        with pytest.raises(DomainError):
             run_mcmc(np.array([1.0]), model="bsn", config=self.CFG)  # too few points
         with pytest.raises(DomainError):
             run_mcmc(np.array([np.nan, 1.0, 2.0, -1.0]), model="bsn", config=self.CFG)
-
-    @pytest.mark.parametrize("name", ["a_phi", "b_phi", "beta_nu"])
-    def test_infinite_prior_hyperparameters_raise(self, name):
-        # an infinite one pins its block: phi or nu never moves, and nothing warns
-        with pytest.raises(DomainError, match=name):
-            PriorConfig(**{name: math.inf})
-
-    def test_alpha_prior_is_not_settable(self):
-        assert [f.name for f in dataclasses.fields(PriorConfig)] == ["a_phi", "b_phi", "beta_nu"]
-        with pytest.raises(TypeError):
-            PriorConfig(a_alpha=2.0)
 
     # (1e154)^2 is finite, but two of them sum past the range
     FAR = ([2e154], [-1e300], [1e154, -1e154])
