@@ -2,7 +2,7 @@
 
 The construction combines two-piece skewing with a quadratic tilt, giving
 densities that can be simultaneously skewed and bimodal.  The package covers
-density/CDF/moment evaluation (`families`), exact draws through one public
+density/CDF/survival/moment evaluation (`families`), exact draws through one public
 entry point, `sample` with a reproducible `RngStream`, which takes every
 heavy-tailed member, the Student-t as the generalized-t at p = 2, through one
 scale-mixture hierarchy; the paper's other hierarchies are private helpers
@@ -29,6 +29,7 @@ from .families import (
     moment_report,
     pdf,
     quantile,
+    sf,
     skew_moment,
     two_piece_second_moment,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "run_checks",
     "run_mcmc",
     "sample",
+    "sf",
     "skew_moment",
     "two_piece_second_moment",
     "__version__",

@@ -5,9 +5,9 @@ tilting layers in :mod:`bimodalskew.families` then never need to renormalize
 second moments.  Each base exposes its log density, which for the heavy tails
 takes log1p(v) of a power v of |z| while v is finite and, where v overflows,
 the log form log(1 + e^(log v)) from log|z| (``far_log_pdf``), its absolute moments
-m_r = E|Z|^r, exact samplers for |Z| and for the quadratically weighted
-half-line density proportional to z^2 f(z) on z > 0 (where one is available
-in closed form), its partial moments of order r = 0 and 2 (the integral of
+m_r = E|Z|^r, one exact half-line sampler, `sample_abs`, that draws |Z| or,
+tilted, the quadratically weighted half-line law proportional to z^2 f(z) on
+z > 0, its partial moments of order r = 0 and 2 (the integral of
 w^r f(w) over (0, t) or (t, inf), from which the families' distribution
 functions are built), and its mode law: the triple (p, a, b) for which, on a
 half-line stretched by s, d/dz log f of the tilted density has the sign of
@@ -16,7 +16,7 @@ A(y) = 2 alpha s^p a y^(1 - p/2) - alpha b y - 1 with y = z^2.
 The Student-t base is the generalized-t at p = 2 and q = nu/2: `StudentTBase`
 is a `GenTBase` that sets the two derived constants, the scale delta and the
 divisor c = q delta^p of |z|^p, in closed form, and keeps only its name.  So
-every heavy-tail formula, the sampler of |Z| included, is written once.
+every heavy-tail formula, the half-line sampler included, is written once.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # scipy's rounding from here up, and betainc, which the exact form needs,
 # returns NaN once its second parameter passes about 1e200.
 _Q_EXP_POWER = 1e17
+# a positive double below 2**-1075 rounds to 0.0
+_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 
 
 def _validate_order(r: int) -> int:
@@ -78,6 +80,22 @@ def _beta_split(a: float, b: float, u: np.ndarray, upper: bool) -> np.ndarray:
         out[fix & near] = betaincc(a, b, un / (1.0 + un))
         out[fix & ~near] = betaincc(b, a, 1.0 / (1.0 + uf))
     return out[()]
+
+
+def _log_gamma_draws(shape: float, gen: np.random.Generator, size: int) -> np.ndarray:
+    """log Y of ``size`` draws Y ~ Gamma(shape, 1), finite where Y underflows.
+
+    Near 0, Y has density proportional to y^(shape - 1), so given
+    Y < 2^-1075, where it rounds to 0, Y is 2^-1075 V^(1/shape), V uniform;
+    only a call with such a Y draws its V, right after its Y.
+    """
+    y = gen.gamma(shape, 1.0, size)
+    low = y == 0.0
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+    if low.any():
+        log_y[low] = _LOG_UNDERFLOW + np.log(gen.random(np.count_nonzero(low))) / shape
+    return log_y
 
 
 def _check_shape(p: float, q: float) -> None:
@@ -219,12 +237,10 @@ class NormalBase:
         edge = capped * np.exp(-0.5 * capped * capped) / _SQRT_2PI
         return half + edge if upper else half - edge
 
-    def sample_abs(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return np.abs(gen.standard_normal(size))
-
-    def sample_abs_tilted(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        # z^2 exp(-z^2/2) on z > 0 is the chi(3) density.
-        return np.sqrt(gen.chisquare(3, size))
+    def sample_abs(self, gen: np.random.Generator, size: int, tilted: bool = False) -> np.ndarray:
+        """``size`` draws of |Z|, or with ``tilted`` of chi(3), whose density
+        z^2 exp(-z^2/2) on z > 0 is the x^2-weighted half-normal."""
+        return np.sqrt(gen.chisquare(3, size)) if tilted else np.abs(gen.standard_normal(size))
 
 
 @dataclass(frozen=True)
@@ -336,11 +352,21 @@ class GenTBase:
             w = t**p / self.c
         return half_moment * _beta_split((r + 1.0) / p, q - r / p, w, upper)
 
-    def sample_abs(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        # |Z/delta|^p / q is beta-prime(1/p, q), i.e. a ratio of gammas.
-        g1 = gen.gamma(1.0 / self.p, 1.0, size)
-        g2 = gen.gamma(self.q, 1.0, size)
-        return self.delta * (self.q * g1 / g2) ** (1.0 / self.p)
+    def sample_abs(self, gen: np.random.Generator, size: int, tilted: bool = False) -> np.ndarray:
+        """``size`` draws of |Z|, or with ``tilted`` of the x^2-weighted half-line law.
+
+        |Z/delta|^p / q is h / Y with h ~ Gamma(1/p, 1) and Y ~ Gamma(q, 1);
+        tilted, h ~ Gamma(3/p, 1) and Y ~ Gamma(q - 2/p, 1), the size-biased
+        mixing law (q - 2/p > 0 as p*q > 2).  Y is drawn first, in logs, then
+        h, and delta (q h / Y)^(1/p) is formed in logs, so nothing overflows
+        on the way; near nu = 2 or p*q = 2 a share of the tilted draws lie
+        past the float range, as inf.
+        """
+        p, q = self.p, self.q
+        log_y = _log_gamma_draws(q - 2.0 / p if tilted else q, gen, size)
+        h = gen.gamma((3.0 if tilted else 1.0) / p, 1.0, size)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.delta * np.exp((math.log(q) + np.log(h) - log_y) / p)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ __all__ = [
     "pdf",
     "cdf",
     "cdf_values",
+    "sf",
     "quantile",
     "skew_moment",
     "full_moment",
@@ -285,6 +286,17 @@ def cdf_values(spec: DistributionSpec, xs) -> np.ndarray:
     return np.where(z == np.inf, 1.0, np.minimum(result, 1.0))
 
 
+def sf(spec: DistributionSpec, xs) -> np.ndarray:
+    """P(X > x) at many points, as precise in the upper tail as `cdf_values`
+    is in the lower; a NaN point raises DomainError.  A two-piece density at
+    gamma is its mirror image at 1/gamma (Fernandez and Steel 1998), so this
+    is `cdf_values` of the standardized member at 1/gamma at -(x - loc)/scale.
+    """
+    with np.errstate(over="ignore"):
+        z = (np.asarray(xs, dtype=float) - spec.loc) / spec.scale
+    return cdf_values(DistributionSpec(spec.alpha, 1.0 / spec.gamma, spec.base), -z)
+
+
 def quantile(spec: DistributionSpec, u: float) -> float:
     """Value x with cdf(x) = u, located by bracketing root search over `_cdf`.
 
@@ -299,7 +311,7 @@ def quantile(spec: DistributionSpec, u: float) -> float:
     left = cdf(spec, center)
     f_center = _cdf(spec, center, left) - u
     if f_center == 0.0:
-        return center
+        return float(center)
     step = spec.scale
     if f_center > 0:
         lo = center - step

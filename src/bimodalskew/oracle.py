@@ -42,10 +42,9 @@ from .families import (
 )
 from .sampling import (
     RngStream,
-    _finite,
     _gen_gamma,
-    _gen_t_draws,
     _two_piece,
+    _uniform_gg_draws,
     _uniform_normal_draws,
     _uniform_two_piece_normal,
     sample,
@@ -920,7 +919,7 @@ def _suite(seed: int, n: int) -> tuple[list[_Case], list[tuple]]:
 
     def bsgt_uniform_ks():
         spec = bsgt(1.0, 0.8, 2.3, 2.0)
-        return ks_distance(_finite(_gen_t_draws(spec, rng(10), n, "uniform-gg")), spec)
+        return ks_distance(_uniform_gg_draws(spec, rng(10), n), spec)
 
     # each gate's cost is its milliseconds at 1e5 draws
     for label, cost, run in (

@@ -7,45 +7,35 @@ probability 1/(1 + alpha*b) or the quadratically weighted component with
 probability alpha*b/(1 + alpha*b), then draws that component exactly.  No
 rejection loops anywhere.
 
-The heavy-tailed families are drawn through their scale-mixture hierarchies.
-One point needs care: the quadratic tilt factor (1 + alpha x^2) is shared by
-every mixture component, so reweighting by x^2 changes the mixing law itself.
-Under the tilt component the mixing variable follows the size-biased version
-of its plain density (second moment of the conditional kernel times the plain
-density), which stays in the same parametric family:
+Every member draws a component's half-line magnitudes from its base's one
+sampler, ``base.sample_abs(gen, k, tilted)``, then their two-piece signs.  In
+a scale mixture the tilt factor (1 + alpha x^2) is shared by every mixture
+component, so the x^2 weight turns the mixing law into its size-biased
+version, in the same family: the generalized-t's Y ~ Gamma(q, 1) becomes
+Gamma(q - 2/p, 1) (`GenTBase.sample_abs`), and the uniform layers' radii,
+chi-square(3) under the normal and Gamma(1 + 1/p, 1) under the exponential
+power, become chi-square(5) and Gamma(1 + 3/p, 1), with a cube-root
+inversion of the conditional uniform.
 
-* generalized-t layer, the Student-t (p = 2, q = nu/2) included: a draw is
-  delta (q h / Y)^(1/p) with plain Y ~ Gamma(q, 1); tilted
-  Y ~ Gamma(q - 2/p, 1).  S = Y^(2/p) is the generalized-gamma scale of the
-  exponential-power conditional.
-* uniform layer under the normal: plain U ~ chi-square(3); tilted
-  U ~ chi-square(5), and the conditional uniform gains the x^2 weight
-  (cube-root inversion).
-* uniform layer under the exponential power: plain U ~ Gamma(1 + 1/p, 1);
-  tilted U ~ Gamma(1 + 3/p, 1), with the same cube-root inversion.
-
-`sample` draws the normal members from the normal base and every
-generalized-t member through its generalized-gamma layer.  The paper's other
-representations (the two-piece and x^2-weighted components on their own, the
-uniform layers, the generalized gamma) are private helpers that take a numpy
-Generator and an exact count; the oracle's ``sampler/`` gates check each of
-them against a closed form.  Every draw is checked against the float range.
+The paper's other representations (the two-piece and x^2-weighted components
+on their own, the uniform layers, the generalized gamma) are private helpers
+that take a numpy Generator and an exact count; the oracle's ``sampler/``
+gates check each of them against a closed form.  Every draw is checked
+against the float range.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from .bases import GenTBase
+from .bases import _log_gamma_draws
 from .errors import DomainError, NumericError
 from .families import DistributionSpec
 
 __all__ = ["RngStream", "sample"]
-
-# a positive double below 2**-1075 rounds to 0.0
-_LOG_UNDERFLOW = -1075.0 * math.log(2.0)
 
 
 class RngStream:
@@ -124,11 +114,8 @@ def _compose(spec: DistributionSpec, gen, n: int, magnitudes) -> np.ndarray:
 
 
 def _two_piece(gamma: float, base, gen, n: int, tilted: bool = False) -> np.ndarray:
-    """n draws of the two-piece law on a symmetric base, or with ``tilted`` of
-    its x^2-weighted version, which needs the base's closed-form x^2-weighted
-    half-line sampler (the normal's)."""
-    magnitude = (base.sample_abs_tilted if tilted else base.sample_abs)(gen, n)
-    return _finite(_two_piece_signs(gamma, magnitude, tilted, gen))
+    """n draws of the two-piece law on a base, or with ``tilted`` of its x^2-weighted version."""
+    return _finite(_two_piece_signs(gamma, base.sample_abs(gen, n, tilted), tilted, gen))
 
 
 def _uniform_normal_draws(spec: DistributionSpec, gen, n: int) -> np.ndarray:
@@ -164,62 +151,34 @@ def _gen_gamma(p: float, q: float, gen, n: int) -> np.ndarray:
         return _finite(gen.gamma(q, 1.0, n) ** (2.0 / p))
 
 
-def _gen_t_draws(spec: DistributionSpec, gen, n: int, path: str = "gg") -> np.ndarray:
-    """n draws of a generalized-t member, the Student-t included, before the
-    float-range check: a draw past it is inf.
-
-    Per component a draw is delta (q h / Y)^(1/p) w, with p, q and delta read
-    off the spec's base, Y ~ Gamma(q, 1) (Gamma(q - 2/p, 1), the size-biased
-    mixing law, on the x^2-weighted component; q - 2/p > 0 as p*q > 2) and, for
-    r = 1 (3 when weighted), h ~ Gamma(r/p, 1) and w = 1 on the ``"gg"`` path,
-    or the uniform layer's h ~ Gamma(1 + r/p, 1) and w = v (v^(1/3) when
-    weighted), v uniform, on ``"uniform-gg"``.  It is formed in logs, so no
-    intermediate overflows.  Near 0, Y ~ Gamma(a, 1) has density proportional
-    to y^(a - 1), so given Y < 2^-1075, where it rounds to 0, Y is
-    2^-1075 V^(1/a), V uniform; only a component with such a Y draws its V,
-    right after its Y.  Near nu = 2 or p*q = 2 the weighted component's
-    tail falls so slowly that a share of its draws lie past the float range.
-    """
+def _uniform_gg_draws(spec: DistributionSpec, gen, n: int) -> np.ndarray:
+    """n draws of a generalized-t member, the Student-t included, through the
+    uniform layer under the exponential power: delta (q h / Y)^(1/p) w, with Y
+    drawn as `GenTBase.sample_abs` draws it and, for r = 1 (3 when
+    x^2-weighted), h ~ Gamma(1 + r/p, 1) and w = v (v^(1/3) when weighted),
+    v uniform."""
     p, q, delta = spec.base.p, spec.base.q, spec.base.delta
-    log_q = math.log(q)
 
-    def gt_layer(k, tilted):
-        shape = q - 2.0 / p if tilted else q
-        y = gen.gamma(shape, 1.0, k)
-        low = y == 0.0
-        with np.errstate(divide="ignore"):
-            log_y = np.log(y)
-        if low.any():
-            log_y[low] = _LOG_UNDERFLOW + np.log(gen.random(np.count_nonzero(low))) / shape
+    def uniform_layer(k, tilted):
+        log_y = _log_gamma_draws(q - 2.0 / p if tilted else q, gen, k)
         r = 3.0 if tilted else 1.0
-        if path == "gg":
-            h, w = gen.gamma(r / p, 1.0, k), 1.0
-        else:
-            # uniform layer: |x| spread below the envelope radius, x^2-weighted when tilted
-            h, v = gen.gamma(1.0 + r / p, 1.0, k), gen.random(k)
-            w = v ** (1.0 / 3.0) if tilted else v
+        h, v = gen.gamma(1.0 + r / p, 1.0, k), gen.random(k)
+        w = v ** (1.0 / 3.0) if tilted else v
         with np.errstate(divide="ignore", over="ignore"):
-            return delta * np.exp((log_q + np.log(h) - log_y) / p) * w
+            return delta * np.exp((math.log(q) + np.log(h) - log_y) / p) * w
 
-    return _compose(spec, gen, n, gt_layer)
+    return _finite(_compose(spec, gen, n, uniform_layer))
 
 
 def sample(spec: DistributionSpec, n: int | None, rng):
     """n draws from any family member, on the loc/scale of the spec (one float for n=None).
 
-    ``rng`` is an `RngStream` or a numpy Generator.  Every generalized-t
-    member, the Student-t at p = 2 included, is drawn by `_gen_t_draws`, the
-    normal from its base's half-line samplers.  A draw past the float range,
-    before or after the loc/scale, raises NumericError.
+    ``rng`` is an `RngStream` or a numpy Generator.  Every member draws its
+    half-line magnitudes from its base's `sample_abs`.  A draw past the float
+    range, before or after the loc/scale, raises NumericError.
     """
     gen, size = _gen(rng), _count(n)
-    base = spec.base
-    if isinstance(base, GenTBase):
-        z = _gen_t_draws(spec, gen, size)
-    else:
-        z = _compose(
-            spec, gen, size, lambda k, tilted: (base.sample_abs_tilted if tilted else base.sample_abs)(gen, k)
-        )
+    z = _compose(spec, gen, size, partial(spec.base.sample_abs, gen))
     with np.errstate(over="ignore"):
         x = _finite(spec.loc + spec.scale * z)
     return x if n is not None else float(x[0])

@@ -25,6 +25,7 @@ from bimodalskew.families import (
     log_pdf,
     moment_exists,
     moment_report,
+    sf,
 )
 from bimodalskew.sampling import RngStream, sample
 
@@ -108,6 +109,33 @@ def test_cdf_values_is_a_distribution_function(family, alpha, gamma, tail, p, lo
         values = cdf_values(spec, xs)
     assert ((values >= 0.0) & (values <= 1.0)).all()
     assert (np.diff(values) >= 0.0).all()
+
+
+@given(**DOMAIN, xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+@settings(max_examples=500, deadline=None, derandomize=True)
+# the largest |cdf + sf - 1| found, 8.8e-15 (40 ulp), over 240 000 points:
+# q near 1e217, where both tails come from the incomplete-gamma limit
+@example(
+    family="bsgt",
+    alpha=0.0,
+    gamma=2.6884896033275965,
+    tail=4.212280367421211e217,
+    p=1.9983387315548233,
+    loc=49319050.68946397,
+    scale=0.00014769206454448398,
+    xs=[49319050.689956576],
+)
+def test_sf_complements_cdf_values(family, alpha, gamma, tail, p, loc, scale, xs):
+    try:
+        spec = member(family, alpha, gamma, tail, p, loc, scale)
+    except DomainError:  # a generalized-t whose variance or q delta^p leaves the float range
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        upper = sf(spec, xs)
+        lower = cdf_values(spec, xs)
+    assert ((upper >= 0.0) & (upper <= 1.0)).all()
+    assert (np.abs(lower + upper - 1.0) <= 2e-14).all()
 
 
 @given(**DOMAIN)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,9 +37,11 @@ from bimodalskew.families import (
     moment_report,
     pdf,
     quantile,
+    sf,
     skew_moment,
     two_piece_second_moment,
 )
+from bimodalskew.oracle import integrate
 from bimodalskew.sampling import RngStream, sample
 
 GRID = np.linspace(-6.0, 6.0, 41)
@@ -460,6 +463,11 @@ class TestQuantileSharesTheFoldMass:
         for u in levels:
             assert quantile(spec, u) == self.search_over_cdf(spec, u)
 
+    def test_root_at_the_fold_is_a_float(self):
+        # the fold's root came back as the spec's own loc, the int 5 here
+        got = quantile(bsn(0, 1, loc=5), 0.5)
+        assert type(got) is float and got == 5.0
+
     def test_same_error_where_the_search_fails(self):
         # far in the upper tail the cdf cannot certify its error
         spec, u = bsgt(1.0, 1.5, 1.7, 2.0), 1.0 - 1e-9
@@ -528,19 +536,30 @@ class TestCdfValues:
         np.testing.assert_allclose(cdf_values(spec, xs), want, rtol=rel, atol=0.0)
 
     @pytest.mark.parametrize(
-        "spec,xs,want",
+        "spec,xs,want,values",
         [
             (bsgt(0, 1, 1.5, 1e12), [-30.0, -20.0, -12.0],
-             [1.0266928512862312e-58, 1.0068532761436593e-32, 4.7270579577294927e-16]),
-            (bsstd(0, 1, 1e12), [-30.0, -12.0], [4.9067149185437239e-198, 1.7764821211568822e-33]),
+             [1.0266928512862312e-58, 1.0068532761436593e-32, 4.7270579577294927e-16], cdf_values),
+            (bsstd(0, 1, 1e12), [-30.0, -12.0], [4.9067149185437239e-198, 1.7764821211568822e-33], cdf_values),
+            # at alpha = 0 and gamma = 1 the density is symmetric: sf at -x takes the same values
+            (bsgt(0, 1, 1.5, 1e12), [30.0, 20.0, 12.0],
+             [1.0266928512862312e-58, 1.0068532761436593e-32, 4.7270579577294927e-16], sf),
+            (bsstd(0, 1, 1e12), [30.0, 12.0], [4.9067149185437239e-198, 1.7764821211568822e-33], sf),
         ],
-        ids=["bsgt-q1e12", "bsstd-nu1e12"],
+        ids=["bsgt-q1e12", "bsstd-nu1e12", "bsgt-q1e12-sf", "bsstd-nu1e12-sf"],
     )
-    def test_far_tail_complement_keeps_its_digits(self, spec, xs, want):
+    def test_far_tail_complement_keeps_its_digits(self, spec, xs, want, values):
         # the upper partial moment is 1 - I with I near 1, which read 0 here
         # as a difference; the references are the closed form at the given
         # parameters in 120-digit arithmetic (mpmath)
-        np.testing.assert_allclose(cdf_values(spec, xs), want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(values(spec, xs), want, rtol=1e-13, atol=0.0)
+
+    def test_sf_keeps_the_upper_tail_digits(self):
+        # 1 - cdf_values read 0 for Phi(-10), and was 0.7% off for bsstd at 1e3;
+        # the reference is Phi(-10) in 40-digit arithmetic (mpmath)
+        np.testing.assert_allclose(sf(bsn(0, 1), 10.0), [7.619853024160525e-24], rtol=1e-14, atol=0.0)
+        spec = bsstd(0, 1, 5)
+        assert sf(spec, 1e3).tobytes() == cdf_values(spec, [-1e3]).tobytes()
 
     def test_pit_is_uniform_where_x_rounds_to_one(self):
         # nu just above 2: t^2 / (t^2 + nu - 2) rounds to 1 for most draws, so
@@ -573,11 +592,25 @@ class TestCdfValues:
         two_term = np.where(z == np.inf, 1.0, np.minimum(two_term, 1.0))
         assert cdf_values(spec, z).tobytes() == two_term.tobytes()
 
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("family", ["bsn", "bsstd", "bsgt"])
+    def test_sf_matches_quadrature_of_the_upper_tail(self, family, gamma):
+        # the oracle's integral of the density over (x, inf), at x = loc + k scale;
+        # where no node reads a nonzero density, the integral and sf are both 0
+        spec = spec_of(family, 1.0, gamma)
+        spec = DistributionSpec(spec.alpha, spec.gamma, spec.base, 1.3, 2.0)
+        for k in (1.0, 10.0, 1e3):
+            x = spec.loc + k * spec.scale
+            want = integrate(partial(pdf, spec), x, math.inf, points=(spec.loc,))
+            got = sf(spec, x)[0]
+            assert abs(got - want.value) <= want.abs_error_estimate + 1e-13 * want.value
+
     def test_nan_and_shape_raise(self):
-        with pytest.raises(DomainError):
-            cdf_values(bsn(1.0, 1.5), [0.0, float("nan")])
-        with pytest.raises(DomainError):
-            cdf_values(bsn(1.0, 1.5), np.zeros((2, 2)))
+        for values in (cdf_values, sf):
+            with pytest.raises(DomainError):
+                values(bsn(1.0, 1.5), [0.0, float("nan")])
+            with pytest.raises(DomainError):
+                values(bsn(1.0, 1.5), np.zeros((2, 2)))
 
     @given(**CDF_DOMAIN, loc=st.floats(-5.0, 5.0), log_scale=st.floats(-2.0, 2.0))
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -10,6 +10,7 @@ test between independent construction routes.
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from scipy import stats
 from bimodalskew.bases import GenTBase, NormalBase, StudentTBase
 from bimodalskew.errors import DomainError, NumericError
 from bimodalskew.families import DistributionSpec, bsgt, bsn, bsstd, full_moment
-from bimodalskew.oracle import ks_distance
+from bimodalskew.oracle import _quadratic_tilt_cdf, ks_distance
 from bimodalskew.sampling import (
     RngStream,
-    _finite,
+    _compose,
     _gen_gamma,
-    _gen_t_draws,
     _two_piece,
+    _uniform_gg_draws,
     _uniform_normal_draws,
     _uniform_two_piece_normal,
     sample,
@@ -36,7 +37,7 @@ KS_GATE = 1.63 / np.sqrt(N)
 
 def uniform_gg(spec, rng, n):
     """n draws of a generalized-t member through the uniform layer under the exponential power."""
-    return _finite(_gen_t_draws(spec, rng.generator, n, "uniform-gg"))
+    return _uniform_gg_draws(spec, rng.generator, n)
 
 
 # The first 8 of 64 draws of every hierarchy at RngStream(2024, k) for the
@@ -58,8 +59,8 @@ RECORDED_DRAWS = [
         lambda rng: _two_piece(0.8, StudentTBase(5.0), rng.generator, 64),
         {
             "x": [
-                -0.09911407428881083, -2.0010016399949384, -1.1697861411059471, -2.273064694974828,
-                0.856881012421256, -1.6412799018120967, -0.005155662355699469, 0.273232739830185,
+                0.782751074438058, 0.6571969901981947, -1.6809294613252705, -0.5027691410656465,
+                0.28572633672196507, -1.0536598477692953, 1.4699942980552816, 0.5846234462548804,
             ],
         },
     ),
@@ -68,8 +69,8 @@ RECORDED_DRAWS = [
         lambda rng: _two_piece(1.3, GenTBase(1.7, 2.0), rng.generator, 64),
         {
             "x": [
-                -0.28222884240772794, -0.32667054298900156, 5.2618053833677605, 1.0136101798592536,
-                0.1431055631266922, -0.04692757978681666, 0.4449095737342251, 0.14010885173431076,
+                -1.1396548141212377, 0.4500028820493446, -1.2223588192013766, -0.036910533714144204,
+                1.1929390701392908, -0.12908687888324105, 0.2104342411708377, 0.14649040214471576,
             ],
         },
     ),
@@ -246,6 +247,18 @@ class TestDistributionGates:
         d = stats.kstest(x, lambda t: stats.norm.cdf(t) - t * stats.norm.pdf(t)).statistic
         assert d < KS_GATE
 
+    @pytest.mark.parametrize(
+        "gamma,base,stream",
+        [(1.3, GenTBase(1.7, 2.0), 3), (0.8, StudentTBase(5.0), 4)],
+        ids=["gent", "student"],
+    )
+    def test_heavy_tail_quadratic_tilt_gate(self, gamma, base, stream):
+        # the x^2-weighted two-piece law on a heavy-tailed base: its half-line
+        # magnitudes are the base's tilted draws delta (q h / Y)^(1/p)
+        x = _two_piece(gamma, base, RngStream(5, stream).generator, N, tilted=True)
+        d = stats.kstest(x, lambda t: _quadratic_tilt_cdf(t, gamma, base)).statistic
+        assert d < KS_GATE
+
     def test_uniform_path_agrees_with_direct(self):
         direct = sample(bsn(1.0, 1.5), N, RngStream(6, 0))
         via_u = _uniform_normal_draws(bsn(1.0, 1.5), RngStream(6, 1).generator, N)
@@ -363,7 +376,8 @@ class TestNearBoundaryTails:
         moment = 2.0**a * math.gamma(1.5 + a) / math.gamma(1.5)
         want = w * r**a * moment * t ** (-2.0 * a) / math.gamma(1.0 + a)
         m = 1_000_000
-        x = _gen_t_draws(spec, RngStream(8, 4).generator, m)
+        gen = RngStream(8, 4).generator
+        x = _compose(spec, gen, m, partial(spec.base.sample_abs, gen))
         assert abs(float(np.mean(np.abs(x) > t)) - want) < 4.0 * math.sqrt(want / m)
 
 
